@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 from .shapes import (
     Box,
     Partition,
-    covers_with_strips,
+    cover_graph,
     enclosure,
     from_dyck_path,
     partitions_in_staircase,
@@ -104,11 +104,13 @@ def all_dyck_paths(n: int) -> Iterator[str]:
 def all_chain_tableaux(n: int) -> Iterator[Tableau]:
     """Every saturated chain of the n-th lattice ending at the null diagram,
     encoded as a chain tableau (length = chain length, any shape)."""
-    down: dict[Partition, list[tuple[Partition, tuple[Box, ...]]]] = {
-        vertex: [] for vertex in partitions_in_staircase(n)}
-    for vertex in down:
-        for cover, strip in covers_with_strips(vertex, n):
-            down[cover].append((vertex, strip))
+    graph = cover_graph(n)
+    ids = {vertex: index for index, vertex in enumerate(graph.vertices)}
+    covered_by: list[list[tuple[int, tuple[Box, ...]]]] = [[] for _ in graph.vertices]
+    for vertex in partitions_in_staircase(n):  # fixes the order the chains come out in
+        index = ids[vertex]
+        for cover, strip in zip(graph.covers[index], graph.strips[index]):
+            covered_by[cover].append((index, strip))
     grid: dict[Box, int] = {}
 
     def emit(vertex: Partition) -> Tableau:
@@ -116,16 +118,16 @@ def all_chain_tableaux(n: int) -> Iterator[Tableau]:
                      for x in range(1, len(vertex) + 1))
         return Tableau(n, rows)
 
-    def walk(vertex: Partition, depth: int) -> Iterator[Tableau]:
-        yield emit(vertex)
-        for lower, strip in down[vertex]:
+    def walk(vertex: int, depth: int) -> Iterator[Tableau]:
+        yield emit(graph.vertices[vertex])
+        for lower, strip in covered_by[vertex]:
             for box in strip:
                 grid[box] = depth
             yield from walk(lower, depth + 1)
             for box in strip:
                 del grid[box]
 
-    yield from walk((), 1)
+    yield from walk(graph.top, 1)
 
 
 def random_chain_to_top(n: int, rng: random.Random,

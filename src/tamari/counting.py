@@ -24,7 +24,7 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
-from .shapes import Box, Partition, ShapeError, covers_with_strips, partitions_in_staircase, staircase
+from .shapes import Box, ShapeError, cover_graph
 from .tableaux import Tableau
 
 
@@ -54,33 +54,27 @@ class LengthHistogram:
         return sorted(self.counts)
 
 
-def _graph(n: int) -> dict[Partition, tuple]:
-    return {vertex: covers_with_strips(vertex, n) for vertex in partitions_in_staircase(n)}
-
-
 @lru_cache(maxsize=32)
 def count_by_length(n: int) -> LengthHistogram:
     """Histogram of maximal chains by length, via a DP over the cover graph.
 
-    Processes vertices by decreasing box count, pushing per-length chain counts
-    from the staircase upward; uses only the covering relation, so it serves as
-    the enumeration-side oracle for the recursion.
+    Sweeps the vertex ids in increasing order (decreasing box count), pushing
+    per-length chain counts from the staircase upward; uses only the covering
+    relation, so it serves as the enumeration-side oracle for the recursion.
     """
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
-    order = sorted(partitions_in_staircase(n), key=lambda p: (-sum(p), p))
-    reach: dict[Partition, dict[int, int]] = {staircase(n - 1): {0: 1}}
-    for vertex in order:
-        dist = reach.pop(vertex, None)
-        if dist is None:
-            continue
-        if not vertex:
-            return LengthHistogram(n, dist)
-        for cover, _ in covers_with_strips(vertex, n):
-            target = reach.setdefault(cover, {})
-            for length, count in dist.items():
-                target[length + 1] = target.get(length + 1, 0) + count
-    raise AssertionError("walk never reached the null diagram")
+    graph = cover_graph(n)
+    reach: list[dict[int, int]] = [{} for _ in graph.vertices]
+    reach[0][0] = 1
+    for vertex in range(graph.top):
+        step = {length + 1: count for length, count in reach[vertex].items()}
+        reach[vertex] = {}
+        for cover in graph.covers[vertex]:
+            target = reach[cover]
+            for length, count in step.items():
+                target[length] = target.get(length, 0) + count
+    return LengthHistogram(n, reach[graph.top])
 
 
 def enumerate_maximal_chains(n: int, length: int | None = None) -> Iterator[Tableau]:
@@ -92,7 +86,8 @@ def enumerate_maximal_chains(n: int, length: int | None = None) -> Iterator[Tabl
     """
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
-    graph = _graph(n)
+    graph = cover_graph(n)
+    covers, strips, top = graph.covers, graph.strips, graph.top
     grid = [[0] * (n + 1) for _ in range(n + 1)]
 
     def leaf(depth: int) -> Tableau:
@@ -100,17 +95,17 @@ def enumerate_maximal_chains(n: int, length: int | None = None) -> Iterator[Tabl
                      for x in range(1, n))
         return Tableau(n, rows)
 
-    def walk(vertex: Partition, depth: int) -> Iterator[Tableau]:
-        if not vertex:
+    def walk(vertex: int, depth: int) -> Iterator[Tableau]:
+        if vertex == top:
             if length is None or depth == length:
                 yield leaf(depth)
             return
-        for cover, strip in graph[vertex]:
+        for cover, strip in zip(covers[vertex], strips[vertex]):
             for row, col in strip:
                 grid[row][col] = depth
             yield from walk(cover, depth + 1)
 
-    yield from walk(staircase(n - 1), 0)
+    yield from walk(0, 0)
 
 
 @dataclass
@@ -144,35 +139,30 @@ class ChainCensus:
                 mine2[labels] = mine2.get(labels, 0) + count
 
 
-def _census_walk(n: int, start: Partition, prefix: list[tuple[Box, ...]] | None,
-                 collect_sets_for: int | None) -> ChainCensus:
-    graph = _graph(n)
+def _census_walk(n: int, branch: int | None, collect_sets_for: int | None) -> ChainCensus:
+    """Walk every maximal chain, or only those whose first step is cover ``branch``
+    of the staircase, tallying lengths and plus-full-sets."""
+    graph = cover_graph(n)
+    top = graph.top
+    edges = [tuple(zip(covers, strips)) for covers, strips in zip(graph.covers, graph.strips)]
+    if branch is not None:
+        edges[0] = (edges[0][branch],)
     census = ChainCensus(n)
     by_length = census.by_length
     nofull = census.nofull_by_length
     min_pfs = census.min_plus_full
     grid = [[0] * (n + 1) for _ in range(n + 1)]
-    max_steps = n * (n - 1) // 2
-    steps: list[tuple[int, int, int]] = [(0, 0, 0)] * max_steps
-
-    depth0 = 0
-    if prefix:
-        for strip in prefix:
-            end_row, end_col = strip[-1]
-            for row, col in strip:
-                grid[row][col] = depth0
-            steps[depth0] = (len(strip), end_row, end_col)
-            depth0 += 1
+    # (depth, end row, end column) of each full step on the current path: its
+    # strip starts in row 1 and ends on the outer diagonal
+    full: list[tuple[int, int, int]] = []
 
     def leaf(total: int) -> None:
         by_length[total] = by_length.get(total, 0) + 1
         found: list[int] = []
-        for s in range(total):
-            size, end_row, end_col = steps[s]
-            if end_row == size and end_row + end_col == n:
-                label = total - s
-                if end_row == n - 1 or total - grid[end_row + 1][end_col - 1] < label:
-                    found.append(label)
+        for depth, end_row, end_col in full:
+            label = total - depth
+            if end_row == n - 1 or total - grid[end_row + 1][end_col - 1] < label:
+                found.append(label)
         if not found:
             nofull[total] = nofull.get(total, 0) + 1
         else:
@@ -184,31 +174,28 @@ def _census_walk(n: int, start: Partition, prefix: list[tuple[Box, ...]] | None,
             tally2 = census.plus_full_sets.setdefault(total, {})
             tally2[labels] = tally2.get(labels, 0) + 1
 
-    def walk(vertex: Partition, depth: int) -> None:
-        if not vertex:
+    def walk(vertex: int, depth: int) -> None:
+        if vertex == top:
             leaf(depth)
             return
-        for cover, strip in graph[vertex]:
-            end_row, end_col = strip[-1]
+        for cover, strip in edges[vertex]:
             for row, col in strip:
                 grid[row][col] = depth
-            steps[depth] = (len(strip), end_row, end_col)
-            walk(cover, depth + 1)
+            end_row, end_col = strip[-1]
+            if end_row == len(strip) and end_row + end_col == n:
+                full.append((depth, end_row, end_col))
+                walk(cover, depth + 1)
+                full.pop()
+            else:
+                walk(cover, depth + 1)
 
-    walk(start, depth0)
+    walk(0, 0)
     return census
-
-
-def _census_branch(args: tuple[int, int, int | None]) -> ChainCensus:
-    n, branch, collect = args
-    bottom = staircase(n - 1)
-    cover, strip = covers_with_strips(bottom, n)[branch]
-    return _census_walk(n, cover, [strip], collect)
 
 
 @lru_cache(maxsize=16)
 def _census_cached(n: int) -> ChainCensus:
-    return _census_walk(n, staircase(n - 1), None, None)
+    return _census_walk(n, None, None)
 
 
 def census(n: int, workers: int = 1, collect_sets_for: int | None = None) -> ChainCensus:
@@ -220,15 +207,15 @@ def census(n: int, workers: int = 1, collect_sets_for: int | None = None) -> Cha
     """
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
-    branches = covers_with_strips(staircase(n - 1), n)
+    branches = cover_graph(n).covers[0]
     if workers <= 1 or len(branches) < 2:
         if collect_sets_for is None:
             return _census_cached(n)
-        return _census_walk(n, staircase(n - 1), None, collect_sets_for)
+        return _census_walk(n, None, collect_sets_for)
     jobs = [(n, b, collect_sets_for) for b in range(len(branches))]
     context = multiprocessing.get_context("fork")
     with context.Pool(min(workers, len(jobs))) as pool:
-        parts = pool.map(_census_branch, jobs)
+        parts = pool.starmap(_census_walk, jobs)
     merged = ChainCensus(n)
     for part in parts:
         merged.merge(part)
@@ -267,21 +254,18 @@ def chains_count(i: int, n: int, table: Mapping[int, int]) -> int:
     """Number of maximal chains of length n+i via the counting recursion.
 
     Evaluates ``sum_{t=1}^{2i+3} C(n+i, t+i) * N_i(t)`` from the supplied
-    initial values; entries with vanishing binomial weight (t > n) may be
-    omitted from ``table``.
+    initial values; the terms with t > n have vanishing binomial weight, so
+    they are skipped and may be omitted from ``table``.
     """
     if i < -1:
         raise ValueError(f"length offset must be >= -1, got {i}")
     if n < 1:
         raise ValueError(f"lattice order must be >= 1, got {n}")
     total = 0
-    for t in range(1, 2 * i + 3 + 1):
-        weight = comb(n + i, t + i)
-        if weight == 0:
-            continue
+    for t in range(1, min(2 * i + 3, n) + 1):
         if t not in table:
             raise IncompleteTableError(f"initial value for t={t} (offset i={i}) is missing")
-        total += weight * table[t]
+        total += comb(n + i, t + i) * table[t]
     return total
 
 

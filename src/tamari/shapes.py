@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
 Box = tuple[int, int]
@@ -212,18 +212,36 @@ def corner_boxes(parts: Sequence[int]) -> list[Box]:
     return corners
 
 
-@lru_cache(maxsize=None)
 def covers_with_strips(parts: Partition, n: int) -> tuple[tuple[Partition, tuple[Box, ...]], ...]:
-    """Upper covers of a vertex together with the removed strip, by corner row ascending."""
+    """Upper covers of a vertex together with the removed strip, by corner row ascending.
+
+    The prime subpath that starts at the north step of row ``d`` ends at the
+    first return to the slope-one line through its start.  In the diagram that
+    is the nearest row ``top`` above ``d`` whose last box lies on or beyond the
+    antidiagonal of the last box of ``d`` (``top + shape[top-1] >= d +
+    shape[d-1]``), or the virtual row 0, so the prime-path height is
+    ``d - top`` and the strip of a corner in row ``d`` is the last boxes of
+    rows ``top+1 .. d``.  The scan reads each row of each strip once, and
+    every strip and cover is a slice of tuples built once per vertex.
+    :func:`strip_of_box` is the definitional route to the same strips.
+    """
     shape = _require_vertex(parts, n)
+    rows = len(shape)
+    boxes = tuple(zip(range(1, rows + 1), shape))
+    shrunk = tuple([length - 1 for length in shape])
     result = []
-    for corner in corner_boxes(shape):
-        strip = strip_of_box(shape, n, corner)
-        top_row = strip[0][0]
-        new = list(shape)
-        for j in range(top_row, corner[0] + 1):
-            new[j - 1] -= 1
-        result.append((as_partition(new), strip))
+    for d in range(1, rows + 1):
+        length = shape[d - 1]
+        if d < rows and shape[d] == length:
+            continue  # not a corner
+        level = d + length
+        top = d - 1
+        while top and top + shape[top - 1] < level:
+            top -= 1
+        cover = shape[:top] + shrunk[top:d] + shape[d:]
+        if length == 1:  # rows of length 1 end the shape and empty
+            cover = cover[:cover.index(0)]
+        result.append((cover, boxes[top:d]))
     return tuple(result)
 
 
@@ -306,3 +324,43 @@ def partitions_in_staircase(n: int) -> list[Partition]:
 
     extend((), 1)
     return result
+
+
+class CoverGraph(NamedTuple):
+    """The covering relation of the n-th Tamari lattice on integer vertex ids.
+
+    Ids follow decreasing box count (ties by partition order), so id 0 is the
+    staircase, the last id is the null diagram and every cover step goes to a
+    larger id.  ``covers[v]`` lists the ids covering vertex ``v`` and
+    ``strips[v]`` the strip each of those steps removes, both by corner row
+    ascending, exactly as :func:`covers_with_strips` returns them.
+    """
+
+    n: int
+    vertices: tuple[Partition, ...]
+    covers: tuple[tuple[int, ...], ...]
+    strips: tuple[tuple[tuple[Box, ...], ...], ...]
+
+    @property
+    def top(self) -> int:
+        """Id of the null diagram, the maximum."""
+        return len(self.vertices) - 1
+
+
+@lru_cache(maxsize=4)
+def cover_graph(n: int) -> CoverGraph:
+    """The cover graph of the n-th lattice, one :func:`covers_with_strips` call per vertex.
+
+    Memoized for the few most recent orders; every lattice sweep shares it.
+    """
+    if n < 1:
+        raise ShapeError(f"ambient parameter must be >= 1, got {n}")
+    vertices = tuple(sorted(partitions_in_staircase(n), key=lambda p: (-sum(p), p)))
+    ids = {vertex: index for index, vertex in enumerate(vertices)}
+    covers = []
+    strips = []
+    for vertex in vertices:
+        edges = covers_with_strips(vertex, n)
+        covers.append(tuple([ids[cover] for cover, _ in edges]))
+        strips.append(tuple([strip for _, strip in edges]))
+    return CoverGraph(n, vertices, tuple(covers), tuple(strips))

@@ -123,7 +123,8 @@ class Tableau:
 
     @property
     def is_staircase(self) -> bool:
-        return self.shape == staircase(self.n - 1)
+        # the row count first: ``n`` may come from an unchecked header
+        return len(self.shape) == self.n - 1 and self.shape == staircase(self.n - 1)
 
     def truncate(self, r: int) -> "Tableau":
         """The sub-tableau of labels <= r (a chain tableau whenever self is)."""
@@ -165,9 +166,13 @@ class Tableau:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Tableau":
         try:
-            return cls(int(data["n"]), tuple(tuple(row) for row in data["rows"]))
+            n = data["n"]
+            rows = tuple(tuple(row) for row in data["rows"])
         except (KeyError, TypeError) as exc:
             raise TableauError(f"bad tableau json: {data!r}") from exc
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TableauError(f"tableau json needs an integer n, got {n!r}")
+        return cls(n, rows)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

@@ -136,6 +136,23 @@ def test_count_methods(capsys):
     assert code == 2 and "ceiling" in err
 
 
+def test_count_with_huge_offset_returns_at_once(capsys, monkeypatch):
+    from math import comb
+
+    from tamari import counting
+
+    calls = []
+
+    def counted_comb(a, b):
+        calls.append(b)
+        assert len(calls) <= 100, "work grew with --i"
+        return comb(a, b)
+
+    monkeypatch.setattr(counting, "comb", counted_comb)
+    code, out, _ = run(capsys, "count", "--i", str(10 ** 12), "--n", "3")
+    assert code == 0 and out.strip() == "0"
+
+
 def test_count_writes_and_reuses_cache(tmp_path, capsys):
     path = tmp_path / "cache.json"
     code, out, _ = run(capsys, "count", "--i", "1", "--n", "12",
@@ -215,6 +232,28 @@ def test_grow_domain_violation_exits_one(capsys, monkeypatch):
 def test_grow_rejects_malformed_input(capsys, monkeypatch):
     code, _, err = run_with_stdin(capsys, monkeypatch, "garbage", "grow", "--r", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("n", ["1e400", "3.7", "true", '"4"'])
+def test_decompose_rejects_non_integral_order(capsys, monkeypatch, n):
+    text = '{"n": %s, "rows": [[1, 2], [3]]}' % n  # a chain of order 3
+    code, out, err = run_with_stdin(capsys, monkeypatch, text, "decompose")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_decompose_rejects_huge_order_in_header(capsys, monkeypatch):
+    from tamari import tableaux
+    from tamari.shapes import staircase
+
+    def guarded_staircase(k):
+        assert k < 10 ** 6, "staircase sized by an unchecked header"
+        return staircase(k)
+
+    monkeypatch.setattr(tableaux, "staircase", guarded_staircase)
+    code, _, err = run_with_stdin(capsys, monkeypatch, "n=100000000000 l=1\n1\n",
+                                  "decompose")
+    assert code == 2 and "full-staircase" in err
 
 
 def test_decompose_and_recompose_roundtrip(tmp_path, capsys, monkeypatch):

@@ -49,6 +49,19 @@ def test_enumeration_is_deterministic_and_unique():
     assert len(set(first)) == len(first) == 98
 
 
+def test_chain_generators_keep_their_order():
+    # covers by corner row ascending from the staircase up; chains below a
+    # vertex in the order partitions_in_staircase lists the lower vertices
+    from tamari.checks import all_chain_tableaux
+
+    assert [tab.rows for tab in enumerate_maximal_chains(4)] == [
+        ((1, 2, 3), (1, 2), (1,)), ((1, 2, 4), (1, 2), (3,)), ((1, 2, 3), (1, 4), (1,)),
+        ((1, 2, 3), (2, 4), (2,)), ((1, 2, 3), (4, 5), (4,)), ((1, 2, 3), (1, 2), (4,)),
+        ((1, 2, 3), (1, 4), (5,)), ((1, 2, 4), (3, 5), (6,)), ((1, 2, 3), (4, 5), (6,))]
+    assert [tab.rows for tab in all_chain_tableaux(3)] == [
+        (), ((1,),), ((1, 2),), ((1, 2), (3,)), ((1,), (1,)), ((1, 2), (1,))]
+
+
 def test_histogram_small_orders():
     hist = count_by_length(4)
     assert [hist.get(k) for k in (3, 4, 5, 6)] == [1, 4, 2, 2]
@@ -130,6 +143,24 @@ def test_chains_count_published_values():
     expansion = (18 * comb(14, 6) + 220 * comb(14, 5) + 1464 * comb(14, 4)
                  + 9240 * comb(14, 3) + 15400 * comb(14, 2))
     assert chains_count(3, 11, row_three) == expansion
+
+
+def test_chains_count_loops_at_most_n_times(monkeypatch):
+    from tamari import counting
+
+    weights = []
+
+    def counted_comb(a, b):
+        weights.append(b)
+        assert len(weights) <= 3, "the loop ran past t = n"
+        return comb(a, b)
+
+    monkeypatch.setattr(counting, "comb", counted_comb)
+    assert chains_count(10 ** 12, 3, {1: 0, 2: 0, 3: 0}) == 0
+    assert weights == [10 ** 12 + 1, 10 ** 12 + 2, 10 ** 12 + 3]
+    weights.clear()
+    assert chains_count(1, 2, {1: 1, 2: 2}) == 3 * 1 + 1 * 2
+    assert weights == [2, 3]
 
 
 def test_chains_count_requires_needed_entries():

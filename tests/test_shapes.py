@@ -6,6 +6,8 @@ from tamari.shapes import (
     as_partition,
     contained_in_staircase,
     corner_boxes,
+    cover_graph,
+    covers_with_strips,
     enclosure,
     format_partition,
     from_dyck_path,
@@ -183,6 +185,57 @@ def test_pentagon_cover_structure():
 def test_bottom_element_has_n_minus_one_covers():
     for n in range(2, 8):
         assert len(upper_covers(staircase(n - 1), n)) == n - 1
+
+
+def covers_by_definition(vertex, n):
+    """Per corner, by increasing row: the strip from the prime path of the corner's
+    row, and the diagram left when that strip is removed."""
+    result = []
+    for corner in corner_boxes(vertex):
+        strip = strip_of_box(vertex, n, corner)
+        assert len(strip) == prime_path_of_row(vertex, n, corner[0]).height
+        shrunk = list(vertex)
+        for row, _ in strip:
+            shrunk[row - 1] -= 1
+        result.append((as_partition(shrunk), strip))
+    return result
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cover_graph_matches_the_definition(n):
+    graph = cover_graph(n)
+    assert sorted(graph.vertices) == sorted(partitions_in_staircase(n))
+    assert graph.vertices[0] == staircase(n - 1) and graph.vertices[graph.top] == ()
+    sizes = [sum(vertex) for vertex in graph.vertices]
+    assert sizes == sorted(sizes, reverse=True)
+    for index, vertex in enumerate(graph.vertices):
+        edges = [(graph.vertices[cover], strip)
+                 for cover, strip in zip(graph.covers[index], graph.strips[index])]
+        assert edges == covers_by_definition(vertex, n), vertex
+        assert [from_dyck_path(p) for p in upper_covers_dyck(to_dyck_path(vertex, n))] \
+            == [cover for cover, _ in edges]
+        assert all(cover > index for cover in graph.covers[index])
+
+
+def test_cover_kernel_keeps_validation():
+    assert covers_with_strips((2, 1), 3) == (((1, 1), ((1, 2),)), ((2,), ((2, 1),)))
+    assert covers_with_strips((1, 1), 3) == (((), ((1, 1), (2, 1))),)
+    assert covers_with_strips([2, 1, 0], 3) == covers_with_strips((2, 1), 3)
+    for bad in ((1, 2), (3,), (2, -1), (1, 1, 1), (1.0,)):
+        with pytest.raises(ShapeError):
+            covers_with_strips(bad, 3)
+    for n in (0, -1):
+        with pytest.raises(ShapeError):
+            covers_with_strips((), n)
+    with pytest.raises(ShapeError):
+        cover_graph(0)
+
+
+def test_cover_caches_are_bounded():
+    assert not hasattr(covers_with_strips, "cache_info")
+    maxsize = cover_graph.cache_parameters()["maxsize"]
+    assert maxsize is not None and maxsize > 0
+    assert cover_graph(5) is cover_graph(5)
 
 
 def test_upper_covers_dyck_examples():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tamari.checks import all_chain_tableaux, candidate_tableaux, random_chain_to_top
-from tamari.shapes import strip_of_box
+from tamari.shapes import staircase, strip_of_box
 from tamari.tableaux import (
     ChainError,
     NotChainTableauError,
@@ -204,3 +204,23 @@ def test_json_format_roundtrip():
     assert Tableau.from_json_dict(tab.to_json_dict()) == tab
     with pytest.raises(TableauError):
         Tableau.from_json_dict({"rows": [[1]]})
+
+
+@pytest.mark.parametrize("n", [3.7, 4.0, float("inf"), True, "4", None])
+def test_json_order_must_be_an_integer(n):
+    with pytest.raises(TableauError):
+        Tableau.from_json_dict({"n": n, "rows": [[1, 2, 4], [1, 2], [3]]})
+
+
+def test_is_staircase_checks_the_row_count_first(monkeypatch):
+    from tamari import tableaux
+
+    def guarded_staircase(k):
+        assert k < 10 ** 6, "staircase sized by an unchecked header"
+        return staircase(k)
+
+    monkeypatch.setattr(tableaux, "staircase", guarded_staircase)
+    huge = Tableau.from_text("n=100000000000 l=1\n1")
+    assert not huge.is_staircase
+    assert Tableau(4, ((1, 2, 4), (1, 2), (3,))).is_staircase
+    assert not Tableau(4, ((1, 2), (1,), (3,))).is_staircase
