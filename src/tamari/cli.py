@@ -5,18 +5,20 @@ Commands
 * ``enumerate``: stream the maximal chains of one lattice as chain tableaux.
 * ``table``: chain counts by length for a range of lattices (with ``--check``
   against the committed fixture).
-* ``nofull``: counts of chains with no plus-full-sets, brute-force where
-  feasible and by inclusion-exclusion beyond; maintains the cache file.
+* ``nofull``: counts of chains with no plus-full-sets, by classifying every
+  cover step where the ceiling admits it and by inclusion-exclusion beyond;
+  maintains the cache file.
 * ``count``: one chain count, by the recursion and/or brute enumeration.
 * ``grow`` / ``decompose`` / ``recompose``: apply the chain surgery maps to a
   tableau read from stdin or a file; growth-level tuples are comma-separated.
 * ``verify``: the property suites of :mod:`tamari.checks`.
 
 Exit codes: 0 success, 1 verification or fixture failure (or an input chain
-outside a map's domain), 2 usage error.  Enumeration effort is gated: the
-default ceiling is order 7 (~3.4e5 chains); ``--allow-large`` admits order 8
-(~2.2e8 chains) and ``--allow-huge`` removes the ceiling.  Histogram work
-over the cover graph has its own, higher ceiling.
+outside a map's domain), 2 usage error (malformed input, or an unreadable
+input file or cache path).  Enumeration effort is gated: the default ceiling
+is order 7 (~3.4e5 chains); ``--allow-large`` admits order 8 (~2.2e8 chains)
+and ``--allow-huge`` removes the ceiling.  Histogram work over the cover
+graph has its own, higher ceiling.
 """
 
 from __future__ import annotations
@@ -64,15 +66,12 @@ class RunConfig:
 
     max_n: int = ENUM_LIMIT
     max_i: int = 2
-    threads: int = 1
     format: str = "ascii"
     cache_path: str | None = None
     allow_large: bool = False
     allow_huge: bool = False
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError("worker count must be positive")
         if self.format not in ("ascii", "json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -81,7 +80,6 @@ class RunConfig:
         return cls(
             max_n=getattr(args, "max_n", ENUM_LIMIT),
             max_i=getattr(args, "max_i", 2),
-            threads=getattr(args, "threads", 1),
             format=getattr(args, "format", "ascii"),
             cache_path=getattr(args, "cache", None) or os.environ.get(CACHE_ENV),
             allow_large=getattr(args, "allow_large", False),
@@ -195,13 +193,14 @@ def cache_get(cache: dict, i: int, t: int) -> int | None:
 # initial values shared by `nofull` and `count --method recursion`
 
 
-def _nofull_values(i: int, need_t: int, config: RunConfig, cache: dict,
-                   censuses: dict) -> tuple[dict[int, tuple[int, str]], list[int]]:
+def _nofull_values(i: int, need_t: int, config: RunConfig,
+                   cache: dict) -> tuple[dict[int, tuple[int, str]], list[int]]:
     """Initial values N_i(t) for t <= min(need_t, 2i+3), with provenance.
 
-    Brute classification up to the enumeration ceiling; inclusion-exclusion
-    (cross-validated against brute on the overlap) up to the histogram
-    ceiling; cache entries beyond.  Returns the values and the t's that were
+    Up to the enumeration ceiling, :func:`census` classifies every cover step
+    by the paper's definition (provenance ``brute``); inclusion-exclusion
+    (cross-validated against it on the overlap) up to the histogram ceiling;
+    cache entries beyond.  Returns the values and the t's that were
     unobtainable.  Raises :class:`CacheMismatch` on any disagreement.
     """
     enum_limit = config.enum_limit
@@ -212,9 +211,7 @@ def _nofull_values(i: int, need_t: int, config: RunConfig, cache: dict,
     skipped: list[int] = []
     for t in range(1, top + 1):
         if t <= enum_limit:
-            if t not in censuses:
-                censuses[t] = census(t, workers=config.threads)
-            value = censuses[t].nofull_by_length.get(t + i, 0)
+            value = census(t).nofull_by_length.get(t + i, 0)
             if t in ie_values and ie_values[t] != value:
                 raise CacheMismatch(
                     f"routes disagree at i={i}, t={t}: brute {value} vs "
@@ -286,13 +283,12 @@ def cmd_nofull(args: argparse.Namespace, config: RunConfig) -> int:
         return 2
     cache_path = config.cache_path
     cache = load_cache(cache_path) if cache_path else empty_cache()
-    censuses: dict[int, object] = {}
     values: dict[int, dict[int, int]] = {}
     provenance: dict[int, dict[int, str]] = {}
     skipped: list[tuple[int, int]] = []
     try:
         for i in range(-1, args.max_i + 1):
-            row, missing = _nofull_values(i, 2 * i + 3, config, cache, censuses)
+            row, missing = _nofull_values(i, 2 * i + 3, config, cache)
             values[i] = {t: value for t, (value, _) in row.items()}
             provenance[i] = {t: source for t, (_, source) in row.items()}
             skipped.extend((i, t) for t in missing)
@@ -346,7 +342,7 @@ def cmd_count(args: argparse.Namespace, config: RunConfig) -> int:
     results: dict[str, int] = {}
     if args.method in ("recursion", "both"):
         try:
-            row, missing = _nofull_values(args.i, args.n, config, cache, {})
+            row, missing = _nofull_values(args.i, args.n, config, cache)
         except CacheMismatch as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -370,8 +366,7 @@ def cmd_count(args: argparse.Namespace, config: RunConfig) -> int:
             print(f"error: brute enumeration at n={args.n} exceeds the ceiling; "
                   f"pass --allow-large or --allow-huge", file=sys.stderr)
             return 2
-        results["brute"] = census(args.n, workers=config.threads) \
-            .by_length.get(args.n + args.i, 0)
+        results["brute"] = census(args.n).by_length.get(args.n + args.i, 0)
     if args.method == "both" and results["recursion"] != results["brute"]:
         print(f"DISAGREE recursion={results['recursion']} brute={results['brute']}",
               file=sys.stderr)
@@ -421,7 +416,11 @@ def _read_tableau(source: str | None) -> Tableau:
             raw = handle.read()
     raw = raw.strip()
     if raw.startswith("{"):
-        return Tableau.from_json_dict(json.loads(raw))
+        try:
+            data = json.loads(raw)
+        except RecursionError as exc:
+            raise TableauError("tableau json is nested too deeply") from exc
+        return Tableau.from_json_dict(data)
     return Tableau.from_text(raw)
 
 
@@ -483,8 +482,7 @@ def cmd_recompose(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     limits = VerifyLimits(max_n=config.max_n, max_i=config.max_i,
-                          samples=args.samples, seed=args.seed,
-                          workers=config.threads)
+                          samples=args.samples, seed=args.seed)
     try:
         results = run_suite(args.suite, limits)
     except ValueError as exc:
@@ -511,9 +509,6 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, cache: bool = False) -> None:
     parser.add_argument("--format", choices=("ascii", "json", "csv"), default="ascii")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for enumeration (counts are "
-                             "independent of this)")
     parser.add_argument("--allow-large", action="store_true",
                         help="admit order-8 enumeration (~2.2e8 chains)")
     parser.add_argument("--allow-huge", action="store_true",
@@ -599,7 +594,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args, config)
+    try:
+        return args.func(args, config)
+    except OSError as exc:  # an input file or cache path that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
-"""Exact counting of maximal chains by length, brute force and by recursion.
+"""Exact counting of maximal chains by length, over the lattice and by recursion.
 
 Two independent routes are kept side by side on purpose:
 
-* the *lattice walk*: depth-first enumeration of saturated chains from the
-  staircase up to the null diagram (streaming actual chain tableaux), plus a
-  cover-graph dynamic program that tallies chains by length without walking
-  every leaf; and
+* the *lattice sweeps* over the cover graph of :func:`tamari.shapes.cover_graph`:
+  :func:`count_by_length` tallies chains by length, and :func:`census` also
+  classifies each cover step as plus-full or not, which depends on the edge
+  alone, to count the chains with no plus-full-set and the minimal
+  plus-full-set labels.  :func:`enumerate_maximal_chains` streams the actual
+  chain tableaux; classified by :func:`tamari.tableaux.plus_full_set_labels`,
+  they are the brute oracle the sweeps are tested against; and
 * the *recursion*: the count of maximal chains of length n+i is
   ``sum_{t=1}^{2i+3} C(n+i, t+i) * N_i(t)`` where ``N_i(t)`` counts chains of
   length t+i with no plus-full-sets, and the initial values come from the
@@ -16,7 +19,6 @@ Everything is exact integer arithmetic; there is no floating point here.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -24,8 +26,8 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
-from .shapes import Box, ShapeError, cover_graph
-from .tableaux import Tableau
+from .shapes import Box, Partition, ShapeError, cover_graph
+from .tableaux import Tableau, plus_full_set_labels
 
 
 class IncompleteTableError(ValueError):
@@ -110,123 +112,70 @@ def enumerate_maximal_chains(n: int, length: int | None = None) -> Iterator[Tabl
 
 @dataclass
 class ChainCensus:
-    """Aggregates from one full enumeration of the n-th lattice.
+    """Plus-full-set tallies over all maximal chains of the n-th lattice.
 
-    ``min_plus_full`` maps a chain length to a tally of minimal plus-full-set
-    labels; ``plus_full_sets`` (only filled on request) maps the requested
-    length to a tally of entire plus-full-set label sets.
+    ``by_length`` counts chains by length, ``nofull_by_length`` those with no
+    plus-full-set, and ``min_plus_full`` maps a length to a tally of the
+    minimal plus-full-set label over the remaining chains.
     """
 
     n: int
     by_length: dict[int, int] = field(default_factory=dict)
     nofull_by_length: dict[int, int] = field(default_factory=dict)
     min_plus_full: dict[int, dict[int, int]] = field(default_factory=dict)
-    plus_full_sets: dict[int, dict[frozenset[int], int]] = field(default_factory=dict)
-
-    def merge(self, other: "ChainCensus") -> None:
-        assert self.n == other.n
-        for length, count in other.by_length.items():
-            self.by_length[length] = self.by_length.get(length, 0) + count
-        for length, count in other.nofull_by_length.items():
-            self.nofull_by_length[length] = self.nofull_by_length.get(length, 0) + count
-        for length, tally in other.min_plus_full.items():
-            mine = self.min_plus_full.setdefault(length, {})
-            for label, count in tally.items():
-                mine[label] = mine.get(label, 0) + count
-        for length, tally in other.plus_full_sets.items():
-            mine2 = self.plus_full_sets.setdefault(length, {})
-            for labels, count in tally.items():
-                mine2[labels] = mine2.get(labels, 0) + count
 
 
-def _census_walk(n: int, branch: int | None, collect_sets_for: int | None) -> ChainCensus:
-    """Walk every maximal chain, or only those whose first step is cover ``branch``
-    of the staircase, tallying lengths and plus-full-sets."""
-    graph = cover_graph(n)
-    top = graph.top
-    edges = [tuple(zip(covers, strips)) for covers, strips in zip(graph.covers, graph.strips)]
-    if branch is not None:
-        edges[0] = (edges[0][branch],)
-    census = ChainCensus(n)
-    by_length = census.by_length
-    nofull = census.nofull_by_length
-    min_pfs = census.min_plus_full
-    grid = [[0] * (n + 1) for _ in range(n + 1)]
-    # (depth, end row, end column) of each full step on the current path: its
-    # strip starts in row 1 and ends on the outer diagonal
-    full: list[tuple[int, int, int]] = []
+def is_plus_full_step(shape: Partition, strip: tuple[Box, ...], n: int) -> bool:
+    """Whether the cover step removing ``strip`` from ``shape`` labels a plus-full-set.
 
-    def leaf(total: int) -> None:
-        by_length[total] = by_length.get(total, 0) + 1
-        found: list[int] = []
-        for depth, end_row, end_col in full:
-            label = total - depth
-            if end_row == n - 1 or total - grid[end_row + 1][end_col - 1] < label:
-                found.append(label)
-        if not found:
-            nofull[total] = nofull.get(total, 0) + 1
-        else:
-            tally = min_pfs.setdefault(total, {})
-            minimal = found[-1]
-            tally[minimal] = tally.get(minimal, 0) + 1
-        if collect_sets_for == total:
-            labels = frozenset(found)
-            tally2 = census.plus_full_sets.setdefault(total, {})
-            tally2[labels] = tally2.get(labels, 0) + 1
-
-    def walk(vertex: int, depth: int) -> None:
-        if vertex == top:
-            leaf(depth)
-            return
-        for cover, strip in edges[vertex]:
-            for row, col in strip:
-                grid[row][col] = depth
-            end_row, end_col = strip[-1]
-            if end_row == len(strip) and end_row + end_col == n:
-                full.append((depth, end_row, end_col))
-                walk(cover, depth + 1)
-                full.pop()
-            else:
-                walk(cover, depth + 1)
-
-    walk(0, 0)
-    return census
+    The set is full when the strip starts in row 1 and ends at (k, n-k) on the
+    outer diagonal; it is plus-full when k = n-1 or box (k+1, n-k-1) is still
+    in ``shape``, since that box is removed later and so gets a smaller label.
+    """
+    end_row, end_col = strip[-1]
+    if strip[0][0] != 1 or end_row + end_col != n:
+        return False
+    return end_row == n - 1 or (len(shape) > end_row and shape[end_row] >= end_col - 1)
 
 
-@lru_cache(maxsize=16)
-def _census_cached(n: int) -> ChainCensus:
-    return _census_walk(n, None, None)
+def census(n: int) -> ChainCensus:
+    """Classify every maximal chain of the n-th lattice by its plus-full-sets.
 
-
-def census(n: int, workers: int = 1, collect_sets_for: int | None = None) -> ChainCensus:
-    """Enumerate all maximal chains of the n-th lattice, classifying plus-full-sets.
-
-    With ``workers > 1`` the chain forest is partitioned at depth 1 and walked
-    by a process pool; merged tallies are independent of the worker count.
-    The plain single-worker result is memoized; treat it as read-only.
+    One sweep over the cover graph, like :func:`count_by_length`, but each
+    vertex counts the chains reaching it by (length, steps taken since the
+    last plus-full step, or -1 before the first).  At the top the last
+    plus-full step carries the minimal label, which is that step count + 1.
     """
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
-    branches = cover_graph(n).covers[0]
-    if workers <= 1 or len(branches) < 2:
-        if collect_sets_for is None:
-            return _census_cached(n)
-        return _census_walk(n, None, collect_sets_for)
-    jobs = [(n, b, collect_sets_for) for b in range(len(branches))]
-    context = multiprocessing.get_context("fork")
-    with context.Pool(min(workers, len(jobs))) as pool:
-        parts = pool.starmap(_census_walk, jobs)
-    merged = ChainCensus(n)
-    for part in parts:
-        merged.merge(part)
-    return merged
+    graph = cover_graph(n)
+    reach: list[dict[tuple[int, int], int]] = [{} for _ in graph.vertices]
+    reach[0][(0, -1)] = 1
+    for vertex in range(graph.top):
+        here = reach[vertex]
+        reach[vertex] = {}
+        shape = graph.vertices[vertex]
+        for cover, strip in zip(graph.covers[vertex], graph.strips[vertex]):
+            full = is_plus_full_step(shape, strip, n)
+            target = reach[cover]
+            for (length, since), count in here.items():
+                key = (length + 1, 0 if full else (since + 1 if since >= 0 else -1))
+                target[key] = target.get(key, 0) + count
+    result = ChainCensus(n)
+    for (length, since), count in sorted(reach[graph.top].items()):
+        result.by_length[length] = result.by_length.get(length, 0) + count
+        if since < 0:
+            result.nofull_by_length[length] = count
+        else:
+            result.min_plus_full.setdefault(length, {})[since + 1] = count
+    return result
 
 
-def count_nofull_brute(i: int, n: int, workers: int = 1) -> int:
-    """Chains of length n+i with no plus-full-sets, by enumeration and classification."""
+def count_nofull_brute(i: int, n: int) -> int:
+    """Chains of length n+i with no plus-full-sets, by classifying every cover step."""
     if i < -1:
         raise ValueError(f"length offset must be >= -1, got {i}")
-    return census(n, workers=workers).nofull_by_length.get(n + i, 0)
+    return census(n).nofull_by_length.get(n + i, 0)
 
 
 def nofull_initial_values(i: int, max_t: int | None = None,
@@ -304,16 +253,20 @@ def conjecture_values(i: int) -> tuple[int, int | None]:
     return product, scaled
 
 
-def equal_representation_check(i: int, n: int, workers: int = 1) -> bool:
+def equal_representation_check(i: int, n: int) -> bool:
     """Check equal representation over equal-size plus-full-set label subsets.
 
     For every subset U of {1..n+i} with at most n-1 elements: the number of
     chains of length n+i whose plus-full-set labels are exactly U must be
     N_i(n-t), and the number whose labels contain U must be #C_i(n-t), where
-    t = |U|.  Intended for enumeration scale (n <= 7).
+    t = |U|.  The label sets come from the chain stream classified by
+    :func:`plus_full_set_labels`, so this is for enumeration scale (n <= 7).
     """
     length = n + i
-    tallies = census(n, workers=workers, collect_sets_for=length).plus_full_sets.get(length, {})
+    tallies: dict[frozenset[int], int] = {}
+    for tab in enumerate_maximal_chains(n, length=length):
+        labels = frozenset(plus_full_set_labels(tab))
+        tallies[labels] = tallies.get(labels, 0) + 1
     for t in range(0, n):
         expected_exact = count_nofull_brute(i, n - t)
         expected_super = count_by_length(n - t).get(n - t + i)
@@ -326,13 +279,13 @@ def equal_representation_check(i: int, n: int, workers: int = 1) -> bool:
     return True
 
 
-def vanishing_check(i: int, n: int, workers: int = 1) -> bool:
+def vanishing_check(i: int, n: int) -> bool:
     """Check that for n >= 2i+4 no chain of length n+i avoids plus-full-sets and
     the minimal plus-full-set labels partition the chains into the nonempty
     classes 1..3i+4."""
     if n < 2 * i + 4:
         raise ValueError(f"vanishing applies for n >= {2 * i + 4}, got {n}")
-    summary = census(n, workers=workers)
+    summary = census(n)
     length = n + i
     if summary.nofull_by_length.get(length, 0) != 0:
         return False

@@ -172,6 +172,10 @@ class Tableau:
             raise TableauError(f"bad tableau json: {data!r}") from exc
         if not isinstance(n, int) or isinstance(n, bool):
             raise TableauError(f"tableau json needs an integer n, got {n!r}")
+        for row in rows:
+            for value in row:
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise TableauError(f"tableau json labels must be integers, got {value!r}")
         return cls(n, rows)
 
     def to_json(self) -> str:

@@ -1,14 +1,11 @@
 """Acceptance gate: one test per criterion, each at its stated scale, exact.
 
-Slow opt-in extensions (order 8+ brute work) carry the ``slow`` marker and are
-not part of the gate; the fast reproduction of the order-8/9 columns via the
-cover-graph walk runs here because it completes in milliseconds.
+The reproduction of the order-8/9 columns and the offset-3 products through
+the cover-graph DP runs here because it completes in well under a second.
 """
 
 import random
 from math import comb
-
-import pytest
 
 from tamari import cli
 from tamari.bijections import (
@@ -166,7 +163,6 @@ def test_criterion_8_conjecture_check(censuses):
             "offsets -1..2 (1; 1,0; 10,2; 280,112)")
 
 
-@pytest.mark.slow
 def test_criterion_8_extension_offset_three():
     # the enumeration-free route: inclusion-exclusion over the cover-graph
     # walk of orders 8 and 9, equivalent to brute on every desk-scale instance

@@ -86,14 +86,6 @@ def test_nofull_check(capsys):
     assert out.split()[-1] == "1"
 
 
-def test_nofull_threads_do_not_change_counts(capsys):
-    code, solo, _ = run(capsys, "nofull", "--max-i", "1", "--format", "csv")
-    code2, duo, _ = run(capsys, "nofull", "--max-i", "1", "--format", "csv",
-                        "--threads", "2")
-    assert code == code2 == 0
-    assert solo == duo
-
-
 def test_nofull_csv(capsys):
     code, out, _ = run(capsys, "nofull", "--max-i", "2", "--format", "csv")
     assert code == 0
@@ -216,6 +208,11 @@ def run_with_stdin(capsys, monkeypatch, stdin, *argv):
     return code, captured.out, captured.err
 
 
+def _one_line_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_grow_from_stdin(capsys, monkeypatch):
     code, out, _ = run_with_stdin(capsys, monkeypatch, BASE_TEXT, "grow", "--r", "3")
     assert code == 0
@@ -240,6 +237,28 @@ def test_decompose_rejects_non_integral_order(capsys, monkeypatch, n):
     code, out, err = run_with_stdin(capsys, monkeypatch, text, "decompose")
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_decompose_rejects_bool_labels(capsys, monkeypatch):
+    text = '{"n": 3, "rows": [[1, 2], [true]]}'
+    _one_line_error(*run_with_stdin(capsys, monkeypatch, text, "decompose"))
+
+
+@pytest.mark.parametrize("argv", [["decompose"], ["grow", "--r", "0"],
+                                  ["recompose", "--params", "3"]])
+@pytest.mark.parametrize("source", ["missing", "directory"])
+def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, argv, source):
+    path = tmp_path / "missing.txt" if source == "missing" else tmp_path
+    _one_line_error(*run(capsys, *argv, "--input", str(path)))
+
+
+def test_cache_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    _one_line_error(*run(capsys, "nofull", "--max-i", "1", "--cache", str(tmp_path)))
+
+
+def test_deeply_nested_json_is_a_usage_error(capsys, monkeypatch):
+    text = '{"n": 3, "rows": ' + "[" * 200_000 + "]" * 200_000 + "}"
+    _one_line_error(*run_with_stdin(capsys, monkeypatch, text, "decompose"))
 
 
 def test_decompose_rejects_huge_order_in_header(capsys, monkeypatch):
@@ -297,3 +316,6 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "table", "--max-n", "0")
     assert code == 2
+    with pytest.raises(SystemExit) as info:  # the fork pool and its flag are gone
+        cli.main(["nofull", "--max-i", "1", "--threads", "2"])
+    assert info.value.code == 2

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from tamari.checks import stream_census
 from tamari.counting import (
     IncompleteTableError,
     census,
@@ -11,12 +12,13 @@ from tamari.counting import (
     count_nofull_brute,
     enumerate_maximal_chains,
     equal_representation_check,
+    is_plus_full_step,
     longest_chain_count,
     nofull_initial_values,
     vanishing_check,
 )
 from tamari.fixtures import length_table, nofull_table
-from tamari.tableaux import plus_full_set_labels
+from tamari.tableaux import RSetClass, classify_r_set, plus_full_set_labels, tableau_to_chain
 
 
 def test_enumeration_counts():
@@ -87,14 +89,6 @@ def test_shortest_chain_unique():
 def test_census_agrees_with_histogram(censuses):
     for n in range(1, 7):
         assert censuses[n].by_length == dict(count_by_length(n).counts)
-
-
-def test_census_worker_partition_is_deterministic():
-    solo = census(5)
-    duo = census(5, workers=2)
-    assert duo.by_length == solo.by_length
-    assert duo.nofull_by_length == solo.nofull_by_length
-    assert duo.min_plus_full == solo.min_plus_full
 
 
 def test_count_nofull_brute_examples():
@@ -217,9 +211,34 @@ def test_equal_representation_small():
     assert equal_representation_check(1, 5)
 
 
-def test_equal_representation_exact_cell(censuses):
-    tallies = census(4, collect_sets_for=4).plus_full_sets[4]
-    assert tallies.get(frozenset({1}), 0) == 1 == count_nofull_brute(0, 3)
+def test_equal_representation_exact_cell():
+    # chains of order 4 and length 4 whose only plus-full-set label is 1
+    exact = [tab for tab in enumerate_maximal_chains(4, length=4)
+             if plus_full_set_labels(tab) == (1,)]
+    assert len(exact) == 1 == count_nofull_brute(0, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_matches_the_classified_stream(n):
+    # all three tallies: by length, without plus-full-sets, minimal labels
+    assert census(n) == stream_census(n)
+
+
+@pytest.mark.slow
+def test_census_matches_the_classified_stream_order_seven():
+    assert census(7) == stream_census(7)
+
+
+def test_plus_full_step_matches_classification(chains_by_order):
+    # each step of a chain, classified from its cover edge alone, against
+    # classify_r_set on the finished tableau
+    for n in range(1, 6):
+        for tab in chains_by_order[n]:
+            chain = tableau_to_chain(tab)  # null diagram first
+            for r in range(1, tab.length + 1):
+                lower, strip = chain[r], tab.r_set(r)
+                expected = classify_r_set(tab, r) is RSetClass.PLUS_FULL
+                assert is_plus_full_step(lower, strip, n) == expected, (tab.rows, r)
 
 
 def test_vanishing_small():

@@ -212,6 +212,14 @@ def test_json_order_must_be_an_integer(n):
         Tableau.from_json_dict({"n": n, "rows": [[1, 2, 4], [1, 2], [3]]})
 
 
+@pytest.mark.parametrize("label", [True, False, 3.0, "3", None])
+def test_json_labels_must_be_integers(label):
+    # True == 1 would otherwise pass as a label
+    with pytest.raises(TableauError):
+        Tableau.from_json_dict({"n": 3, "rows": [[1, 2], [label]]})
+    assert Tableau.from_json_dict({"n": 3, "rows": [[1, 2], [3]]}).rows == ((1, 2), (3,))
+
+
 def test_is_staircase_checks_the_row_count_first(monkeypatch):
     from tamari import tableaux
 
