@@ -13,6 +13,10 @@ Commands
   tableau read from stdin or a file; growth-level tuples are comma-separated.
 * ``verify``: the property suites of :mod:`tamari.checks`.
 
+``nofull`` and ``count`` build one table of initial values per command, for
+all their offsets at once, with one census per order.  The cache file is
+merged, under a lock, with whatever another writer stored meanwhile.
+
 Exit codes: 0 success, 1 verification or fixture failure (or an input chain
 outside a map's domain), 2 usage error (malformed input, or an unreadable
 input file or cache path).  Enumeration effort is gated: the default ceiling
@@ -24,12 +28,12 @@ graph has its own, higher ceiling.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from math import comb
 
 from .bijections import (
@@ -60,43 +64,12 @@ DP_LIMIT = 9
 DP_LIMIT_LARGE = 11
 
 
-@dataclass
-class RunConfig:
-    """Common knobs shared by every command, built once from parsed flags."""
-
-    max_n: int = ENUM_LIMIT
-    max_i: int = 2
-    format: str = "ascii"
-    cache_path: str | None = None
-    allow_large: bool = False
-    allow_huge: bool = False
-
-    def __post_init__(self) -> None:
-        if self.format not in ("ascii", "json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            max_n=getattr(args, "max_n", ENUM_LIMIT),
-            max_i=getattr(args, "max_i", 2),
-            format=getattr(args, "format", "ascii"),
-            cache_path=getattr(args, "cache", None) or os.environ.get(CACHE_ENV),
-            allow_large=getattr(args, "allow_large", False),
-            allow_huge=getattr(args, "allow_huge", False),
-        )
-
-    @property
-    def enum_limit(self) -> int:
-        if self.allow_huge:
-            return 10 ** 9
-        return ENUM_LIMIT_LARGE if self.allow_large else ENUM_LIMIT
-
-    @property
-    def dp_limit(self) -> int:
-        if self.allow_huge:
-            return 10 ** 9
-        return DP_LIMIT_LARGE if self.allow_large else DP_LIMIT
+def _ceiling(args: argparse.Namespace, base: int, large: int) -> int:
+    """The ceiling ``base``, raised to ``large`` by ``--allow-large`` and lifted
+    by ``--allow-huge``."""
+    if args.allow_huge:
+        return 10 ** 9
+    return large if args.allow_large else base
 
 
 class CacheMismatch(ValueError):
@@ -141,37 +114,59 @@ def empty_cache() -> dict:
     return {"version": CACHE_VERSION, "nofull": {}, "provenance": {}}
 
 
-def load_cache(path: str) -> dict:
+def _read_cache(path: str) -> dict:
+    """The checked body of the cache file at ``path``, or an empty cache if there
+    is none; raises ``ValueError`` or ``KeyError`` if the file is corrupted."""
     try:
         with open(path) as handle:
             data = json.load(handle)
-        if data.get("version") != CACHE_VERSION:
-            raise ValueError(f"unsupported cache version {data.get('version')!r}")
-        body = _cache_body(data)
-        if data.get("checksum") != _checksum(body):
-            raise ValueError("checksum mismatch")
-        return body
     except FileNotFoundError:
         return empty_cache()
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    if not isinstance(data, dict):
+        raise ValueError("not a json object")
+    if data.get("version") != CACHE_VERSION:
+        raise ValueError(f"unsupported cache version {data.get('version')!r}")
+    body = _cache_body(data)
+    if data.get("checksum") != _checksum(body):
+        raise ValueError("checksum mismatch")
+    return body
+
+
+def load_cache(path: str) -> dict:
+    try:
+        return _read_cache(path)
+    except (ValueError, KeyError) as exc:
         print(f"warning: ignoring corrupted cache {path}: {exc}", file=sys.stderr)
         return empty_cache()
 
 
 def save_cache(path: str, cache: dict) -> None:
-    body = _cache_body(cache)
-    payload = dict(body, checksum=_checksum(body))
+    """Write ``cache`` to ``path``, merged (under a lock on ``PATH.lock``) with
+    what another writer stored there since; a contradiction raises
+    :class:`CacheMismatch`, a corrupted file is overwritten."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with open(path + ".lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the lock file closes
+        try:
+            stored = _read_cache(path)
+        except (ValueError, KeyError):
+            stored = empty_cache()
+        for i, row in stored["nofull"].items():
+            for t, value in row.items():
+                source = stored["provenance"].get(i, {}).get(t, "cache")
+                cache_update(cache, int(i), int(t), int(value), source)
+        body = _cache_body(cache)
+        payload = dict(body, checksum=_checksum(body))
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                json.dump(payload, handle, indent=1, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def cache_update(cache: dict, i: int, t: int, value: int, provenance: str) -> None:
@@ -190,58 +185,81 @@ def cache_get(cache: dict, i: int, t: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# initial values shared by `nofull` and `count --method recursion`
+# the table of initial values shared by `nofull` and `count --method recursion`
+
+SKIPPED_SHOWN = 20  # skipped cells named in a report; the rest are only counted
+Table = dict[int, dict[int, tuple[int, str]]]  # {i: {t: (N_i(t), provenance)}}
 
 
-def _nofull_values(i: int, need_t: int, config: RunConfig,
-                   cache: dict) -> tuple[dict[int, tuple[int, str]], list[int]]:
-    """Initial values N_i(t) for t <= min(need_t, 2i+3), with provenance.
+def _initial_values(offsets, need_t: int, args: argparse.Namespace, cache: dict,
+                    ) -> tuple[Table, tuple[int, list[tuple[int, int]]]]:
+    """Initial values N_i(t) for each offset i and t <= min(need_t, 2i+3), with provenance.
 
     Up to the enumeration ceiling, :func:`census` classifies every cover step
-    by the paper's definition (provenance ``brute``); inclusion-exclusion
-    (cross-validated against it on the overlap) up to the histogram ceiling;
-    cache entries beyond.  Returns the values and the t's that were
-    unobtainable.  Raises :class:`CacheMismatch` on any disagreement.
+    by the paper's definition (provenance ``brute``), once per order for all
+    offsets; inclusion-exclusion (cross-validated against it on the overlap)
+    up to the histogram ceiling; cache entries beyond.  Returns the table and
+    the number of unobtainable cells with the first :data:`SKIPPED_SHOWN` of
+    them.  Raises :class:`CacheMismatch` on any disagreement.
     """
-    enum_limit = config.enum_limit
-    dp_limit = config.dp_limit
-    top = min(need_t, 2 * i + 3)
-    ie_values = nofull_initial_values(i, max_t=min(top, dp_limit)) if top >= 1 else {}
-    values: dict[int, tuple[int, str]] = {}
-    skipped: list[int] = []
-    for t in range(1, top + 1):
+    enum_limit = _ceiling(args, ENUM_LIMIT, ENUM_LIMIT_LARGE)
+    dp_limit = _ceiling(args, DP_LIMIT, DP_LIMIT_LARGE)
+    tops = {i: min(need_t, 2 * i + 3) for i in offsets}
+    nofull: dict[int, dict[int, int]] = {}
+    # Orders ascending, each order's histogram next to its census, so that each
+    # cover graph is built once; inclusion-exclusion below reuses the histograms.
+    for t in range(1, min(max(tops.values(), default=0), dp_limit) + 1):
+        count_by_length(t)
         if t <= enum_limit:
-            value = census(t).nofull_by_length.get(t + i, 0)
-            if t in ie_values and ie_values[t] != value:
-                raise CacheMismatch(
-                    f"routes disagree at i={i}, t={t}: brute {value} vs "
-                    f"inclusion-exclusion {ie_values[t]}")
-            values[t] = (value, "brute")
-        elif t in ie_values:
-            values[t] = (ie_values[t], "inclusion-exclusion")
-        else:
+            nofull[t] = census(t).nofull_by_length
+    table: Table = {}
+    missing, shown = 0, []
+    for i, top in tops.items():
+        ie_values = nofull_initial_values(i, max_t=min(top, dp_limit))
+        row = table[i] = {}
+        for t in range(1, top + 1):
+            if t in nofull:
+                value = nofull[t].get(t + i, 0)
+                if t in ie_values and ie_values[t] != value:
+                    raise CacheMismatch(
+                        f"routes disagree at i={i}, t={t}: brute {value} vs "
+                        f"inclusion-exclusion {ie_values[t]}")
+                row[t] = (value, "brute")
+            elif t in ie_values:
+                row[t] = (ie_values[t], "inclusion-exclusion")
+            else:
+                cached = cache_get(cache, i, t)
+                if cached is None:
+                    missing += 1
+                    if len(shown) < SKIPPED_SHOWN:
+                        shown.append((i, t))
+                    continue
+                row[t] = (cached, "cache")
             cached = cache_get(cache, i, t)
-            if cached is None:
-                skipped.append(t)
-                continue
-            values[t] = (cached, "cache")
-        cached = cache_get(cache, i, t)
-        if cached is not None and cached != values[t][0]:
-            raise CacheMismatch(
-                f"cache disagrees at i={i}, t={t}: cached {cached}, "
-                f"computed {values[t][0]}")
-    return values, skipped
+            if cached is not None and cached != row[t][0]:
+                raise CacheMismatch(
+                    f"cache disagrees at i={i}, t={t}: cached {cached}, "
+                    f"computed {row[t][0]}")
+    return table, (missing, shown)
+
+
+def _store(path: str, cache: dict, table: Table) -> None:
+    """Record every value of ``table`` in ``cache`` and write it to ``path``."""
+    for i, row in table.items():
+        for t, (value, source) in row.items():
+            cache_update(cache, i, t, value, source)
+    save_cache(path, cache)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_table(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         print("error: --max-n must be >= 1", file=sys.stderr)
         return 2
-    if args.max_n > config.enum_limit:
+    if args.max_n > _ceiling(args, ENUM_LIMIT, ENUM_LIMIT_LARGE):
         print(f"error: --max-n {args.max_n} exceeds the ceiling; "
               f"pass --allow-large (order 8) or --allow-huge", file=sys.stderr)
         return 2
@@ -254,12 +272,12 @@ def cmd_table(args: argparse.Namespace, config: RunConfig) -> int:
             print(f"fixture mismatch in columns {bad}", file=sys.stderr)
             return 1
         print(f"table check passed for n <= {args.max_n}")
-    if config.format == "json":
+    if args.format == "json":
         payload = {str(n): {str(l): str(c) for l, c in sorted(hist.counts.items())}
                    for n, hist in histograms.items()}
         payload["totals"] = {str(n): str(h.total) for n, h in histograms.items()}
         print(json.dumps(payload, indent=1))
-    elif config.format == "csv":
+    elif args.format == "csv":
         print("n,length,count")
         for n, hist in sorted(histograms.items()):
             for length in sorted(hist.counts):
@@ -277,24 +295,15 @@ def cmd_table(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_nofull(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_nofull(args: argparse.Namespace) -> int:
     if args.max_i < -1:
         print("error: --max-i must be >= -1", file=sys.stderr)
         return 2
-    cache_path = config.cache_path
+    cache_path = args.cache or os.environ.get(CACHE_ENV)
     cache = load_cache(cache_path) if cache_path else empty_cache()
-    values: dict[int, dict[int, int]] = {}
-    provenance: dict[int, dict[int, str]] = {}
-    skipped: list[tuple[int, int]] = []
-    try:
-        for i in range(-1, args.max_i + 1):
-            row, missing = _nofull_values(i, 2 * i + 3, config, cache)
-            values[i] = {t: value for t, (value, _) in row.items()}
-            provenance[i] = {t: source for t, (_, source) in row.items()}
-            skipped.extend((i, t) for t in missing)
-    except CacheMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    table, (missing, shown) = _initial_values(range(-1, args.max_i + 1),
+                                              2 * args.max_i + 3, args, cache)
+    values = {i: {t: value for t, (value, _) in row.items()} for i, row in table.items()}
     if args.check:
         fixture = nofull_table()
         bad = [(i, t) for i, row in values.items() for t, v in row.items()
@@ -304,20 +313,14 @@ def cmd_nofull(args: argparse.Namespace, config: RunConfig) -> int:
             return 1
         print(f"no-plus-full table check passed for i <= {args.max_i}")
     elif cache_path:
-        try:
-            for i, row in values.items():
-                for t, value in row.items():
-                    cache_update(cache, i, t, value, provenance[i][t])
-        except CacheMismatch as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        save_cache(cache_path, cache)
-    if skipped:
-        print(f"skipped (beyond ceilings, no cache entry): {skipped}", file=sys.stderr)
-    if config.format == "json":
+        _store(cache_path, cache, table)
+    if missing:
+        print(f"skipped (beyond ceilings, no cache entry): {missing} cells, "
+              f"first: {shown}", file=sys.stderr)
+    if args.format == "json":
         print(json.dumps({str(i): {str(t): str(v) for t, v in sorted(row.items())}
                           for i, row in values.items()}, indent=1))
-    elif config.format == "csv":
+    elif args.format == "csv":
         print("i,n,count")
         for i, row in sorted(values.items()):
             for t, value in sorted(row.items()):
@@ -333,36 +336,26 @@ def cmd_nofull(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_count(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_count(args: argparse.Namespace) -> int:
     if args.i < -1 or args.n < 1:
         print("error: need --i >= -1 and --n >= 1", file=sys.stderr)
         return 2
-    cache_path = config.cache_path
+    cache_path = args.cache or os.environ.get(CACHE_ENV)
     cache = load_cache(cache_path) if cache_path else empty_cache()
     results: dict[str, int] = {}
     if args.method in ("recursion", "both"):
-        try:
-            row, missing = _nofull_values(args.i, args.n, config, cache)
-        except CacheMismatch as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        table, (missing, shown) = _initial_values([args.i], args.n, args, cache)
         if missing:
-            print(f"error: initial values for t in {missing} (i={args.i}) need "
-                  f"work beyond the current ceilings; pass --allow-large/"
+            print(f"error: initial values for t in {[t for _, t in shown]} (i={args.i}) "
+                  f"need work beyond the current ceilings; pass --allow-large/"
                   f"--allow-huge or supply a cache", file=sys.stderr)
             return 2
         results["recursion"] = chains_count(
-            args.i, args.n, {t: value for t, (value, _) in row.items()})
+            args.i, args.n, {t: value for t, (value, _) in table[args.i].items()})
         if cache_path:
-            try:
-                for t, (value, source) in row.items():
-                    cache_update(cache, args.i, t, value, source)
-            except CacheMismatch as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            save_cache(cache_path, cache)
+            _store(cache_path, cache, table)
     if args.method in ("brute", "both"):
-        if args.n > config.enum_limit:
+        if args.n > _ceiling(args, ENUM_LIMIT, ENUM_LIMIT_LARGE):
             print(f"error: brute enumeration at n={args.n} exceeds the ceiling; "
                   f"pass --allow-large or --allow-huge", file=sys.stderr)
             return 2
@@ -375,11 +368,11 @@ def cmd_count(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return 2
-    if args.n > config.enum_limit:
+    if args.n > _ceiling(args, ENUM_LIMIT, ENUM_LIMIT_LARGE):
         print(f"error: enumerating order {args.n} exceeds the ceiling; "
               f"pass --allow-large or --allow-huge", file=sys.stderr)
         return 2
@@ -388,19 +381,19 @@ def cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
               file=sys.stderr)
         return 2
     total = 0
-    if config.format == "csv":
+    if args.format == "csv":
         print("index,n,length,rows")
     for tab in enumerate_maximal_chains(args.n, length=args.length):
         total += 1
-        if config.format == "json":
+        if args.format == "json":
             print(tab.to_json())
-        elif config.format == "csv":
+        elif args.format == "csv":
             rows = "|".join(" ".join(str(v) for v in row) for row in tab.rows)
             print(f"{total},{tab.n},{tab.length},{rows}")
         else:
             print(tab.to_text())
             print()
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps({"total": total}))
     else:
         print(f"total: {total}")
@@ -428,7 +421,7 @@ def _emit_tableau(tab: Tableau, style: str) -> None:
     print(tab.to_json() if style == "json" else tab.to_text())
 
 
-def cmd_grow(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_grow(args: argparse.Namespace) -> int:
     try:
         chain = _read_tableau(args.input)
         result = insert_plus_full_set(chain, args.r)
@@ -439,27 +432,27 @@ def cmd_grow(args: argparse.Namespace, config: RunConfig) -> int:
     except (TableauError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit_tableau(result, config.format)
+    _emit_tableau(result, args.format)
     return 0
 
 
-def cmd_decompose(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_decompose(args: argparse.Namespace) -> int:
     try:
         chain = _read_tableau(args.input)
         parts = decompose(chain)
     except (TableauError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps({"base": parts.base.to_json_dict(),
                           "params": list(parts.params)}))
     else:
-        _emit_tableau(parts.base, config.format)
+        _emit_tableau(parts.base, args.format)
         print("params: " + ",".join(str(r) for r in parts.params))
     return 0
 
 
-def cmd_recompose(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_recompose(args: argparse.Namespace) -> int:
     try:
         params = tuple(int(chunk) for chunk in args.params.split(",")) \
             if args.params else ()
@@ -476,12 +469,12 @@ def cmd_recompose(args: argparse.Namespace, config: RunConfig) -> int:
     except (TableauError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit_tableau(result, config.format)
+    _emit_tableau(result, args.format)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
-    limits = VerifyLimits(max_n=config.max_n, max_i=config.max_i,
+def cmd_verify(args: argparse.Namespace) -> int:
+    limits = VerifyLimits(max_n=args.max_n, max_i=args.max_i,
                           samples=args.samples, seed=args.seed)
     try:
         results = run_suite(args.suite, limits)
@@ -489,7 +482,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failures = [r for r in results if not r.passed]
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps({
             "suite": args.suite,
             "passed": not failures,
@@ -590,12 +583,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig.from_args(args)
-    except ValueError as exc:
+        return args.func(args)
+    except CacheMismatch as exc:  # a computed value contradicts the cache or the other route
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, config)
+        return 1
     except OSError as exc:  # an input file or cache path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .shapes import Box, Partition, ShapeError, cover_graph
 from .tableaux import Tableau, plus_full_set_labels
@@ -178,20 +178,18 @@ def count_nofull_brute(i: int, n: int) -> int:
     return census(n).nofull_by_length.get(n + i, 0)
 
 
-def nofull_initial_values(i: int, max_t: int | None = None,
-                          histogram: Callable[[int], LengthHistogram] = count_by_length,
-                          ) -> dict[int, int]:
+def nofull_initial_values(i: int, max_t: int | None = None) -> dict[int, int]:
     """Initial values N_i(t) for t = 1..min(2i+3, max_t), by inclusion-exclusion.
 
     ``N_i(n) = sum_{t=1}^{n} (-1)^(n-t) * C(n+i, t+i) * #C_i(t)`` with the
-    chain counts taken from ``histogram`` (the cover-graph DP by default).
+    chain counts taken from the cover-graph DP, :func:`count_by_length`.
     Terms beyond ``max_t`` never matter to :func:`chains_count` at ``n <= max_t``
     because their binomial weight vanishes.
     """
     if i < -1:
         raise ValueError(f"length offset must be >= -1, got {i}")
     limit = 2 * i + 3 if max_t is None else min(max_t, 2 * i + 3)
-    chain_counts = {t: histogram(t).get(t + i) for t in range(1, limit + 1)}
+    chain_counts = {t: count_by_length(t).get(t + i) for t in range(1, limit + 1)}
     values = {}
     for t in range(1, limit + 1):
         values[t] = sum((-1) ** (t - s) * comb(t + i, s + i) * chain_counts[s]

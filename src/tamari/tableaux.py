@@ -70,7 +70,9 @@ def validate_tableau(rows: Sequence[Sequence[int]]) -> bool:
             if x > 0 and grid[x - 1][y] > value:
                 return False
             labels.add(value)
-    return not labels or labels == set(range(1, max(labels) + 1))
+    # distinct positive labels are exactly 1..max when there are max of them;
+    # building range(1, max + 1) would allocate in proportion to an input label
+    return not labels or max(labels) == len(labels)
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,10 @@ class Tableau:
             declared = int(fields["l"])
         except (KeyError, ValueError) as exc:
             raise TableauError(f"bad tableau header: {lines[0]!r}") from exc
-        rows = tuple(tuple(int(v) for v in line.split()) for line in lines[1:])
+        try:
+            rows = tuple(tuple(int(v) for v in line.split()) for line in lines[1:])
+        except ValueError as exc:
+            raise TableauError(f"bad tableau labels: {exc}") from exc
         tab = cls(n, rows)
         if tab.length != declared:
             raise TableauError(f"header declares l={declared}, rows give l={tab.length}")

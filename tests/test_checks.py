@@ -8,7 +8,7 @@ def test_all_suites_pass_at_default_limits():
     results = run_suite("all", VerifyLimits(max_n=5, max_i=2, samples=400, seed=3))
     failures = [r for r in results if not r.passed]
     assert not failures, failures
-    assert len(results) == 30
+    assert len(results) == 29
 
 
 def test_unknown_suite_rejected():
@@ -25,7 +25,7 @@ def test_verify_formulas_cli(capsys):
     assert cli.main(["verify", "--suite", "formulas", "--max-n", "7",
                      "--samples", "200"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 9
+    assert out.count("PASS") == 8
 
 
 def test_verify_growth_cli(capsys):

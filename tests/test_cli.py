@@ -115,6 +115,35 @@ def test_nofull_skips_cells_beyond_ceilings(capsys):
     assert "skipped" in err and "(4, 10)" in err and "(4, 11)" in err
 
 
+@pytest.fixture
+def census_calls(monkeypatch):
+    """The orders the CLI asks :func:`census` for, in call order."""
+    calls = []
+    original = cli.census
+
+    def counted_census(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(cli, "census", counted_census)
+    return calls
+
+
+def test_nofull_runs_one_census_per_order(capsys, census_calls):
+    code, _, _ = run(capsys, "nofull", "--max-i", "3")
+    assert code == 0
+    assert sorted(census_calls) == list(range(1, 8))  # each order once, for every offset
+
+
+def test_nofull_skipped_report_stays_short(capsys, census_calls):
+    code, _, err = run(capsys, "nofull", "--max-i", "400", "--format", "csv")
+    assert code == 0
+    assert len(err.encode()) < 4096
+    skipped = sum(2 * i + 3 - cli.DP_LIMIT for i in range(4, 401))
+    assert f"{skipped} cells, first: [(4, 10), (4, 11), (5, 10)" in err
+    assert sorted(census_calls) == list(range(1, cli.ENUM_LIMIT + 1))
+
+
 def test_count_methods(capsys):
     code, out, _ = run(capsys, "count", "--i", "0", "--n", "9")
     assert code == 0 and out.strip() == "84"
@@ -177,6 +206,68 @@ def test_corrupted_cache_is_ignored_with_warning(tmp_path, capsys):
     path.write_text(json.dumps(tampered))
     code, out, err = run(capsys, "count", "--i", "0", "--n", "5", "--cache", str(path))
     assert code == 0 and "checksum" in err
+
+
+def test_cache_that_is_not_an_object_is_ignored_with_warning(tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, "count", "--i", "0", "--n", "5", "--cache", str(path))
+    assert code == 0 and out.strip() == "10"
+    assert "corrupted cache" in err
+    assert cli.cache_get(cli.load_cache(str(path)), 0, 3) == 1
+
+
+def test_concurrent_cache_writers_keep_both_entries(tmp_path):
+    path = str(tmp_path / "cache.json")
+    first, second = cli.load_cache(path), cli.load_cache(path)
+    cli.cache_update(first, 0, 3, 5, "brute")
+    cli.cache_update(second, 1, 4, 2, "inclusion-exclusion")
+    cli.save_cache(path, second)  # lands between the first writer's load and store
+    cli.save_cache(path, first)
+    merged = cli.load_cache(path)
+    assert cli.cache_get(merged, 0, 3) == 5
+    assert cli.cache_get(merged, 1, 4) == 2
+    assert merged["provenance"]["1"]["4"] == "inclusion-exclusion"
+
+
+def test_cache_writer_waits_for_the_lock(tmp_path):
+    import fcntl
+    import os
+    import threading
+
+    path = str(tmp_path / "cache.json")
+    mine = cli.empty_cache()
+    cli.cache_update(mine, 0, 3, 5, "brute")
+    rival = cli.empty_cache()
+    cli.cache_update(rival, 1, 4, 2, "brute")
+    cli.save_cache(str(tmp_path / "rival.json"), rival)
+    with open(path + ".lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        writer = threading.Thread(target=cli.save_cache, args=(path, mine), daemon=True)
+        writer.start()
+        writer.join(0.2)
+        assert writer.is_alive()  # waiting for the lock
+        os.replace(tmp_path / "rival.json", path)  # another writer's store
+    writer.join(10)
+    merged = cli.load_cache(path)
+    assert cli.cache_get(merged, 0, 3) == 5
+    assert cli.cache_get(merged, 1, 4) == 2
+
+
+def test_concurrent_cache_writer_conflict_fails(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cache.json"
+    original = cli.nofull_initial_values
+
+    def with_rival_writer(i, max_t=None):
+        rival = cli.empty_cache()
+        cli.cache_update(rival, 0, 3, 999, "brute")
+        cli.save_cache(str(path), rival)
+        return original(i, max_t=max_t)
+
+    monkeypatch.setattr(cli, "nofull_initial_values", with_rival_writer)
+    code, _, err = run(capsys, "count", "--i", "0", "--n", "5", "--cache", str(path))
+    assert code == 1 and "disagrees" in err
+    assert cli.cache_get(cli.load_cache(str(path)), 0, 3) == 999
 
 
 def test_check_mode_never_writes_cache(tmp_path, capsys):

@@ -232,3 +232,25 @@ def test_is_staircase_checks_the_row_count_first(monkeypatch):
     assert not huge.is_staircase
     assert Tableau(4, ((1, 2, 4), (1, 2), (3,))).is_staircase
     assert not Tableau(4, ((1, 2), (1,), (3,))).is_staircase
+
+
+def test_huge_label_is_rejected_without_allocating(monkeypatch):
+    import builtins
+
+    from tamari import tableaux
+
+    def guarded_range(*bounds):
+        assert max(bounds) < 10 ** 6, "a range sized by an input label"
+        return builtins.range(*bounds)
+
+    monkeypatch.setattr(tableaux, "range", guarded_range, raising=False)
+    with pytest.raises(TableauError):
+        Tableau(3, ((10 ** 12,),))
+    with pytest.raises(TableauError):
+        Tableau.from_text("n=3 l=1000000000000\n1000000000000")
+    assert validate_tableau([[1, 2], [3]])
+
+
+def test_from_text_rejects_non_integer_labels():
+    with pytest.raises(TableauError):
+        Tableau.from_text("n=3 l=2\n1 x")
