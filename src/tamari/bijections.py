@@ -9,10 +9,15 @@ bigger lattice with minimal plus-full-set label ``r+1``; iterating the inverse
 strips a chain down to a unique plus-full-set-free base plus a weakly
 increasing parameter tuple.  That unique decomposition is what turns chain
 counting into the recursion of :mod:`tamari.counting`.
+
+Both maps are one label rewrite.  Growth raises the labels above ``r`` by
+one, puts ``r+1`` after the labels <= r of rows 1..d and repeats row ``d``;
+extraction drops ``r+1``, lowers the labels above it and deletes the repeat.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .shapes import staircase
@@ -20,6 +25,7 @@ from .tableaux import (
     RSetClass,
     Tableau,
     TableauError,
+    _require_maximal,
     classify_r_set,
     plus_full_set_labels,
 )
@@ -75,15 +81,9 @@ def append_next_label(tab: Tableau, d: int) -> Tableau:
     return Tableau(tab.n, tuple(rows))
 
 
-def _require_chain(tab: Tableau) -> int:
-    if not tab.is_staircase:
-        raise TableauError(f"expected a full-staircase chain tableau, got shape {tab.shape!r}")
-    return tab.n
-
-
 def pivot_row(chain: Tableau, r: int) -> int:
     """Minimal k in [n-1] whose outer-diagonal label is <= r, else n."""
-    n = _require_chain(chain)
+    n = _require_maximal(chain)
     for k in range(1, n):
         if chain.label(k, n - k) <= r:
             return k
@@ -93,27 +93,22 @@ def pivot_row(chain: Tableau, r: int) -> int:
 def expand_chain(chain: Tableau, r: int) -> Tableau:
     """Grow a maximal chain of the n-th lattice into one of the (n+1)-st.
 
-    Steps: repeat the pivot row of the label-<=r part, append the new label
-    ``r+1`` down to the pivot row, then push every label above ``r`` one unit
-    right (rows above the pivot) or down (rows below it), incrementing it.
-    The (r+1)-set of the result is a plus-full-set ending at (d, n-d+1).
+    With ``d`` the pivot row: labels above ``r`` go up by one, rows 1..d get
+    ``r+1`` right after their labels <= r, and row ``d`` is repeated below
+    itself.  The (r+1)-set of the result is a plus-full-set ending at
+    (d, n-d+1).
     """
-    n = _require_chain(chain)
+    n = _require_maximal(chain)
     if not 0 <= r <= chain.length:
         raise TableauError(f"level {r} out of range 0..{chain.length}")
-    d = pivot_row(chain, r)
-    base = append_next_label(repeat_row(chain.truncate(r), d), d)
-    rows = [list(row) for row in base.rows]
-    rows.extend([] for _ in range(n - len(rows)))
-    for x, row in enumerate(chain.rows, start=1):
-        for y, value in enumerate(row, start=1):
-            if value <= r:
-                continue
-            assert x != d, "pivot row holds no labels above r"
-            tx, ty = (x, y + 1) if x < d else (x + 1, y)
-            assert ty == len(rows[tx - 1]) + 1, "translated boxes must stay contiguous"
-            rows[tx - 1].append(value + 1)
-    return Tableau(n + 1, tuple(tuple(row) for row in rows if row))
+    d = pivot_row(chain, r)  # row d ends on the outer diagonal, so no label in it exceeds r
+    rows = []
+    for x, row in enumerate(chain.rows + ((),), start=1):  # row n is empty
+        cut = bisect_right(row, r)
+        rows.append(row[:cut] + (r + 1,) * (x <= d) + tuple(v + 1 for v in row[cut:]))
+        if x == d:
+            rows.append(row)
+    return Tableau(n + 1, tuple(row for row in rows if row))
 
 
 def insert_plus_full_set(chain: Tableau, r: int) -> Tableau:
@@ -128,6 +123,18 @@ def insert_plus_full_set(chain: Tableau, r: int) -> Tableau:
     return expand_chain(chain, r)
 
 
+def _shrink(chain: Tableau, r: int) -> Tableau:
+    """Undo :func:`expand_chain` at level ``r``: drop ``r+1``, lower the labels above it
+    and delete row ``d+1``, which must equal row ``d``, the last row holding ``r+1``."""
+    d = chain.r_set(r + 1)[-1][0]
+    rows = [tuple(value - (value > r + 1) for value in row if value != r + 1)
+            for row in chain.rows]
+    if rows[d - 1] != (rows[d] if d < len(rows) else ()):
+        raise TableauError(f"rows {d} and {d + 1} differ, cannot collapse: {chain.rows!r}")
+    del rows[d - 1]  # the twin of row d+1, or the empty row d when there is none
+    return Tableau(chain.n - 1, tuple(rows))
+
+
 def extract_plus_full_set(chain: Tableau) -> tuple[int, Tableau]:
     """Inverse growth: peel off the minimal plus-full-set.
 
@@ -137,24 +144,12 @@ def extract_plus_full_set(chain: Tableau) -> tuple[int, Tableau]:
     Raises:
         NoPlusFullSetError: if the chain has no plus-full-set.
     """
-    n = _require_chain(chain)
+    _require_maximal(chain)
     labels = plus_full_set_labels(chain)
     if not labels:
         raise NoPlusFullSetError("chain has no plus-full-set")
     r = labels[0] - 1
-    d = chain.r_set(r + 1)[-1][0]
-    base = unrepeat_row(chain.truncate(r), d)
-    rows = [list(row) for row in base.rows]
-    rows.extend([] for _ in range(n - 2 - len(rows)))
-    for x, row in enumerate(chain.rows, start=1):
-        for y, value in enumerate(row, start=1):
-            if value <= r + 1:
-                continue
-            assert x != d and x != d + 1, "rows at the pivot hold no labels above r+1"
-            tx, ty = (x, y - 1) if x < d else (x - 1, y)
-            assert ty == len(rows[tx - 1]) + 1, "translated boxes must stay contiguous"
-            rows[tx - 1].append(value - 1)
-    return r, Tableau(n - 1, tuple(tuple(row) for row in rows if row))
+    return r, _shrink(chain, r)
 
 
 @dataclass(frozen=True)
@@ -176,25 +171,28 @@ def decompose(chain: Tableau) -> ChainDecomposition:
     The number of extracted levels equals the number of plus-full-sets, and the
     levels come out weakly increasing.
     """
-    _require_chain(chain)
+    _require_maximal(chain)
     params = []
     current = chain
-    while plus_full_set_labels(current):
-        r, current = extract_plus_full_set(current)
-        params.append(r)
+    while labels := plus_full_set_labels(current):  # one classification per chain
+        params.append(labels[0] - 1)
+        current = _shrink(current, params[-1])
     return ChainDecomposition(base=current, params=tuple(params))
 
 
 def recompose(decomposition: ChainDecomposition) -> Tableau:
-    """Inverse of :func:`decompose`: apply the growth levels innermost-first."""
+    """Inverse of :func:`decompose`: apply the growth levels innermost-first; a base
+    with a plus-full-set raises :class:`GrowthDomainError` with its smallest label."""
     base, params = decomposition.base, decomposition.params
-    _require_chain(base)
+    _require_maximal(base)
     if params:
         if any(a > b for a, b in zip(params, params[1:])):
             raise ValueError(f"growth levels must be weakly increasing: {params!r}")
         if params[0] < 0 or params[-1] > base.length:
             raise ValueError(
                 f"growth levels must lie in 0..{base.length}: {params!r}")
+    if labels := plus_full_set_labels(base):
+        raise GrowthDomainError(labels[0])
     current = base
     for r in reversed(params):
         current = insert_plus_full_set(current, r)

@@ -53,7 +53,7 @@ from .counting import (
     nofull_initial_values,
 )
 from .fixtures import length_table, nofull_table
-from .tableaux import Tableau, TableauError
+from .tableaux import Tableau, TableauError, _require_maximal, tableau_to_chain
 
 CACHE_VERSION = 1
 CACHE_ENV = "TAMARI_CACHE"
@@ -116,7 +116,8 @@ def empty_cache() -> dict:
 
 def _read_cache(path: str) -> dict:
     """The checked body of the cache file at ``path``, or an empty cache if there
-    is none; raises ``ValueError`` or ``KeyError`` if the file is corrupted."""
+    is none; raises ``ValueError`` or ``KeyError`` if the file is corrupted,
+    its entries included."""
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -129,7 +130,22 @@ def _read_cache(path: str) -> dict:
     body = _cache_body(data)
     if data.get("checksum") != _checksum(body):
         raise ValueError("checksum mismatch")
+    for section, valid in (("nofull", _is_integer), ("provenance", lambda v: isinstance(v, str))):
+        rows = body[section]
+        if not (isinstance(rows, dict) and all(
+                _is_integer(i) and isinstance(row, dict)
+                and all(_is_integer(t) and valid(value) for t, value in row.items())
+                for i, row in rows.items())):
+            raise ValueError(f"malformed {section} entries")
     return body
+
+
+def _is_integer(text) -> bool:
+    """True iff ``text`` is an integer written the way ``str`` writes it."""
+    try:
+        return isinstance(text, str) and text == str(int(text))
+    except ValueError:  # not an integer, or more digits than int() converts
+        return False
 
 
 def load_cache(path: str) -> dict:
@@ -215,31 +231,32 @@ def _initial_values(offsets, need_t: int, args: argparse.Namespace, cache: dict,
     table: Table = {}
     missing, shown = 0, []
     for i, top in tops.items():
-        ie_values = nofull_initial_values(i, max_t=min(top, dp_limit))
         row = table[i] = {}
-        for t in range(1, top + 1):
+        for t, value in nofull_initial_values(i, max_t=min(top, dp_limit)).items():
             if t in nofull:
-                value = nofull[t].get(t + i, 0)
-                if t in ie_values and ie_values[t] != value:
+                brute = nofull[t].get(t + i, 0)
+                if value != brute:
                     raise CacheMismatch(
-                        f"routes disagree at i={i}, t={t}: brute {value} vs "
-                        f"inclusion-exclusion {ie_values[t]}")
+                        f"routes disagree at i={i}, t={t}: brute {brute} vs "
+                        f"inclusion-exclusion {value}")
                 row[t] = (value, "brute")
-            elif t in ie_values:
-                row[t] = (ie_values[t], "inclusion-exclusion")
             else:
-                cached = cache_get(cache, i, t)
-                if cached is None:
-                    missing += 1
-                    if len(shown) < SKIPPED_SHOWN:
-                        shown.append((i, t))
-                    continue
-                row[t] = (cached, "cache")
+                row[t] = (value, "inclusion-exclusion")
             cached = cache_get(cache, i, t)
-            if cached is not None and cached != row[t][0]:
+            if cached is not None and cached != value:
                 raise CacheMismatch(
-                    f"cache disagrees at i={i}, t={t}: cached {cached}, "
-                    f"computed {row[t][0]}")
+                    f"cache disagrees at i={i}, t={t}: cached {cached}, computed {value}")
+        # Past the histogram ceiling a cell comes from the cache or is skipped;
+        # skipped cells are counted, not visited, so the work stays linear in the offsets.
+        beyond = {int(t): int(value) for t, value in cache["nofull"].get(str(i), {}).items()
+                  if dp_limit < int(t) <= top}
+        row.update((t, (value, "cache")) for t, value in sorted(beyond.items()))
+        missing += max(top - dp_limit, 0) - len(beyond)
+        t = dp_limit
+        while len(shown) < SKIPPED_SHOWN and t < top:
+            t += 1
+            if t not in beyond:
+                shown.append((i, t))
     return table, (missing, shown)
 
 
@@ -417,13 +434,25 @@ def _read_tableau(source: str | None) -> Tableau:
     return Tableau.from_text(raw)
 
 
+def _read_chain(source: str | None) -> Tableau:
+    """Read one tableau (see :func:`_read_tableau`) that must encode a maximal chain.
+
+    The maps themselves trust their input; here the staircase shape is checked
+    first (cheap, and it bounds the cover check) and then every cover step.
+    """
+    tab = _read_tableau(source)
+    _require_maximal(tab)
+    tableau_to_chain(tab)
+    return tab
+
+
 def _emit_tableau(tab: Tableau, style: str) -> None:
     print(tab.to_json() if style == "json" else tab.to_text())
 
 
 def cmd_grow(args: argparse.Namespace) -> int:
     try:
-        chain = _read_tableau(args.input)
+        chain = _read_chain(args.input)
         result = insert_plus_full_set(chain, args.r)
     except GrowthDomainError as exc:
         print(f"error: not in the domain at level {args.r}: {exc} "
@@ -438,7 +467,7 @@ def cmd_grow(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     try:
-        chain = _read_tableau(args.input)
+        chain = _read_chain(args.input)
         parts = decompose(chain)
     except (TableauError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -461,7 +490,7 @@ def cmd_recompose(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        base = _read_tableau(args.input)
+        base = _read_chain(args.input)
         result = recompose(ChainDecomposition(base=base, params=params))
     except (GrowthDomainError, NoPlusFullSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -123,7 +123,7 @@ class Tableau:
             raise TableauError(f"label {r} out of range 1..{self.length}")
         return self._r_sets[r]
 
-    @property
+    @cached_property
     def is_staircase(self) -> bool:
         # the row count first: ``n`` may come from an unchecked header
         return len(self.shape) == self.n - 1 and self.shape == staircase(self.n - 1)

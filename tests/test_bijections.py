@@ -182,3 +182,68 @@ def test_property_checks_small():
                   check_decomposition):
         result = check(limits)
         assert result.passed, result
+
+
+def test_expand_chain_is_the_paper_construction(chains_by_order):
+    # the label-<=r+1 part is repeat_row then append_next_label; the rest shifts up by one
+    for n in range(1, 7):
+        for tab in chains_by_order[n]:
+            for r in range(tab.length + 1):
+                grown = expand_chain(tab, r)
+                d = pivot_row(tab, r)
+                assert grown.truncate(r + 1) == \
+                    append_next_label(repeat_row(tab.truncate(r), d), d)
+                assert [v for row in grown.rows for v in row if v > r + 1] == \
+                    [v + 1 for row in tab.rows for v in row if v > r]
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Number of tableaux validated, i.e. of ``Tableau`` objects constructed."""
+    from tamari import tableaux
+
+    calls = []
+    original = tableaux.validate_tableau
+
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(tableaux, "validate_tableau", counted)
+    return calls
+
+
+def test_growth_and_extraction_build_one_tableau_each(constructions):
+    chain = Tableau(4, ((1, 2, 3), (1, 4), (1,)))
+    for r in range(chain.length + 1):
+        constructions.clear()
+        grown = expand_chain(chain, r)
+        assert len(constructions) == 1
+        constructions.clear()
+        extract_plus_full_set(grown)
+        assert len(constructions) == 1
+
+
+def test_decompose_classifies_each_chain_once(monkeypatch):
+    from tamari import bijections
+
+    classified = []
+
+    def counted(tab):
+        classified.append(tab)
+        return plus_full_set_labels(tab)
+
+    monkeypatch.setattr(bijections, "plus_full_set_labels", counted)
+    for params in [(), (3,), (0, 1, 2), (1, 1, 3, 3)]:
+        chain = recompose(ChainDecomposition(BASE, params))
+        classified.clear()
+        assert decompose(chain) == ChainDecomposition(BASE, params)
+        assert len(classified) == len(params) + 1
+
+
+def test_recompose_rejects_a_base_with_a_plus_full_set():
+    grown = Tableau(4, ((1, 2, 4), (1, 2), (3,)))  # label 4 is plus-full
+    for params in [(), (0,), (2, 4)]:
+        with pytest.raises(GrowthDomainError) as info:
+            recompose(ChainDecomposition(grown, params))
+        assert info.value.label == 4

@@ -144,6 +144,27 @@ def test_nofull_skipped_report_stays_short(capsys, census_calls):
     assert sorted(census_calls) == list(range(1, cli.ENUM_LIMIT + 1))
 
 
+def test_skipped_cells_are_counted_not_visited(capsys, monkeypatch):
+    lookups = []
+    original = cli.cache_get
+
+    def counted_cache_get(cache, i, t):
+        lookups.append((i, t))
+        return original(cache, i, t)
+
+    monkeypatch.setattr(cli, "cache_get", counted_cache_get)
+    max_i = 2000
+    code, _, err = run(capsys, "nofull", "--max-i", str(max_i), "--format", "csv")
+    assert code == 0
+    skipped = sum(2 * i + 3 - cli.DP_LIMIT for i in range(4, max_i + 1))
+    assert f"{skipped} cells, first: [(4, 10), (4, 11), (5, 10)" in err
+    assert len(lookups) <= cli.DP_LIMIT * (max_i + 2)  # the computed cells only
+    lookups.clear()
+    code, _, err = run(capsys, "count", "--i", str(10 ** 6), "--n", str(10 ** 9))
+    assert code == 2 and "t in [10, 11, 12," in err
+    assert len(lookups) <= cli.DP_LIMIT
+
+
 def test_count_methods(capsys):
     code, out, _ = run(capsys, "count", "--i", "0", "--n", "9")
     assert code == 0 and out.strip() == "84"
@@ -215,6 +236,29 @@ def test_cache_that_is_not_an_object_is_ignored_with_warning(tmp_path, capsys):
     assert code == 0 and out.strip() == "10"
     assert "corrupted cache" in err
     assert cli.cache_get(cli.load_cache(str(path)), 0, 3) == 1
+
+
+@pytest.mark.parametrize("nofull, provenance", [
+    ({"0": {"1": "x"}}, {}),
+    ({"0": {"1": 0}}, {}),
+    ({"0": {"1": "1.0"}}, {}),
+    ({"0": {"1": "9" * 5000}}, {}),
+    ({"0": {"01": "0"}}, {}),
+    ({"zero": {"1": "0"}}, {}),
+    ({"0": ["0"]}, {}),
+    (["0"], {}),
+    ({"0": {"1": "0"}}, {"0": {"1": 7}}),
+    ({}, {"0": None}),
+])
+def test_cache_with_malformed_entries_is_ignored_with_warning(tmp_path, capsys,
+                                                              nofull, provenance):
+    path = tmp_path / "cache.json"
+    body = {"version": cli.CACHE_VERSION, "nofull": nofull, "provenance": provenance}
+    path.write_text(json.dumps(dict(body, checksum=cli._checksum(body))))
+    code, out, err = run(capsys, "count", "--i", "0", "--n", "3", "--cache", str(path))
+    assert code == 0 and out.strip() == "1"
+    assert "corrupted cache" in err
+    assert cli.cache_get(cli._read_cache(str(path)), 0, 3) == 1  # overwritten
 
 
 def test_concurrent_cache_writers_keep_both_entries(tmp_path):
@@ -386,6 +430,28 @@ def test_recompose_rejects_bad_params(capsys, monkeypatch):
                                   "recompose", "--params", "2,1")
     assert code == 2
     assert "weakly increasing" in err
+
+
+NOT_CHAINS = ["n=4 l=3\n1 2 3\n1 3\n2\n",  # staircase tableaux that encode no chain
+              "n=3 l=2\n1 2\n2\n",
+              '{"n": 3, "rows": [[1, 2], [2]]}']
+
+
+@pytest.mark.parametrize("text", NOT_CHAINS)
+@pytest.mark.parametrize("argv", [["decompose"], ["grow", "--r", "0"], ["grow", "--r", "2"],
+                                  ["recompose"], ["recompose", "--params", "0"]])
+def test_surgery_commands_reject_tableaux_that_are_not_chains(capsys, monkeypatch,
+                                                              argv, text):
+    code, out, err = run_with_stdin(capsys, monkeypatch, text, *argv)
+    _one_line_error(code, out, err)
+    assert "cover step" in err
+
+
+def test_recompose_rejects_a_base_with_a_plus_full_set(capsys, monkeypatch):
+    code, out, err = run_with_stdin(capsys, monkeypatch, GROWN_TEXT,
+                                    "recompose", "--params", "0")
+    assert code == 1 and out == ""
+    assert err == "error: chain has a plus-full-set with label 4\n"
 
 
 def test_verify_cli(capsys):

@@ -1,10 +1,16 @@
-"""Fuzzing of the input parsers: every input parses or raises the module's own error."""
+"""Fuzzing of the input parsers: every input parses or raises the module's own error,
+and the CLI commands that read a tableau never let an exception escape."""
 
+import contextlib
+import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamari import cli
+from tamari.counting import enumerate_maximal_chains
 from tamari.shapes import ShapeError, parse_partition
 from tamari.tableaux import Tableau, TableauError
 
@@ -69,3 +75,60 @@ def test_parse_partition_parses_or_raises_shape_error(text):
     except ShapeError:
         return
     assert all(a >= b > 0 for a, b in zip(parts, parts[1:] + (1,)))
+
+
+CHAINS = [tab for n in range(1, 6) for tab in enumerate_maximal_chains(n)]
+
+
+@st.composite
+def staircase_tableaux(draw):
+    """Row-strict, column-weak staircase tableaux: most encode no chain, a few do."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rows = []
+    for k in range(n - 1, 0, -1):
+        row = []
+        for y in range(k):
+            least = max(row[-1] + 1 if row else 1, rows[-1][y] if rows else 1)
+            row.append(least + draw(st.integers(min_value=0, max_value=2)))
+        rows.append(row)
+    rank = {v: j for j, v in enumerate(sorted({v for row in rows for v in row}), start=1)}
+    return {"n": n, "rows": [[rank[v] for v in row] for row in rows]}
+
+
+def _as_text(data):
+    lines = [f"n={data['n']} l={max((v for row in data['rows'] for v in row), default=0)}"]
+    return "\n".join(lines + [" ".join(map(str, row)) for row in data["rows"]])
+
+
+staircases = st.one_of(st.sampled_from(CHAINS).map(Tableau.to_json_dict), staircase_tableaux())
+texts = staircases.map(_as_text)
+mangled = st.builds(lambda text, k, c: text[:k] + c + text[k + 1:], texts,
+                    st.integers(min_value=0, max_value=40), st.sampled_from(" \n0x-="))
+surgery_inputs = st.one_of(
+    staircases.map(json.dumps), texts, mangled, st.text(max_size=40),
+    st.fixed_dictionaries({"n": small, "rows": json_values}).map(json.dumps))
+surgery_commands = st.one_of(
+    st.just(["decompose"]),
+    small.map(lambda r: ["grow", f"--r={r}"]),
+    st.integers(min_value=-2, max_value=12).map(lambda r: ["grow", f"--r={r}"]),
+    st.lists(st.integers(min_value=-2, max_value=12), max_size=4).map(
+        lambda levels: ["recompose", "--params=" + ",".join(map(str, sorted(levels)))]),
+    st.lists(small, max_size=3).map(
+        lambda levels: ["recompose", "--params=" + ",".join(map(str, levels))]),
+    st.text(alphabet="0123456789,- x", max_size=6).map(
+        lambda params: ["recompose", "--params=" + params]))
+
+
+@FUZZ
+@given(surgery_commands, st.sampled_from(["ascii", "json"]), surgery_inputs)
+def test_surgery_commands_never_raise(command, style, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sys.stdin", io.StringIO(stdin))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(command + ["--format", style])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+        assert len(err.getvalue().strip().splitlines()) == 1
