@@ -13,6 +13,9 @@ counting into the recursion of :mod:`tamari.counting`.
 Both maps are one label rewrite.  Growth raises the labels above ``r`` by
 one, puts ``r+1`` after the labels <= r of rows 1..d and repeats row ``d``;
 extraction drops ``r+1``, lowers the labels above it and deletes the repeat.
+Applied to a validated maximal chain in their domain, each map's output is a
+maximal chain by construction, so both build it with the unvalidated
+``Tableau._trusted``.
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ from dataclasses import dataclass
 
 from .shapes import staircase
 from .tableaux import (
-    RSetClass,
     Tableau,
     TableauError,
     _require_maximal,
-    classify_r_set,
     plus_full_set_labels,
 )
 
@@ -84,10 +85,8 @@ def append_next_label(tab: Tableau, d: int) -> Tableau:
 def pivot_row(chain: Tableau, r: int) -> int:
     """Minimal k in [n-1] whose outer-diagonal label is <= r, else n."""
     n = _require_maximal(chain)
-    for k in range(1, n):
-        if chain.label(k, n - k) <= r:
-            return k
-    return n
+    # row k of the staircase ends at its outer-diagonal box (k, n-k)
+    return next((k for k, row in enumerate(chain.rows, start=1) if row[-1] <= r), n)
 
 
 def expand_chain(chain: Tableau, r: int) -> Tableau:
@@ -108,7 +107,7 @@ def expand_chain(chain: Tableau, r: int) -> Tableau:
         rows.append(row[:cut] + (r + 1,) * (x <= d) + tuple(v + 1 for v in row[cut:]))
         if x == d:
             rows.append(row)
-    return Tableau(n + 1, tuple(row for row in rows if row))
+    return Tableau._trusted(n + 1, tuple(row for row in rows if row))
 
 
 def insert_plus_full_set(chain: Tableau, r: int) -> Tableau:
@@ -117,22 +116,23 @@ def insert_plus_full_set(chain: Tableau, r: int) -> Tableau:
     Raises:
         GrowthDomainError: carrying the offending label.
     """
-    for j in range(1, r + 1):
-        if classify_r_set(chain, j) is RSetClass.PLUS_FULL:
-            raise GrowthDomainError(j)
+    labels = plus_full_set_labels(chain)
+    if labels and labels[0] <= r:
+        raise GrowthDomainError(labels[0])
     return expand_chain(chain, r)
 
 
 def _shrink(chain: Tableau, r: int) -> Tableau:
     """Undo :func:`expand_chain` at level ``r``: drop ``r+1``, lower the labels above it
-    and delete row ``d+1``, which must equal row ``d``, the last row holding ``r+1``."""
-    d = chain.r_set(r + 1)[-1][0]
+    and delete row ``d+1``, which must equal row ``d``.  Row ``d`` is where the
+    plus-full (r+1)-set ends: its outer-diagonal box (d, n-d) is labelled ``r+1``."""
+    d = [row[-1] for row in chain.rows].index(r + 1) + 1
     rows = [tuple(value - (value > r + 1) for value in row if value != r + 1)
             for row in chain.rows]
     if rows[d - 1] != (rows[d] if d < len(rows) else ()):
         raise TableauError(f"rows {d} and {d + 1} differ, cannot collapse: {chain.rows!r}")
     del rows[d - 1]  # the twin of row d+1, or the empty row d when there is none
-    return Tableau(chain.n - 1, tuple(rows))
+    return Tableau._trusted(chain.n - 1, tuple(rows))
 
 
 def extract_plus_full_set(chain: Tableau) -> tuple[int, Tableau]:
@@ -182,7 +182,12 @@ def decompose(chain: Tableau) -> ChainDecomposition:
 
 def recompose(decomposition: ChainDecomposition) -> Tableau:
     """Inverse of :func:`decompose`: apply the growth levels innermost-first; a base
-    with a plus-full-set raises :class:`GrowthDomainError` with its smallest label."""
+    with a plus-full-set raises :class:`GrowthDomainError` with its smallest label.
+
+    Only the base is classified: growing at level r makes r+1 the smallest
+    plus-full-set label, and the levels are applied in decreasing order, so
+    each step stays in the domain of :func:`insert_plus_full_set`.
+    """
     base, params = decomposition.base, decomposition.params
     _require_maximal(base)
     if params:
@@ -195,7 +200,7 @@ def recompose(decomposition: ChainDecomposition) -> Tableau:
         raise GrowthDomainError(labels[0])
     current = base
     for r in reversed(params):
-        current = insert_plus_full_set(current, r)
+        current = expand_chain(current, r)
     return current
 
 

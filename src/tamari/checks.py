@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterator
 
 from .shapes import (
     Box,
+    CoverGraph,
     Partition,
     cover_graph,
     enclosure,
@@ -147,19 +149,34 @@ def stream_census(n: int) -> ChainCensus:
     return result
 
 
+@lru_cache(maxsize=8)
+def _draw_table(n: int) -> tuple[CoverGraph, tuple[int, ...]]:
+    """The cover graph of the n-th lattice and its vertex ids listed in
+    :func:`partitions_in_staircase` order, the order random draws index.
+
+    The graphs are kept here as well because the checks draw from more orders
+    in turn than :func:`cover_graph` keeps."""
+    graph = cover_graph(n)
+    ids = {vertex: index for index, vertex in enumerate(graph.vertices)}
+    return graph, tuple(ids[vertex] for vertex in partitions_in_staircase(n))
+
+
 def random_chain_to_top(n: int, rng: random.Random,
                         start: Partition | None = None) -> list[Partition]:
     """A saturated chain from a (random) vertex up to the null diagram,
-    returned top-first as :func:`tamari.tableaux.chain_to_tableau` expects."""
-    if start is None:
-        vertices = partitions_in_staircase(n)
-        start = vertices[rng.randrange(len(vertices))]
-    steps = [start]
-    current = start
-    while current:
-        options = upper_covers(current, n)
+    returned top-first as :func:`tamari.tableaux.chain_to_tableau` expects.
+
+    Each step takes a random upper cover from :func:`cover_graph`, whose covers
+    come in :func:`upper_covers` order, so a seed always gives the same chain.
+    """
+    graph, order = _draw_table(n)
+    current = order[rng.randrange(len(order))] if start is None \
+        else graph.vertices.index(start)
+    steps = [graph.vertices[current]]
+    while current != graph.top:
+        options = graph.covers[current]
         current = options[rng.randrange(len(options))]
-        steps.append(current)
+        steps.append(graph.vertices[current])
     steps.reverse()
     return steps
 
@@ -289,8 +306,8 @@ def check_strip_translation(limits: VerifyLimits) -> CheckResult:
 
     def random_last_box(n: int) -> tuple[Partition, int, Box]:
         while True:
-            vertices = partitions_in_staircase(n)
-            shape = vertices[rng.randrange(len(vertices))]
+            graph, order = _draw_table(n)
+            shape = graph.vertices[order[rng.randrange(len(order))]]
             if shape:
                 row = rng.randrange(1, len(shape) + 1)
                 return shape, n, (row, shape[row - 1])

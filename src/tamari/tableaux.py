@@ -13,12 +13,22 @@ shapes, an r-set that begins in row 1 and ends on the outer diagonal is a
 southwest of the end box is smaller than ``r``.  Plus-full-sets drive the
 chain surgery in :mod:`tamari.bijections` and the counting recursion in
 :mod:`tamari.counting`.
+
+Since a full-set ends on the outer diagonal, :func:`plus_full_set_labels`
+reads the candidates off the n-1 outer-diagonal boxes instead of classifying
+every label; :func:`classify_r_set` stays the per-label definition.
+
+Every public way to build a :class:`Tableau` validates it.  The private
+``Tableau._trusted`` skips that, and only maps whose output is correct by
+construction from a validated maximal chain may use it: the growth map and its
+inverse in :mod:`tamari.bijections`.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -80,8 +90,9 @@ class Tableau:
     """Immutable labeled diagram inside the staircase of order ``n - 1``.
 
     ``rows`` holds the labels row by row.  Construction validates the tableau
-    conditions, so every instance satisfies them; whether the labels encode an
-    actual chain is the separate predicate :func:`is_chain_tableau`.
+    conditions, so every instance satisfies them (``_trusted`` instances by
+    construction); whether the labels encode an actual chain is the separate
+    predicate :func:`is_chain_tableau`.
     """
 
     n: int
@@ -96,13 +107,23 @@ class Tableau:
         if not contained_in_staircase(self.shape, self.n):
             raise TableauError(f"shape {self.shape!r} does not fit ambient {self.n}")
 
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
+        """A tableau built without validation, for rows (a tuple of tuples) that
+        are a valid tableau by construction; untrusted input goes through ``cls(n, rows)``."""
+        tab = object.__new__(cls)
+        object.__setattr__(tab, "n", n)
+        object.__setattr__(tab, "rows", rows)
+        return tab
+
     @cached_property
     def shape(self) -> Partition:
         return tuple(len(row) for row in self.rows)
 
     @cached_property
     def length(self) -> int:
-        return max((value for row in self.rows for value in row), default=0)
+        # rows are non-empty and strictly increasing, so each row ends at its maximum
+        return max((row[-1] for row in self.rows), default=0)
 
     @cached_property
     def _r_sets(self) -> dict[int, tuple[Box, ...]]:
@@ -294,6 +315,27 @@ def classify_r_set(tab: Tableau, r: int) -> RSetClass:
 
 
 def plus_full_set_labels(tab: Tableau) -> tuple[int, ...]:
-    """Ascending labels of all plus-full-sets; at most n-1 of them."""
-    return tuple(r for r in range(1, tab.length + 1)
-                 if classify_r_set(tab, r) is RSetClass.PLUS_FULL)
+    """Ascending labels of all plus-full-sets; at most n-1 of them.
+
+    A full-set ends on the outer diagonal, so only the labels r = label(k, n-k)
+    qualify.  Such an r-set is plus-full when k = n-1 or label(k+1, n-k-1) < r,
+    when r is in row 1 (its begin box), and when r is in no row below k (so
+    (k, n-k) is its end box).  This is :func:`classify_r_set` on those labels.
+    """
+    rows = tab.rows
+    if not rows:
+        return ()
+    n = _require_maximal(tab)
+    first = rows[0]
+    labels = []
+    for k in range(1, n):
+        r = rows[k - 1][-1]
+        if k < n - 1 and rows[k][-1] >= r:  # rows[k][-1] is label(k+1, n-k-1)
+            continue
+        at = bisect_left(first, r)
+        if at == len(first) or first[at] != r:
+            continue
+        if any(r in row for row in rows[k:]):
+            continue
+        labels.append(r)
+    return tuple(sorted(labels))

@@ -4,6 +4,7 @@ import pytest
 
 from tamari.bijections import (
     ChainDecomposition,
+    _shrink,
     GrowthDomainError,
     NoPlusFullSetError,
     append_next_label,
@@ -26,7 +27,15 @@ from tamari.checks import (
     check_repeat_row_characterization,
     random_maximal_chain,
 )
-from tamari.tableaux import Tableau, TableauError, is_chain_tableau, plus_full_set_labels
+from tamari.tableaux import (
+    RSetClass,
+    Tableau,
+    TableauError,
+    classify_r_set,
+    is_chain_tableau,
+    plus_full_set_labels,
+    validate_tableau,
+)
 
 BASE = Tableau(3, ((1, 2), (3,)))  # the unique plus-full-set-free chain of order 3
 
@@ -199,29 +208,58 @@ def test_expand_chain_is_the_paper_construction(chains_by_order):
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """Number of tableaux validated, i.e. of ``Tableau`` objects constructed."""
+    """Rows of the tableaux built by ``Tableau._trusted``, and of those validated."""
     from tamari import tableaux
 
-    calls = []
-    original = tableaux.validate_tableau
+    built, validated = [], []
+    trusted = tableaux.Tableau._trusted.__func__
+    validate = tableaux.validate_tableau
 
-    def counted(rows):
-        calls.append(rows)
-        return original(rows)
+    def counted_trusted(cls, n, rows):
+        built.append(rows)
+        return trusted(cls, n, rows)
 
-    monkeypatch.setattr(tableaux, "validate_tableau", counted)
-    return calls
+    def counted_validate(rows):
+        validated.append(rows)
+        return validate(rows)
+
+    monkeypatch.setattr(tableaux.Tableau, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(tableaux, "validate_tableau", counted_validate)
+    return built, validated
 
 
 def test_growth_and_extraction_build_one_tableau_each(constructions):
+    built, validated = constructions
     chain = Tableau(4, ((1, 2, 3), (1, 4), (1,)))
+    validated.clear()
     for r in range(chain.length + 1):
-        constructions.clear()
+        built.clear()
         grown = expand_chain(chain, r)
-        assert len(constructions) == 1
-        constructions.clear()
+        assert len(built) == 1
+        built.clear()
         extract_plus_full_set(grown)
-        assert len(constructions) == 1
+        assert len(built) == 1
+        assert validated == []  # neither map re-validates its output
+
+
+def _as_validated(tab):
+    assert validate_tableau(tab.rows)
+    checked = Tableau(tab.n, tab.rows)
+    assert tab == checked and hash(tab) == hash(checked)
+
+
+def test_trusted_outputs_are_valid_tableaux(chains_by_order):
+    for n in range(1, 6):
+        for tab in chains_by_order[n]:
+            for r in range(tab.length + 1):
+                grown = expand_chain(tab, r)
+                _as_validated(grown)
+                shrunk = _shrink(grown, r)
+                _as_validated(shrunk)
+                assert shrunk == tab
+            labels = plus_full_set_labels(tab)
+            if labels:
+                _as_validated(_shrink(tab, labels[0] - 1))
 
 
 def test_decompose_classifies_each_chain_once(monkeypatch):
@@ -239,6 +277,42 @@ def test_decompose_classifies_each_chain_once(monkeypatch):
         classified.clear()
         assert decompose(chain) == ChainDecomposition(BASE, params)
         assert len(classified) == len(params) + 1
+
+
+def test_recompose_classifies_only_its_base(monkeypatch):
+    from tamari import bijections, tableaux
+
+    per_label, whole = [], []
+    classify, labels_of = tableaux.classify_r_set, tableaux.plus_full_set_labels
+
+    def counted_classify(tab, r):
+        per_label.append(r)
+        return classify(tab, r)
+
+    def counted_labels(tab):
+        whole.append(tab)
+        return labels_of(tab)
+
+    monkeypatch.setattr(tableaux, "classify_r_set", counted_classify)
+    monkeypatch.setattr(bijections, "plus_full_set_labels", counted_labels)
+    base = chain_without_plus_full_sets(2)
+    chain = recompose(ChainDecomposition(base, (3, 5, 8, 9)))
+    assert (len(per_label), len(whole)) == (0, 1)
+    assert decompose(chain) == ChainDecomposition(base, (3, 5, 8, 9))
+
+
+def test_insert_raises_at_the_smallest_offending_label(chains_by_order):
+    for n in range(1, 6):
+        for tab in chains_by_order[n]:
+            for r in range(tab.length + 1):
+                offending = next((j for j in range(1, r + 1)
+                                  if classify_r_set(tab, j) is RSetClass.PLUS_FULL), None)
+                if offending is None:
+                    assert insert_plus_full_set(tab, r) == expand_chain(tab, r)
+                    continue
+                with pytest.raises(GrowthDomainError) as info:
+                    insert_plus_full_set(tab, r)
+                assert info.value.label == offending
 
 
 def test_recompose_rejects_a_base_with_a_plus_full_set():

@@ -1,9 +1,12 @@
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamari.checks import all_chain_tableaux, candidate_tableaux, random_chain_to_top
-from tamari.shapes import staircase, strip_of_box
+from tamari.shapes import partitions_in_staircase, staircase, strip_of_box, upper_covers
 from tamari.tableaux import (
     ChainError,
     NotChainTableauError,
@@ -83,6 +86,24 @@ def test_roundtrip_random_walks():
         tab = chain_to_tableau(chain, 6)
         assert tableau_to_chain(tab) == tuple(chain)
         assert is_chain_tableau(tab)
+
+
+def test_random_draws_match_the_uncached_vertex_list():
+    def uncached(n, rng, start=None):
+        vertices = partitions_in_staircase(n)
+        steps = [vertices[rng.randrange(len(vertices))] if start is None else start]
+        while steps[-1]:
+            options = upper_covers(steps[-1], n)
+            steps.append(options[rng.randrange(len(options))])
+        return steps[::-1]
+
+    for n in (1, 4, 7):
+        cached_rng, plain_rng = random.Random(2024), random.Random(2024)
+        for _ in range(200):
+            assert random_chain_to_top(n, cached_rng) == uncached(n, plain_rng)
+            bottom = staircase(n - 1)
+            assert random_chain_to_top(n, cached_rng, start=bottom) == \
+                uncached(n, plain_rng, start=bottom)
 
 
 def test_roundtrip_at_stated_scale():
@@ -254,3 +275,48 @@ def test_huge_label_is_rejected_without_allocating(monkeypatch):
 def test_from_text_rejects_non_integer_labels():
     with pytest.raises(TableauError):
         Tableau.from_text("n=3 l=2\n1 x")
+
+
+def _labels_by_definition(tab):
+    return tuple(r for r in range(1, tab.length + 1)
+                 if classify_r_set(tab, r) is RSetClass.PLUS_FULL)
+
+
+def test_diagonal_scan_matches_the_definition_on_chains(chains_by_order):
+    for n in range(1, 7):
+        for tab in chains_by_order[n]:
+            assert plus_full_set_labels(tab) == _labels_by_definition(tab)
+
+
+def test_diagonal_scan_matches_the_definition_on_staircase_tableaux():
+    # these need not encode chains: labels may repeat along the outer diagonal
+    checked = 0
+    for n in range(1, 5):
+        for tab in candidate_tableaux(n, comb(n, 2)):
+            if tab.is_staircase:
+                assert plus_full_set_labels(tab) == _labels_by_definition(tab), tab
+                checked += 1
+    assert checked == 102
+
+
+@st.composite
+def valid_tableaux(draw):
+    """Any valid tableau: fill a shape with labels growing along rows and down
+    columns, then rename the labels to 1..m in order."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    shape = draw(st.sampled_from(partitions_in_staircase(n)))
+    rows = []
+    for x, width in enumerate(shape):
+        row = []
+        for y in range(width):
+            low = max(row[-1] + 1 if row else 1, rows[x - 1][y] if x else 1)
+            row.append(low + draw(st.integers(min_value=0, max_value=3)))
+        rows.append(row)
+    rank = {v: i for i, v in enumerate(sorted({v for row in rows for v in row}), start=1)}
+    return Tableau(n, tuple(tuple(rank[v] for v in row) for row in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_tableaux())
+def test_length_is_the_largest_label(tab):
+    assert tab.length == max((v for row in tab.rows for v in row), default=0)
