@@ -57,11 +57,13 @@ from .counting import (
     chains_count,
     conjecture_values,
     count_by_length,
-    count_nofull_brute,
     enumerate_maximal_chains,
     equal_representation_check,
+    inclusion_exclusion,
+    is_plus_full_step,
     longest_chain_count,
     nofull_initial_values,
+    sweep,
     vanishing_check,
 )
 
@@ -543,7 +545,7 @@ def check_growth_roundtrip(limits: VerifyLimits) -> CheckResult:
             pfs = plus_full_set_labels(tab)
             bound = min(pfs) - 1 if pfs else tab.length
             for r in range(0, bound + 1):
-                grown = insert_plus_full_set(tab, r)
+                grown = expand_chain(tab, r)
                 labels = plus_full_set_labels(grown)
                 if not labels or labels[0] != r + 1:
                     return _fail(name, "grown chain has wrong minimal plus-full-set",
@@ -572,7 +574,7 @@ def check_growth_increment(limits: VerifyLimits) -> CheckResult:
             pfs = plus_full_set_labels(tab)
             bound = min(pfs) - 1 if pfs else tab.length
             for r in range(0, bound + 1):
-                grown = insert_plus_full_set(tab, r)
+                grown = expand_chain(tab, r)
                 if len(plus_full_set_labels(grown)) != len(pfs) + 1:
                     return _fail(name, "image does not gain exactly one plus-full-set",
                                  {"n": n, "r": r, "rows": [list(x) for x in tab.rows]})
@@ -695,9 +697,8 @@ def check_initial_values_vs_brute(limits: VerifyLimits) -> CheckResult:
     name = "formulas/initial-values-vs-brute"
     top = min(limits.max_n, 7)
     for i in range(-1, limits.max_i + 1):
-        values = nofull_initial_values(i, max_t=top)
-        for t, value in values.items():
-            brute = count_nofull_brute(i, t)
+        for t, value in nofull_initial_values(i, max_t=top).items():
+            brute = sweep(t, t + i, is_plus_full_step).get(t + i, 0)
             if value != brute:
                 return _fail(name, "inclusion-exclusion disagrees with classification",
                              {"i": i, "t": t, "ie": value, "brute": brute})
@@ -766,9 +767,7 @@ def check_mutual_inversion(limits: VerifyLimits) -> CheckResult:
     for i in range(-1, min(limits.max_i, 5) + 1):
         row = {t: fixture.get((i, t), 0) for t in range(1, 2 * i + 4)}
         counts = {n: chains_count(i, n, row) for n in range(1, 14)}
-        for n in range(1, 14):
-            back = sum((-1) ** (n - t) * comb(n + i, t + i) * counts[t]
-                       for t in range(1, n + 1))
+        for n, back in inclusion_exclusion(i, counts).items():
             expected = fixture.get((i, n), 0) if n <= 2 * i + 3 else 0
             if back != expected:
                 return _fail(name, "inclusion-exclusion does not invert the recursion",
@@ -784,17 +783,13 @@ def check_conjecture(limits: VerifyLimits) -> CheckResult:
     name = "conjecture/products"
     top_i = min(limits.max_i, 2)
     for i in range(-1, top_i + 1):
-        first, second = conjecture_values(i)
-        brute_first = count_nofull_brute(i, 2 * i + 3)
-        if first != brute_first:
-            return _fail(name, "product disagrees with the classified count",
-                         {"i": i, "n": 2 * i + 3, "product": first, "brute": brute_first})
-        if second is not None and 2 * i + 2 >= 1:
-            brute_second = count_nofull_brute(i, 2 * i + 2)
-            if second != brute_second:
-                return _fail(name, "scaled product disagrees with the classified count",
-                             {"i": i, "n": 2 * i + 2, "product": second,
-                              "brute": brute_second})
+        for n, product in zip((2 * i + 3, 2 * i + 2), conjecture_values(i)):
+            if product is None:
+                continue
+            brute = sweep(n, n + i, is_plus_full_step).get(n + i, 0)
+            if product != brute:
+                return _fail(name, "product disagrees with the classified count",
+                             {"i": i, "n": n, "product": product, "brute": brute})
     return _ok(name, f"i <= {top_i}")
 
 

@@ -5,24 +5,24 @@ Commands
 * ``enumerate``: stream the maximal chains of one lattice as chain tableaux.
 * ``table``: chain counts by length for a range of lattices (with ``--check``
   against the committed fixture).
-* ``nofull``: counts of chains with no plus-full-sets, by classifying every
-  cover step where the ceiling admits it and by inclusion-exclusion beyond;
-  maintains the cache file.
-* ``count``: one chain count, by the recursion and/or brute enumeration.
+* ``nofull``: counts of chains with no plus-full-sets, each computed twice, by
+  skipping the plus-full cover steps and by inclusion-exclusion; maintains
+  the cache file.
+* ``count``: one chain count, by the recursion and/or the brute sweep.
 * ``grow`` / ``decompose`` / ``recompose``: apply the chain surgery maps to a
   tableau read from stdin or a file; growth-level tuples are comma-separated.
 * ``verify``: the property suites of :mod:`tamari.checks`.
 
 ``nofull`` and ``count`` build one table of initial values per command, for
-all their offsets at once, with one census per order.  The cache file is
-merged, under a lock, with whatever another writer stored meanwhile.
+all their offsets at once, with two bounded sweeps per order.  The cache file
+is merged, under a lock, with whatever another writer stored meanwhile.
 
 Exit codes: 0 success, 1 verification or fixture failure (or an input chain
 outside a map's domain), 2 usage error (malformed input, or an unreadable
 input file or cache path).  Enumeration effort is gated: the default ceiling
 is order 7 (~3.4e5 chains); ``--allow-large`` admits order 8 (~2.2e8 chains)
-and ``--allow-huge`` removes the ceiling.  Histogram work over the cover
-graph has its own, higher ceiling.
+and ``--allow-huge`` removes the ceiling.  Every sweep of ``nofull`` and
+``count`` follows the histogram ceiling: order 9, or 11 with ``--allow-large``.
 """
 
 from __future__ import annotations
@@ -46,11 +46,12 @@ from .bijections import (
 )
 from .checks import VerifyLimits, run_suite
 from .counting import (
-    census,
     chains_count,
     count_by_length,
     enumerate_maximal_chains,
-    nofull_initial_values,
+    inclusion_exclusion,
+    is_plus_full_step,
+    sweep,
 )
 from .fixtures import length_table, nofull_table
 from .tableaux import Tableau, TableauError, _require_maximal, tableau_to_chain
@@ -211,37 +212,31 @@ def _initial_values(offsets, need_t: int, args: argparse.Namespace, cache: dict,
                     ) -> tuple[Table, tuple[int, list[tuple[int, int]]]]:
     """Initial values N_i(t) for each offset i and t <= min(need_t, 2i+3), with provenance.
 
-    Up to the enumeration ceiling, :func:`census` classifies every cover step
-    by the paper's definition (provenance ``brute``), once per order for all
-    offsets; inclusion-exclusion (cross-validated against it on the overlap)
-    up to the histogram ceiling; cache entries beyond.  Returns the table and
-    the number of unobtainable cells with the first :data:`SKIPPED_SHOWN` of
-    them.  Raises :class:`CacheMismatch` on any disagreement.
+    Up to the histogram ceiling each cell is computed twice, from two
+    length-bounded :func:`sweep` calls per order: skipping the plus-full steps
+    (provenance ``brute``) and by inclusion-exclusion over all chains; cache
+    entries beyond.  Returns the table and the number of unobtainable cells
+    with the first :data:`SKIPPED_SHOWN` of them.  Raises :class:`CacheMismatch`
+    on any disagreement.
     """
-    enum_limit = _ceiling(args, ENUM_LIMIT, ENUM_LIMIT_LARGE)
     dp_limit = _ceiling(args, DP_LIMIT, DP_LIMIT_LARGE)
     tops = {i: min(need_t, 2 * i + 3) for i in offsets}
-    nofull: dict[int, dict[int, int]] = {}
-    # Orders ascending, each order's histogram next to its census, so that each
-    # cover graph is built once; inclusion-exclusion below reuses the histograms.
-    for t in range(1, min(max(tops.values(), default=0), dp_limit) + 1):
-        count_by_length(t)
-        if t <= enum_limit:
-            nofull[t] = census(t).nofull_by_length
+    longest = max(tops, default=-1)  # the largest offset: chains of length t + longest
+    # Orders ascending, an order's two sweeps together: each cover graph is built once.
+    sweeps = {t: (sweep(t, t + longest), sweep(t, t + longest, is_plus_full_step))
+              for t in range(1, min(max(tops.values(), default=0), dp_limit) + 1)}
     table: Table = {}
     missing, shown = 0, []
     for i, top in tops.items():
         row = table[i] = {}
-        for t, value in nofull_initial_values(i, max_t=min(top, dp_limit)).items():
-            if t in nofull:
-                brute = nofull[t].get(t + i, 0)
-                if value != brute:
-                    raise CacheMismatch(
-                        f"routes disagree at i={i}, t={t}: brute {brute} vs "
-                        f"inclusion-exclusion {value}")
-                row[t] = (value, "brute")
-            else:
-                row[t] = (value, "inclusion-exclusion")
+        counts = {t: sweeps[t][0].get(t + i, 0) for t in range(1, min(top, dp_limit) + 1)}
+        for t, value in inclusion_exclusion(i, counts).items():
+            brute = sweeps[t][1].get(t + i, 0)
+            if value != brute:
+                raise CacheMismatch(
+                    f"routes disagree at i={i}, t={t}: brute {brute} vs "
+                    f"inclusion-exclusion {value}")
+            row[t] = (value, "brute")
             cached = cache_get(cache, i, t)
             if cached is not None and cached != value:
                 raise CacheMismatch(
@@ -372,11 +367,11 @@ def cmd_count(args: argparse.Namespace) -> int:
         if cache_path:
             _store(cache_path, cache, table)
     if args.method in ("brute", "both"):
-        if args.n > _ceiling(args, ENUM_LIMIT, ENUM_LIMIT_LARGE):
-            print(f"error: brute enumeration at n={args.n} exceeds the ceiling; "
+        if args.n > _ceiling(args, DP_LIMIT, DP_LIMIT_LARGE):
+            print(f"error: the brute sweep at n={args.n} exceeds the ceiling; "
                   f"pass --allow-large or --allow-huge", file=sys.stderr)
             return 2
-        results["brute"] = census(args.n).by_length.get(args.n + args.i, 0)
+        results["brute"] = sweep(args.n, args.n + args.i).get(args.n + args.i, 0)
     if args.method == "both" and results["recursion"] != results["brute"]:
         print(f"DISAGREE recursion={results['recursion']} brute={results['brute']}",
               file=sys.stderr)

@@ -3,9 +3,9 @@
 Two independent routes are kept side by side on purpose:
 
 * the *lattice sweeps* over the cover graph of :func:`tamari.shapes.cover_graph`:
-  :func:`count_by_length` tallies chains by length, and :func:`census` also
-  classifies each cover step as plus-full or not, which depends on the edge
-  alone, to count the chains with no plus-full-set and the minimal
+  :func:`sweep` counts chains by length up to a length bound, skipping the
+  cover steps an edge filter rejects (:func:`is_plus_full_step` leaves the
+  chains with no plus-full-set), and :func:`census` also tallies the minimal
   plus-full-set labels.  :func:`enumerate_maximal_chains` streams the actual
   chain tableaux; classified by :func:`tamari.tableaux.plus_full_set_labels`,
   they are the brute oracle the sweeps are tested against; and
@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .shapes import Box, Partition, ShapeError, cover_graph
 from .tableaux import Tableau, plus_full_set_labels
@@ -51,32 +51,47 @@ class LengthHistogram:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    @property
-    def lengths(self) -> list[int]:
-        return sorted(self.counts)
 
-
-@lru_cache(maxsize=32)
-def count_by_length(n: int) -> LengthHistogram:
-    """Histogram of maximal chains by length, via a DP over the cover graph.
+def sweep(n: int, max_length: int | None = None,
+          skip_edge: Callable[..., bool] | None = None) -> dict[int, int]:
+    """Maximal chains of the n-th lattice by length, up to ``max_length``, with no
+    cover step for which ``skip_edge(shape, strip, n)`` holds.
 
     Sweeps the vertex ids in increasing order (decreasing box count), pushing
-    per-length chain counts from the staircase upward; uses only the covering
-    relation, so it serves as the enumeration-side oracle for the recursion.
+    per-length chain counts from the staircase upward.  A step removes at most
+    one box of row 1, so a chain at depth d of a vertex with k boxes in row 1
+    is dropped once d + k > ``max_length``.
     """
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
     graph = cover_graph(n)
-    reach: list[dict[int, int]] = [{} for _ in graph.vertices]
+    vertices, covers, strips = graph.vertices, graph.covers, graph.strips
+    reach: list[dict[int, int]] = [{} for _ in vertices]
     reach[0][0] = 1
     for vertex in range(graph.top):
-        step = {length + 1: count for length, count in reach[vertex].items()}
+        here = reach[vertex]
         reach[vertex] = {}
-        for cover in graph.covers[vertex]:
+        if max_length is None:  # kept apart: the unbounded sweep is the hot path
+            step = {length + 1: count for length, count in here.items()}
+        else:
+            slack = max_length - vertices[vertex][0]
+            step = {length + 1: count for length, count in here.items() if length <= slack}
+        if not step:
+            continue
+        targets = covers[vertex] if skip_edge is None else [
+            cover for cover, strip in zip(covers[vertex], strips[vertex])
+            if not skip_edge(vertices[vertex], strip, n)]
+        for cover in targets:
             target = reach[cover]
             for length, count in step.items():
                 target[length] = target.get(length, 0) + count
-    return LengthHistogram(n, reach[graph.top])
+    return reach[graph.top]
+
+
+@lru_cache(maxsize=32)
+def count_by_length(n: int) -> LengthHistogram:
+    """Histogram of maximal chains by length: the unbounded, unfiltered :func:`sweep`."""
+    return LengthHistogram(n, sweep(n))
 
 
 def enumerate_maximal_chains(n: int, length: int | None = None) -> Iterator[Tableau]:
@@ -141,10 +156,10 @@ def is_plus_full_step(shape: Partition, strip: tuple[Box, ...], n: int) -> bool:
 def census(n: int) -> ChainCensus:
     """Classify every maximal chain of the n-th lattice by its plus-full-sets.
 
-    One sweep over the cover graph, like :func:`count_by_length`, but each
-    vertex counts the chains reaching it by (length, steps taken since the
-    last plus-full step, or -1 before the first).  At the top the last
-    plus-full step carries the minimal label, which is that step count + 1.
+    One sweep over the cover graph, like :func:`sweep`, but each vertex counts
+    the chains reaching it by (length, steps taken since the last plus-full
+    step, or -1 before the first).  At the top the last plus-full step carries
+    the minimal label, which is that step count + 1.
     """
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
@@ -171,30 +186,24 @@ def census(n: int) -> ChainCensus:
     return result
 
 
-def count_nofull_brute(i: int, n: int) -> int:
-    """Chains of length n+i with no plus-full-sets, by classifying every cover step."""
-    if i < -1:
-        raise ValueError(f"length offset must be >= -1, got {i}")
-    return census(n).nofull_by_length.get(n + i, 0)
-
-
 def nofull_initial_values(i: int, max_t: int | None = None) -> dict[int, int]:
-    """Initial values N_i(t) for t = 1..min(2i+3, max_t), by inclusion-exclusion.
-
-    ``N_i(n) = sum_{t=1}^{n} (-1)^(n-t) * C(n+i, t+i) * #C_i(t)`` with the
-    chain counts taken from the cover-graph DP, :func:`count_by_length`.
-    Terms beyond ``max_t`` never matter to :func:`chains_count` at ``n <= max_t``
-    because their binomial weight vanishes.
+    """Initial values N_i(t) for t = 1..min(2i+3, max_t), by inclusion-exclusion
+    over :func:`count_by_length`.  Terms beyond ``max_t`` never matter to
+    :func:`chains_count` at ``n <= max_t`` because their binomial weight vanishes.
     """
     if i < -1:
         raise ValueError(f"length offset must be >= -1, got {i}")
     limit = 2 * i + 3 if max_t is None else min(max_t, 2 * i + 3)
-    chain_counts = {t: count_by_length(t).get(t + i) for t in range(1, limit + 1)}
-    values = {}
-    for t in range(1, limit + 1):
-        values[t] = sum((-1) ** (t - s) * comb(t + i, s + i) * chain_counts[s]
-                        for s in range(1, t + 1))
-    return values
+    return inclusion_exclusion(i, {t: count_by_length(t).get(t + i)
+                                   for t in range(1, limit + 1)})
+
+
+def inclusion_exclusion(i: int, chain_counts: Mapping[int, int]) -> dict[int, int]:
+    """``N_i(t) = sum_{s=1}^{t} (-1)^(t-s) * C(t+i, s+i) * #C_i(s)`` for each t in
+    ``chain_counts``, which maps every order s <= t to #C_i(s)."""
+    return {t: sum((-1) ** (t - s) * comb(t + i, s + i) * chain_counts[s]
+                   for s in range(1, t + 1))
+            for t in chain_counts}
 
 
 def chains_count(i: int, n: int, table: Mapping[int, int]) -> int:
@@ -266,7 +275,7 @@ def equal_representation_check(i: int, n: int) -> bool:
         labels = frozenset(plus_full_set_labels(tab))
         tallies[labels] = tallies.get(labels, 0) + 1
     for t in range(0, n):
-        expected_exact = count_nofull_brute(i, n - t)
+        expected_exact = sweep(n - t, n - t + i, is_plus_full_step).get(n - t + i, 0)
         expected_super = count_by_length(n - t).get(n - t + i)
         for subset in combinations(range(1, length + 1), t):
             wanted = frozenset(subset)

@@ -103,7 +103,7 @@ def test_nofull_inclusion_exclusion_row(tmp_path, capsys):
         assert cell in rows
     cache = json.loads(path.read_text())
     assert cache["provenance"]["3"]["7"] == "brute"
-    assert cache["provenance"]["3"]["9"] == "inclusion-exclusion"
+    assert cache["provenance"]["3"]["9"] == "brute"
 
 
 def test_nofull_skips_cells_beyond_ceilings(capsys):
@@ -116,32 +116,74 @@ def test_nofull_skips_cells_beyond_ceilings(capsys):
 
 
 @pytest.fixture
-def census_calls(monkeypatch):
-    """The orders the CLI asks :func:`census` for, in call order."""
+def sweep_calls(monkeypatch):
+    """The (order, edge filter) of each sweep the CLI makes, in call order."""
     calls = []
-    original = cli.census
+    original = cli.sweep
 
-    def counted_census(n):
-        calls.append(n)
-        return original(n)
+    def counted_sweep(n, max_length=None, skip_edge=None):
+        calls.append((n, skip_edge))
+        return original(n, max_length, skip_edge)
 
-    monkeypatch.setattr(cli, "census", counted_census)
+    monkeypatch.setattr(cli, "sweep", counted_sweep)
     return calls
 
 
-def test_nofull_runs_one_census_per_order(capsys, census_calls):
+def twice_per_order(top):
+    """Each order 1..top swept once over all chains and once skipping plus-full steps."""
+    return [(n, skip) for n in range(1, top + 1) for skip in (None, cli.is_plus_full_step)]
+
+
+def test_nofull_sweeps_each_order_twice(capsys, sweep_calls):
     code, _, _ = run(capsys, "nofull", "--max-i", "3")
     assert code == 0
-    assert sorted(census_calls) == list(range(1, 8))  # each order once, for every offset
+    assert sweep_calls == twice_per_order(9)  # 2i+3 = 9, for every offset at once
 
 
-def test_nofull_skipped_report_stays_short(capsys, census_calls):
+def test_nofull_skipped_report_stays_short(capsys, sweep_calls):
     code, _, err = run(capsys, "nofull", "--max-i", "400", "--format", "csv")
     assert code == 0
     assert len(err.encode()) < 4096
     skipped = sum(2 * i + 3 - cli.DP_LIMIT for i in range(4, 401))
     assert f"{skipped} cells, first: [(4, 10), (4, 11), (5, 10)" in err
-    assert sorted(census_calls) == list(range(1, cli.ENUM_LIMIT + 1))
+    assert sweep_calls == twice_per_order(cli.DP_LIMIT)
+
+
+@pytest.mark.parametrize("skip", [None, "plus-full"])
+def test_nofull_routes_that_disagree_fail_and_write_nothing(tmp_path, capsys, monkeypatch,
+                                                             skip):
+    path = tmp_path / "cache.json"
+    original = cli.sweep
+
+    def off_by_one(n, max_length=None, skip_edge=None):
+        counts = original(n, max_length, skip_edge)
+        if n == 5 and (skip_edge is None) == (skip is None):
+            counts[6] += 1  # one cell of one route: chains of length 6 in order 5
+        return counts
+
+    monkeypatch.setattr(cli, "sweep", off_by_one)
+    code, out, err = run(capsys, "nofull", "--max-i", "2", "--cache", str(path))
+    assert code == 1 and out == ""
+    assert "routes disagree at i=1, t=5" in err
+    assert not path.exists()
+
+
+@pytest.mark.slow
+def test_nofull_computes_the_committed_offset_four_cells(tmp_path, capsys):
+    from tamari.fixtures import nofull_table
+
+    path = tmp_path / "cache.json"
+    code, out, err = run(capsys, "nofull", "--max-i", "4", "--allow-large",
+                         "--format", "csv", "--cache", str(path))
+    assert code == 0 and err == ""  # both routes agree in every cell; nothing skipped
+    rows = out.splitlines()
+    assert "4,10,1121120" in rows and "4,11,1401400" in rows
+    fixture = nofull_table()
+    for line in rows[1:]:
+        i, t, value = map(int, line.split(","))
+        assert value == fixture.get((i, t), 0), (i, t)
+    cache = json.loads(path.read_text())
+    assert cache["provenance"]["4"]["10"] == cache["provenance"]["4"]["11"] == "brute"
 
 
 def test_skipped_cells_are_counted_not_visited(capsys, monkeypatch):
@@ -174,7 +216,9 @@ def test_count_methods(capsys):
     assert code == 0 and out.strip() == "112"
     code, out, _ = run(capsys, "count", "--i", "2", "--n", "5", "--method", "brute")
     assert code == 0 and out.strip() == "22"
-    code, _, err = run(capsys, "count", "--i", "0", "--n", "9", "--method", "brute")
+    code, out, _ = run(capsys, "count", "--i", "0", "--n", "9", "--method", "brute")
+    assert code == 0 and out.strip() == "84"
+    code, _, err = run(capsys, "count", "--i", "0", "--n", "10", "--method", "brute")
     assert code == 2 and "ceiling" in err
 
 
@@ -300,15 +344,15 @@ def test_cache_writer_waits_for_the_lock(tmp_path):
 
 def test_concurrent_cache_writer_conflict_fails(tmp_path, capsys, monkeypatch):
     path = tmp_path / "cache.json"
-    original = cli.nofull_initial_values
+    original = cli.inclusion_exclusion
 
-    def with_rival_writer(i, max_t=None):
+    def with_rival_writer(i, chain_counts):
         rival = cli.empty_cache()
         cli.cache_update(rival, 0, 3, 999, "brute")
         cli.save_cache(str(path), rival)
-        return original(i, max_t=max_t)
+        return original(i, chain_counts)
 
-    monkeypatch.setattr(cli, "nofull_initial_values", with_rival_writer)
+    monkeypatch.setattr(cli, "inclusion_exclusion", with_rival_writer)
     code, _, err = run(capsys, "count", "--i", "0", "--n", "5", "--cache", str(path))
     assert code == 1 and "disagrees" in err
     assert cli.cache_get(cli.load_cache(str(path)), 0, 3) == 999

@@ -9,12 +9,12 @@ from tamari.counting import (
     chains_count,
     conjecture_values,
     count_by_length,
-    count_nofull_brute,
     enumerate_maximal_chains,
     equal_representation_check,
     is_plus_full_step,
     longest_chain_count,
     nofull_initial_values,
+    sweep,
     vanishing_check,
 )
 from tamari.fixtures import length_table, nofull_table
@@ -91,12 +91,33 @@ def test_census_agrees_with_histogram(censuses):
         assert censuses[n].by_length == dict(count_by_length(n).counts)
 
 
-def test_count_nofull_brute_examples():
-    assert count_nofull_brute(1, 5) == 10
-    assert count_nofull_brute(2, 6) == 112
-    assert count_nofull_brute(0, 3) == 1
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bounded_sweep_truncates_the_histogram(n):
+    counts = count_by_length(n).counts
+    for bound in range(n - 1, comb(n, 2) + 1):
+        assert sweep(n, bound) == {l: c for l, c in counts.items() if l <= bound}, bound
+
+
+def nofull(i, n):
+    """Chains of length n+i in order n with no plus-full-set, from the bounded sweep."""
+    return sweep(n, n + i, is_plus_full_step).get(n + i, 0)
+
+
+def test_plus_full_free_sweep_examples():
+    assert nofull(1, 5) == 10
+    assert nofull(2, 6) == 112
+    assert nofull(0, 3) == 1
     for n in range(4, 8):
-        assert count_nofull_brute(0, n) == 0
+        assert nofull(0, n) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_plus_full_free_sweep_matches_the_census(n, censuses):
+    counts = censuses[n].nofull_by_length
+    assert sweep(n, skip_edge=is_plus_full_step) == counts
+    for bound in range(n - 1, comb(n, 2) + 1):
+        assert sweep(n, bound, is_plus_full_step) == \
+            {l: c for l, c in counts.items() if l <= bound}, bound
 
 
 def test_nofull_matches_committed_table(censuses):
@@ -215,7 +236,7 @@ def test_equal_representation_exact_cell():
     # chains of order 4 and length 4 whose only plus-full-set label is 1
     exact = [tab for tab in enumerate_maximal_chains(4, length=4)
              if plus_full_set_labels(tab) == (1,)]
-    assert len(exact) == 1 == count_nofull_brute(0, 3)
+    assert len(exact) == 1 == nofull(0, 3)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -247,7 +268,7 @@ def test_vanishing_small():
     assert vanishing_check(-1, 3)
     with pytest.raises(ValueError):
         vanishing_check(0, 3)
-    assert count_nofull_brute(0, 3) == 1
+    assert nofull(0, 3) == 1
 
 
 def test_vanishing_partition_sizes(censuses):
