@@ -53,6 +53,7 @@ from .bijections import (
 )
 from .counting import (
     ChainCensus,
+    _chains_up,
     census,
     chains_count,
     conjecture_values,
@@ -107,31 +108,11 @@ def all_dyck_paths(n: int) -> Iterator[str]:
 
 def all_chain_tableaux(n: int) -> Iterator[Tableau]:
     """Every saturated chain of the n-th lattice ending at the null diagram,
-    encoded as a chain tableau (length = chain length, any shape)."""
+    encoded as a chain tableau (length = chain length, any shape): the chains
+    up from each vertex id in turn."""
     graph = cover_graph(n)
-    ids = {vertex: index for index, vertex in enumerate(graph.vertices)}
-    covered_by: list[list[tuple[int, tuple[Box, ...]]]] = [[] for _ in graph.vertices]
-    for vertex in partitions_in_staircase(n):  # fixes the order the chains come out in
-        index = ids[vertex]
-        for cover, strip in zip(graph.covers[index], graph.strips[index]):
-            covered_by[cover].append((index, strip))
-    grid: dict[Box, int] = {}
-
-    def emit(vertex: Partition) -> Tableau:
-        rows = tuple(tuple(grid[(x, y)] for y in range(1, vertex[x - 1] + 1))
-                     for x in range(1, len(vertex) + 1))
-        return Tableau(n, rows)
-
-    def walk(vertex: int, depth: int) -> Iterator[Tableau]:
-        yield emit(graph.vertices[vertex])
-        for lower, strip in covered_by[vertex]:
-            for box in strip:
-                grid[box] = depth
-            yield from walk(lower, depth + 1)
-            for box in strip:
-                del grid[box]
-
-    yield from walk(graph.top, 1)
+    for start in range(len(graph.vertices)):
+        yield from _chains_up(graph, start)
 
 
 def stream_census(n: int) -> ChainCensus:

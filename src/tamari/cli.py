@@ -19,10 +19,14 @@ is merged, under a lock, with whatever another writer stored meanwhile.
 
 Exit codes: 0 success, 1 verification or fixture failure (or an input chain
 outside a map's domain), 2 usage error (malformed input, or an unreadable
-input file or cache path).  Enumeration effort is gated: the default ceiling
-is order 7 (~3.4e5 chains); ``--allow-large`` admits order 8 (~2.2e8 chains)
-and ``--allow-huge`` removes the ceiling.  Every sweep of ``nofull`` and
-``count`` follows the histogram ceiling: order 9, or 11 with ``--allow-large``.
+input file or cache path).  A command returns 0 or 1 for its result and
+raises on a refused input; :func:`main` alone turns what it raises into exit
+1 or 2 and a one-line ``error:``.  Each subcommand declares only the options
+it reads.  Effort is gated on ``enumerate``, ``table``, ``nofull`` and
+``count``: the enumeration ceiling is order 7 (~3.4e5 chains), and
+``--allow-large`` admits order 8 (~2.2e8 chains); every sweep of ``nofull``
+and ``count`` follows the histogram ceiling, order 9, or 11 with
+``--allow-large``.  ``--allow-huge`` removes both ceilings.
 """
 
 from __future__ import annotations
@@ -269,12 +273,10 @@ def _store(path: str, cache: dict, table: Table) -> None:
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 1:
-        print("error: --max-n must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--max-n must be >= 1")
     if args.max_n > _ceiling(args, ENUM_LIMIT, ENUM_LIMIT_LARGE):
-        print(f"error: --max-n {args.max_n} exceeds the ceiling; "
-              f"pass --allow-large (order 8) or --allow-huge", file=sys.stderr)
-        return 2
+        raise ValueError(f"--max-n {args.max_n} exceeds the ceiling; "
+                         f"pass --allow-large (order 8) or --allow-huge")
     histograms = {n: count_by_length(n) for n in range(1, args.max_n + 1)}
     if args.check:
         fixture = length_table()
@@ -309,8 +311,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_nofull(args: argparse.Namespace) -> int:
     if args.max_i < -1:
-        print("error: --max-i must be >= -1", file=sys.stderr)
-        return 2
+        raise ValueError("--max-i must be >= -1")
     cache_path = args.cache or os.environ.get(CACHE_ENV)
     cache = load_cache(cache_path) if cache_path else empty_cache()
     table, (missing, shown) = _initial_values(range(-1, args.max_i + 1),
@@ -350,27 +351,24 @@ def cmd_nofull(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     if args.i < -1 or args.n < 1:
-        print("error: need --i >= -1 and --n >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("need --i >= -1 and --n >= 1")
     cache_path = args.cache or os.environ.get(CACHE_ENV)
     cache = load_cache(cache_path) if cache_path else empty_cache()
     results: dict[str, int] = {}
     if args.method in ("recursion", "both"):
         table, (missing, shown) = _initial_values([args.i], args.n, args, cache)
         if missing:
-            print(f"error: initial values for t in {[t for _, t in shown]} (i={args.i}) "
-                  f"need work beyond the current ceilings; pass --allow-large/"
-                  f"--allow-huge or supply a cache", file=sys.stderr)
-            return 2
+            raise ValueError(f"initial values for t in {[t for _, t in shown]} (i={args.i}) "
+                             f"need work beyond the current ceilings; pass --allow-large/"
+                             f"--allow-huge or supply a cache")
         results["recursion"] = chains_count(
             args.i, args.n, {t: value for t, (value, _) in table[args.i].items()})
         if cache_path:
             _store(cache_path, cache, table)
     if args.method in ("brute", "both"):
         if args.n > _ceiling(args, DP_LIMIT, DP_LIMIT_LARGE):
-            print(f"error: the brute sweep at n={args.n} exceeds the ceiling; "
-                  f"pass --allow-large or --allow-huge", file=sys.stderr)
-            return 2
+            raise ValueError(f"the brute sweep at n={args.n} exceeds the ceiling; "
+                             f"pass --allow-large or --allow-huge")
         results["brute"] = sweep(args.n, args.n + args.i).get(args.n + args.i, 0)
     if args.method == "both" and results["recursion"] != results["brute"]:
         print(f"DISAGREE recursion={results['recursion']} brute={results['brute']}",
@@ -382,16 +380,12 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--n must be >= 1")
     if args.n > _ceiling(args, ENUM_LIMIT, ENUM_LIMIT_LARGE):
-        print(f"error: enumerating order {args.n} exceeds the ceiling; "
-              f"pass --allow-large or --allow-huge", file=sys.stderr)
-        return 2
+        raise ValueError(f"enumerating order {args.n} exceeds the ceiling; "
+                         f"pass --allow-large or --allow-huge")
     if args.length is not None and not args.n - 1 <= args.length <= comb(args.n, 2):
-        print(f"error: --length must lie in {args.n - 1}..{comb(args.n, 2)}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--length must lie in {args.n - 1}..{comb(args.n, 2)}")
     total = 0
     if args.format == "csv":
         print("index,n,length,rows")
@@ -446,27 +440,19 @@ def _emit_tableau(tab: Tableau, style: str) -> None:
 
 
 def cmd_grow(args: argparse.Namespace) -> int:
+    chain = _read_chain(args.input)
     try:
-        chain = _read_chain(args.input)
         result = insert_plus_full_set(chain, args.r)
     except GrowthDomainError as exc:
         print(f"error: not in the domain at level {args.r}: {exc} "
               f"(offending label {exc.label})", file=sys.stderr)
         return 1
-    except (TableauError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     _emit_tableau(result, args.format)
     return 0
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    try:
-        chain = _read_chain(args.input)
-        parts = decompose(chain)
-    except (TableauError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    parts = decompose(_read_chain(args.input))
     if args.format == "json":
         print(json.dumps({"base": parts.base.to_json_dict(),
                           "params": list(parts.params)}))
@@ -480,31 +466,17 @@ def cmd_recompose(args: argparse.Namespace) -> int:
     try:
         params = tuple(int(chunk) for chunk in args.params.split(",")) \
             if args.params else ()
-    except ValueError:
-        print(f"error: cannot parse growth levels from {args.params!r}",
-              file=sys.stderr)
-        return 2
-    try:
-        base = _read_chain(args.input)
-        result = recompose(ChainDecomposition(base=base, params=params))
-    except (GrowthDomainError, NoPlusFullSetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TableauError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit_tableau(result, args.format)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse growth levels from {args.params!r}") from exc
+    base = _read_chain(args.input)
+    _emit_tableau(recompose(ChainDecomposition(base=base, params=params)), args.format)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     limits = VerifyLimits(max_n=args.max_n, max_i=args.max_i,
                           samples=args.samples, seed=args.seed)
-    try:
-        results = run_suite(args.suite, limits)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = run_suite(args.suite, limits)
     failures = [r for r in results if not r.passed]
     if args.format == "json":
         print(json.dumps({
@@ -524,12 +496,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _add_common(parser: argparse.ArgumentParser, cache: bool = False) -> None:
-    parser.add_argument("--format", choices=("ascii", "json", "csv"), default="ascii")
-    parser.add_argument("--allow-large", action="store_true",
-                        help="admit order-8 enumeration (~2.2e8 chains)")
-    parser.add_argument("--allow-huge", action="store_true",
-                        help="remove the enumeration ceiling entirely")
+TABLE_FORMATS = ("ascii", "json", "csv")
+TEXT_FORMATS = ("ascii", "json")
+
+
+def _add_options(parser: argparse.ArgumentParser, formats: tuple[str, ...] | None,
+                 ceilings: bool = False, cache: bool = False) -> None:
+    """Declare the shared options a command reads: ``--format`` (unless ``formats``
+    is None), the ceiling flags and ``--cache``."""
+    if formats:
+        parser.add_argument("--format", choices=formats, default="ascii")
+    if ceilings:
+        parser.add_argument("--allow-large", action="store_true",
+                            help=f"raise the enumeration ceiling from order {ENUM_LIMIT} "
+                                 f"to {ENUM_LIMIT_LARGE} and the sweep ceiling from "
+                                 f"order {DP_LIMIT} to {DP_LIMIT_LARGE}")
+        parser.add_argument("--allow-huge", action="store_true",
+                            help="remove both ceilings")
     if cache:
         parser.add_argument("--cache", default=None,
                             help=f"cache file path (default ${CACHE_ENV})")
@@ -545,42 +528,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream the maximal chains of one lattice")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--length", type=int, default=None)
-    _add_common(p)
+    _add_options(p, TABLE_FORMATS, ceilings=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("table", help="chain counts by length for orders 1..max-n")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--check", action="store_true",
                    help="compare against the committed fixture (never writes)")
-    _add_common(p)
+    _add_options(p, TABLE_FORMATS, ceilings=True)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("nofull", help="counts of chains with no plus-full-sets")
     p.add_argument("--max-i", type=int, required=True)
     p.add_argument("--check", action="store_true",
                    help="compare against the committed fixture (never writes)")
-    _add_common(p, cache=True)
+    _add_options(p, TABLE_FORMATS, ceilings=True, cache=True)
     p.set_defaults(func=cmd_nofull)
 
-    p = sub.add_parser("count", help="one chain count, by recursion and/or enumeration")
+    p = sub.add_parser("count", help="one chain count, by the recursion and/or the brute sweep")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("recursion", "brute", "both"),
                    default="recursion")
-    _add_common(p, cache=True)
+    _add_options(p, None, ceilings=True, cache=True)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("grow", help="insert a plus-full-set at level r into a "
                                     "chain read from stdin or a file")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--input", default=None, help="tableau file, '-' for stdin")
-    _add_common(p)
+    _add_options(p, TEXT_FORMATS)
     p.set_defaults(func=cmd_grow)
 
     p = sub.add_parser("decompose", help="split a chain into a plus-full-set-"
                                          "free base and its growth levels")
     p.add_argument("--input", default=None, help="tableau file, '-' for stdin")
-    _add_common(p)
+    _add_options(p, TEXT_FORMATS)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("recompose", help="apply comma-separated growth levels "
@@ -588,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default="", help="weakly increasing levels, "
                                                 "e.g. '0,2,2'")
     p.add_argument("--input", default=None, help="tableau file, '-' for stdin")
-    _add_common(p)
+    _add_options(p, TEXT_FORMATS)
     p.set_defaults(func=cmd_recompose)
 
     p = sub.add_parser("verify", help="run the property suites")
@@ -598,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-i", type=int, default=2)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=20240)
-    _add_common(p)
+    _add_options(p, TEXT_FORMATS)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -608,10 +591,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CacheMismatch as exc:  # a computed value contradicts the cache or the other route
+    # A computed value contradicts the cache or the other route, or an input
+    # chain lies outside a map's domain.  These subclass ValueError: first.
+    except (CacheMismatch, GrowthDomainError, NoPlusFullSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # an input file or cache path that cannot be read or written
+    # A refused input: malformed (TableauError, json and unicode decode errors,
+    # growth levels), out of range, or a file or cache path that cannot be used.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
-from .shapes import Box, Partition, ShapeError, cover_graph
+from .shapes import Box, CoverGraph, Partition, ShapeError, cover_graph
 from .tableaux import Tableau, plus_full_set_labels
 
 
@@ -103,26 +103,34 @@ def enumerate_maximal_chains(n: int, length: int | None = None) -> Iterator[Tabl
     """
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
-    graph = cover_graph(n)
-    covers, strips, top = graph.covers, graph.strips, graph.top
-    grid = [[0] * (n + 1) for _ in range(n + 1)]
+    yield from _chains_up(cover_graph(n), 0, length)
 
-    def leaf(depth: int) -> Tableau:
-        rows = tuple(tuple(depth - grid[x][y] for y in range(1, n - x + 1))
-                     for x in range(1, n))
-        return Tableau(n, rows)
+
+def _chains_up(graph: CoverGraph, start: int, length: int | None = None
+               ) -> Iterator[Tableau]:
+    """Every chain from vertex id ``start`` up to the null diagram, depth first
+    by the cover ordering, as a chain tableau of ``start``'s shape; with
+    ``length`` given, only the chains of that length.
+
+    Each box records the depth of the step that removes it; at the top, a step
+    at depth d of a chain of length l carries label l - d.
+    """
+    n, covers, strips, top = graph.n, graph.covers, graph.strips, graph.top
+    grid = [[0] * (n + 1) for _ in range(n + 1)]
+    cells = [(grid[x], range(1, size + 1)) for x, size in enumerate(graph.vertices[start], 1)]
 
     def walk(vertex: int, depth: int) -> Iterator[Tableau]:
         if vertex == top:
             if length is None or depth == length:
-                yield leaf(depth)
+                yield Tableau(n, tuple(tuple(depth - row[y] for y in columns)
+                                       for row, columns in cells))
             return
         for cover, strip in zip(covers[vertex], strips[vertex]):
             for row, col in strip:
                 grid[row][col] = depth
             yield from walk(cover, depth + 1)
 
-    yield from walk(0, 0)
+    return walk(start, 0)
 
 
 @dataclass

@@ -63,8 +63,9 @@ class RSetClass(enum.Enum):
 
 
 def validate_tableau(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff rows are strictly increasing, columns weakly increasing, and the
-    label set is exactly {1, ..., number of distinct labels}."""
+    """True iff every label is an int (not a bool), rows are strictly increasing,
+    columns weakly increasing, and the label set is exactly {1, ..., number of
+    distinct labels}."""
     grid = [tuple(row) for row in rows]
     if any(len(a) < len(b) for a, b in zip(grid, grid[1:])):
         return False
@@ -73,7 +74,7 @@ def validate_tableau(rows: Sequence[Sequence[int]]) -> bool:
     labels = set()
     for x, row in enumerate(grid):
         for y, value in enumerate(row):
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 return False
             if y > 0 and row[y - 1] >= value:
                 return False
@@ -100,8 +101,8 @@ class Tableau:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        if self.n < 1:
-            raise TableauError(f"ambient parameter must be >= 1, got {self.n}")
+        if type(self.n) is not int or self.n < 1:
+            raise TableauError(f"ambient parameter must be an integer >= 1, got {self.n!r}")
         if not validate_tableau(self.rows):
             raise TableauError(f"not a valid tableau: {self.rows!r}")
         if not contained_in_staircase(self.shape, self.n):
@@ -196,20 +197,10 @@ class Tableau:
             rows = tuple(tuple(row) for row in data["rows"])
         except (KeyError, TypeError) as exc:
             raise TableauError(f"bad tableau json: {data!r}") from exc
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise TableauError(f"tableau json needs an integer n, got {n!r}")
-        for row in rows:
-            for value in row:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise TableauError(f"tableau json labels must be integers, got {value!r}")
         return cls(n, rows)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-
-def truncate(tab: Tableau, r: int) -> Tableau:
-    return tab.truncate(r)
 
 
 def outer_diagonal(tab: Tableau) -> list[Box]:

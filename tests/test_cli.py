@@ -517,6 +517,49 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "table", "--max-n", "0")
     assert code == 2
-    with pytest.raises(SystemExit) as info:  # the fork pool and its flag are gone
-        cli.main(["nofull", "--max-i", "1", "--threads", "2"])
-    assert info.value.code == 2
+    for argv in (["nofull", "--max-i", "1", "--threads", "2"],  # the fork pool is gone
+                 # a command declares only the options it reads
+                 ["count", "--i", "1", "--n", "6", "--format", "json"],
+                 ["verify", "--allow-huge"],
+                 ["grow", "--r", "0", "--allow-large"],
+                 ["decompose", "--format", "csv"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+
+
+MINIMAL_RUNS = {  # subcommand: (arguments, stdin)
+    "enumerate": (["--n", "1"], ""),
+    "table": (["--max-n", "1"], ""),
+    "nofull": (["--max-i", "-1"], ""),
+    "count": (["--i", "-1", "--n", "1", "--method", "both"], ""),
+    "grow": (["--r", "3"], BASE_TEXT),
+    "decompose": ([], GROWN_TEXT),
+    "recompose": (["--params", "3"], BASE_TEXT),
+    "verify": (["--suite", "conjecture", "--max-n", "2", "--max-i", "-1"], ""),
+}
+
+
+def test_every_declared_option_is_read(monkeypatch):
+    import argparse
+    import io
+
+    reads = set()
+
+    class ReadRecorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    assert set(commands) == set(MINIMAL_RUNS)
+    for name, (argv, stdin) in MINIMAL_RUNS.items():
+        args = parser.parse_args([name, *argv], namespace=ReadRecorder())
+        reads.clear()  # parsing reads every attribute; keep the command's reads only
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert args.func(args) == 0, name
+        declared = {action.dest for action in commands[name]._actions if action.option_strings}
+        assert declared - {"help"} <= reads, (name, declared - reads)

@@ -52,8 +52,8 @@ def test_enumeration_is_deterministic_and_unique():
 
 
 def test_chain_generators_keep_their_order():
-    # covers by corner row ascending from the staircase up; chains below a
-    # vertex in the order partitions_in_staircase lists the lower vertices
+    # covers by corner row ascending from the staircase up; all_chain_tableaux
+    # walks up from each vertex id in turn (decreasing box count)
     from tamari.checks import all_chain_tableaux
 
     assert [tab.rows for tab in enumerate_maximal_chains(4)] == [
@@ -61,7 +61,7 @@ def test_chain_generators_keep_their_order():
         ((1, 2, 3), (2, 4), (2,)), ((1, 2, 3), (4, 5), (4,)), ((1, 2, 3), (1, 2), (4,)),
         ((1, 2, 3), (1, 4), (5,)), ((1, 2, 4), (3, 5), (6,)), ((1, 2, 3), (4, 5), (6,))]
     assert [tab.rows for tab in all_chain_tableaux(3)] == [
-        (), ((1,),), ((1, 2),), ((1, 2), (3,)), ((1,), (1,)), ((1, 2), (1,))]
+        ((1, 2), (1,)), ((1, 2), (3,)), ((1,), (1,)), ((1, 2),), ((1,),), ()]
 
 
 def test_histogram_small_orders():

@@ -42,6 +42,12 @@ def test_tableau_construction_errors():
         Tableau(3, ((1, 2, 3),))  # too wide for ambient 3
     with pytest.raises(TableauError):
         Tableau(0, ())
+    for n, rows in [(2, ((True,),)),  # would print as True and equal Tableau(2, ((1,),))
+                    (3.0, ((1, 2), (3,))),  # would pass, then break is_staircase
+                    (True, ()),
+                    ("3", ((1, 2), (3,)))]:  # would be compared to 1: a TypeError
+        with pytest.raises(TableauError):
+            Tableau(n, rows)
 
 
 def test_tableau_basics():
