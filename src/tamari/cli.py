@@ -474,6 +474,10 @@ def cmd_recompose(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n < 1:
+        raise ValueError("--max-n must be >= 1")
+    if args.samples < 0:
+        raise ValueError("--samples must be >= 0")
     limits = VerifyLimits(max_n=args.max_n, max_i=args.max_i,
                           samples=args.samples, seed=args.seed)
     results = run_suite(args.suite, limits)

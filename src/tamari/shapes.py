@@ -307,7 +307,8 @@ def enclosure(parts: Sequence[int], n: int, box: Box) -> Enclosure:
 
 def partitions_in_staircase(n: int) -> list[Partition]:
     """All diagrams inside the staircase of order n-1, i.e. the vertices of the
-    n-th Tamari lattice (Catalan-many), in a fixed deterministic order."""
+    n-th Tamari lattice (Catalan-many), in :class:`CoverGraph` id order:
+    decreasing box count, ties by partition order."""
     if n < 1:
         raise ShapeError(f"ambient parameter must be >= 1, got {n}")
     result: list[Partition] = []
@@ -323,6 +324,7 @@ def partitions_in_staircase(n: int) -> list[Partition]:
             extend(prefix + (value,), row + 1)
 
     extend((), 1)
+    result.sort(key=lambda p: (-sum(p), p))
     return result
 
 
@@ -347,15 +349,20 @@ class CoverGraph(NamedTuple):
         return len(self.vertices) - 1
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)
 def cover_graph(n: int) -> CoverGraph:
     """The cover graph of the n-th lattice, one :func:`covers_with_strips` call per vertex.
 
-    Memoized for the few most recent orders; every lattice sweep shares it.
+    The vertices are :func:`partitions_in_staircase` as listed, so a random
+    index into either picks the same diagram.  Memoized for the eight most
+    recent orders, the orders 1..8 that the property checks draw from and
+    sweep in turn; every lattice sweep shares it.  The orders below 8 are
+    small (order 7 has 429 vertices), so the slots beyond the largest graphs
+    cost little memory.
     """
     if n < 1:
         raise ShapeError(f"ambient parameter must be >= 1, got {n}")
-    vertices = tuple(sorted(partitions_in_staircase(n), key=lambda p: (-sum(p), p)))
+    vertices = tuple(partitions_in_staircase(n))
     ids = {vertex: index for index, vertex in enumerate(vertices)}
     covers = []
     strips = []

@@ -1,14 +1,15 @@
 import pytest
 
-from tamari import cli
+from tamari import checks, cli
 from tamari.checks import VerifyLimits, run_suite
+from tamari.tableaux import RSetClass
 
 
 def test_all_suites_pass_at_default_limits():
     results = run_suite("all", VerifyLimits(max_n=5, max_i=2, samples=400, seed=3))
     failures = [r for r in results if not r.passed]
     assert not failures, failures
-    assert len(results) == 29
+    assert len(results) == 28
 
 
 def test_unknown_suite_rejected():
@@ -32,4 +33,41 @@ def test_verify_growth_cli(capsys):
     assert cli.main(["verify", "--suite", "phi", "--max-n", "6",
                      "--samples", "500"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 9
+    assert out.count("PASS") == 8
+
+
+def test_initial_values_check_stops_at_the_longest_chains(monkeypatch):
+    calls = []
+    original = checks.nofull_initial_values
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 100:
+            raise AssertionError("the offset loop is not bounded by the chain lengths")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "nofull_initial_values", counted)
+    result = checks.check_initial_values_vs_brute(VerifyLimits(max_n=7, max_i=20000))
+    assert result.passed, result
+    assert len(calls) == 16  # offsets -1..14; C(7,2) - 7 = 14
+    assert result.detail == "i <= 14, t <= 7"
+
+
+def test_plus_full_set_bound_can_fail(monkeypatch):
+    monkeypatch.setattr(checks, "classify_r_set", lambda tab, r: RSetClass.PLUS_FULL)
+    result = checks.check_pfs_bound(VerifyLimits(max_n=4))
+    assert not result.passed
+    assert result.detail == "more than n-1 plus-full-sets"
+
+
+def test_growth_roundtrip_checks_the_plus_full_set_increment(monkeypatch):
+    original = checks.plus_full_set_labels
+
+    def one_spurious_label(tab):  # the minimal label stays as it is
+        labels = original(tab)
+        return (*labels, 10**6) if tab.n == 4 and labels else labels
+
+    monkeypatch.setattr(checks, "plus_full_set_labels", one_spurious_label)
+    result = checks.check_growth_roundtrip(VerifyLimits(max_n=5, samples=0))
+    assert not result.passed
+    assert result.detail == "image does not gain exactly one plus-full-set"

@@ -528,6 +528,13 @@ def test_usage_errors_exit_two(capsys):
         assert info.value.code == 2
 
 
+@pytest.mark.parametrize("option, value", [("--max-n", "0"), ("--samples", "-1")])
+def test_verify_rejects_out_of_range_limits(capsys, option, value):
+    code, out, err = run(capsys, "verify", option, value)
+    _one_line_error(code, out, err)
+    assert option in err
+
+
 MINIMAL_RUNS = {  # subcommand: (arguments, stdin)
     "enumerate": (["--n", "1"], ""),
     "table": (["--max-n", "1"], ""),

@@ -198,7 +198,10 @@ def test_plus_full_set_labels_examples(chains_by_order):
 def test_plus_full_set_count_bound(chains_by_order):
     for n in range(1, 7):
         for tab in chains_by_order[n]:
-            assert len(plus_full_set_labels(tab)) <= n - 1 or n == 1
+            # by the definition: the diagonal scan cannot return more than n-1 labels
+            count = sum(1 for r in range(1, tab.length + 1)
+                        if classify_r_set(tab, r) is RSetClass.PLUS_FULL)
+            assert count <= n - 1 or n == 1
 
 
 def test_outer_diagonal_labels_distinct(chains_by_order):
