@@ -52,6 +52,7 @@ from .bijections import (
 )
 from .counting import (
     ChainCensus,
+    RouteMismatch,
     _chains_up,
     census,
     chains_count,
@@ -60,10 +61,9 @@ from .counting import (
     enumerate_maximal_chains,
     equal_representation_check,
     inclusion_exclusion,
-    is_plus_full_step,
+    initial_values,
     longest_chain_count,
     nofull_initial_values,
-    sweep,
     vanishing_check,
 )
 
@@ -617,8 +617,7 @@ def check_recursion_vs_walk(limits: VerifyLimits) -> CheckResult:
     top = min(limits.max_n, 7)
     for n in range(1, top + 1):
         hist = count_by_length(n)
-        for i in range(-1, comb(n, 2) - n + 1):
-            table = nofull_initial_values(i, max_t=n)
+        for i, table in initial_values(range(-1, comb(n, 2) - n + 1), n).items():
             if chains_count(i, n, table) != hist.get(n + i):
                 return _fail(name, "recursion disagrees with the lattice walk",
                              {"i": i, "n": n,
@@ -642,12 +641,11 @@ def check_initial_values_vs_brute(limits: VerifyLimits) -> CheckResult:
     top = min(limits.max_n, 7)
     # past this offset no chain of order <= top is long enough: both routes give 0
     top_i = min(limits.max_i, comb(top, 2) - top)
-    for i in range(-1, top_i + 1):
-        for t, value in nofull_initial_values(i, max_t=top).items():
-            brute = sweep(t, t + i, is_plus_full_step).get(t + i, 0)
-            if value != brute:
-                return _fail(name, "inclusion-exclusion disagrees with classification",
-                             {"i": i, "t": t, "ie": value, "brute": brute})
+    try:
+        initial_values(range(-1, top_i + 1), top)
+    except RouteMismatch as exc:
+        return _fail(name, "inclusion-exclusion disagrees with classification",
+                     {"i": exc.i, "t": exc.t, "ie": exc.ie, "brute": exc.brute})
     return _ok(name, f"i <= {top_i}, t <= {top}")
 
 
@@ -728,11 +726,12 @@ def check_mutual_inversion(limits: VerifyLimits) -> CheckResult:
 def check_conjecture(limits: VerifyLimits) -> CheckResult:
     name = "conjecture/products"
     top_i = min(limits.max_i, 2)
+    table = initial_values(range(-1, top_i + 1), 2 * top_i + 3)
     for i in range(-1, top_i + 1):
         for n, product in zip((2 * i + 3, 2 * i + 2), conjecture_values(i)):
             if product is None:
                 continue
-            brute = sweep(n, n + i, is_plus_full_step).get(n + i, 0)
+            brute = table[i][n]
             if product != brute:
                 return _fail(name, "product disagrees with the classified count",
                              {"i": i, "n": n, "product": product, "brute": brute})

@@ -14,8 +14,9 @@ Commands
 * ``verify``: the property suites of :mod:`tamari.checks`.
 
 ``nofull`` and ``count`` build one table of initial values per command, for
-all their offsets at once, with two bounded sweeps per order.  The cache file
-is merged, under a lock, with whatever another writer stored meanwhile.
+all their offsets at once: :func:`tamari.counting.initial_values` up to the
+histogram ceiling, the cache beyond.  The cache records every computed cell;
+its file is merged, under a lock, with whatever another writer stored meanwhile.
 
 Exit codes: 0 success, 1 verification or fixture failure (or an input chain
 outside a map's domain), 2 usage error (malformed input, or an unreadable
@@ -26,7 +27,8 @@ it reads.  Effort is gated on ``enumerate``, ``table``, ``nofull`` and
 ``count``: the enumeration ceiling is order 7 (~3.4e5 chains), and
 ``--allow-large`` admits order 8 (~2.2e8 chains); every sweep of ``nofull``
 and ``count`` follows the histogram ceiling, order 9, or 11 with
-``--allow-large``.  ``--allow-huge`` removes both ceilings.
+``--allow-large``.  ``--allow-huge`` removes both ceilings; ``nofull --max-i``
+stays at most :data:`MAX_I`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import islice
 from math import comb
 
 from .bijections import (
@@ -50,11 +53,11 @@ from .bijections import (
 )
 from .checks import VerifyLimits, run_suite
 from .counting import (
+    RouteMismatch,
     chains_count,
     count_by_length,
     enumerate_maximal_chains,
-    inclusion_exclusion,
-    is_plus_full_step,
+    initial_values,
     sweep,
 )
 from .fixtures import length_table, nofull_table
@@ -67,6 +70,7 @@ ENUM_LIMIT = 7
 ENUM_LIMIT_LARGE = 8
 DP_LIMIT = 9
 DP_LIMIT_LARGE = 11
+MAX_I = 10_000
 
 
 def _ceiling(args: argparse.Namespace, base: int, large: int) -> int:
@@ -78,7 +82,7 @@ def _ceiling(args: argparse.Namespace, base: int, large: int) -> int:
 
 
 class CacheMismatch(ValueError):
-    """A freshly computed value contradicts a cached or cross-route value."""
+    """A freshly computed value contradicts the value the cache holds."""
 
 
 def _fmt(value: int, style: str) -> str:
@@ -209,62 +213,31 @@ def cache_get(cache: dict, i: int, t: int) -> int | None:
 # the table of initial values shared by `nofull` and `count --method recursion`
 
 SKIPPED_SHOWN = 20  # skipped cells named in a report; the rest are only counted
-Table = dict[int, dict[int, tuple[int, str]]]  # {i: {t: (N_i(t), provenance)}}
 
 
 def _initial_values(offsets, need_t: int, args: argparse.Namespace, cache: dict,
-                    ) -> tuple[Table, tuple[int, list[tuple[int, int]]]]:
-    """Initial values N_i(t) for each offset i and t <= min(need_t, 2i+3), with provenance.
-
-    Up to the histogram ceiling each cell is computed twice, from two
-    length-bounded :func:`sweep` calls per order: skipping the plus-full steps
-    (provenance ``brute``) and by inclusion-exclusion over all chains; cache
-    entries beyond.  Returns the table and the number of unobtainable cells
-    with the first :data:`SKIPPED_SHOWN` of them.  Raises :class:`CacheMismatch`
-    on any disagreement.
+                    ) -> tuple[dict[int, dict[int, int]], tuple[int, list[tuple[int, int]]]]:
+    """Initial values N_i(t) for each offset i and t <= min(need_t, 2i+3): by
+    :func:`initial_values` up to the histogram ceiling, each recorded in ``cache``
+    as ``brute``, and from ``cache`` beyond.  Returns the table and the number of
+    unobtainable cells with the first :data:`SKIPPED_SHOWN` of them.
     """
     dp_limit = _ceiling(args, DP_LIMIT, DP_LIMIT_LARGE)
-    tops = {i: min(need_t, 2 * i + 3) for i in offsets}
-    longest = max(tops, default=-1)  # the largest offset: chains of length t + longest
-    # Orders ascending, an order's two sweeps together: each cover graph is built once.
-    sweeps = {t: (sweep(t, t + longest), sweep(t, t + longest, is_plus_full_step))
-              for t in range(1, min(max(tops.values(), default=0), dp_limit) + 1)}
-    table: Table = {}
+    table = initial_values(offsets, min(need_t, dp_limit))
     missing, shown = 0, []
-    for i, top in tops.items():
-        row = table[i] = {}
-        counts = {t: sweeps[t][0].get(t + i, 0) for t in range(1, min(top, dp_limit) + 1)}
-        for t, value in inclusion_exclusion(i, counts).items():
-            brute = sweeps[t][1].get(t + i, 0)
-            if value != brute:
-                raise CacheMismatch(
-                    f"routes disagree at i={i}, t={t}: brute {brute} vs "
-                    f"inclusion-exclusion {value}")
-            row[t] = (value, "brute")
-            cached = cache_get(cache, i, t)
-            if cached is not None and cached != value:
-                raise CacheMismatch(
-                    f"cache disagrees at i={i}, t={t}: cached {cached}, computed {value}")
+    for i, row in table.items():
+        for t, value in row.items():
+            cache_update(cache, i, t, value, "brute")
         # Past the histogram ceiling a cell comes from the cache or is skipped;
         # skipped cells are counted, not visited, so the work stays linear in the offsets.
+        top = min(need_t, 2 * i + 3)
         beyond = {int(t): int(value) for t, value in cache["nofull"].get(str(i), {}).items()
                   if dp_limit < int(t) <= top}
-        row.update((t, (value, "cache")) for t, value in sorted(beyond.items()))
+        row.update(sorted(beyond.items()))
         missing += max(top - dp_limit, 0) - len(beyond)
-        t = dp_limit
-        while len(shown) < SKIPPED_SHOWN and t < top:
-            t += 1
-            if t not in beyond:
-                shown.append((i, t))
+        shown += islice(((i, t) for t in range(dp_limit + 1, top + 1) if t not in beyond),
+                        SKIPPED_SHOWN - len(shown))
     return table, (missing, shown)
-
-
-def _store(path: str, cache: dict, table: Table) -> None:
-    """Record every value of ``table`` in ``cache`` and write it to ``path``."""
-    for i, row in table.items():
-        for t, (value, source) in row.items():
-            cache_update(cache, i, t, value, source)
-    save_cache(path, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +283,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_nofull(args: argparse.Namespace) -> int:
-    if args.max_i < -1:
-        raise ValueError("--max-i must be >= -1")
+    if not -1 <= args.max_i <= MAX_I:  # the table holds one row per offset
+        raise ValueError(f"--max-i must lie in -1..{MAX_I}")
     cache_path = args.cache or os.environ.get(CACHE_ENV)
     cache = load_cache(cache_path) if cache_path else empty_cache()
-    table, (missing, shown) = _initial_values(range(-1, args.max_i + 1),
-                                              2 * args.max_i + 3, args, cache)
-    values = {i: {t: value for t, (value, _) in row.items()} for i, row in table.items()}
+    values, (missing, shown) = _initial_values(range(-1, args.max_i + 1),
+                                               2 * args.max_i + 3, args, cache)
     if args.check:
         fixture = nofull_table()
         bad = [(i, t) for i, row in values.items() for t, v in row.items()
@@ -326,7 +298,7 @@ def cmd_nofull(args: argparse.Namespace) -> int:
             return 1
         print(f"no-plus-full table check passed for i <= {args.max_i}")
     elif cache_path:
-        _store(cache_path, cache, table)
+        save_cache(cache_path, cache)
     if missing:
         print(f"skipped (beyond ceilings, no cache entry): {missing} cells, "
               f"first: {shown}", file=sys.stderr)
@@ -361,10 +333,9 @@ def cmd_count(args: argparse.Namespace) -> int:
             raise ValueError(f"initial values for t in {[t for _, t in shown]} (i={args.i}) "
                              f"need work beyond the current ceilings; pass --allow-large/"
                              f"--allow-huge or supply a cache")
-        results["recursion"] = chains_count(
-            args.i, args.n, {t: value for t, (value, _) in table[args.i].items()})
+        results["recursion"] = chains_count(args.i, args.n, table[args.i])
         if cache_path:
-            _store(cache_path, cache, table)
+            save_cache(cache_path, cache)
     if args.method in ("brute", "both"):
         if args.n > _ceiling(args, DP_LIMIT, DP_LIMIT_LARGE):
             raise ValueError(f"the brute sweep at n={args.n} exceeds the ceiling; "
@@ -597,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     # A computed value contradicts the cache or the other route, or an input
     # chain lies outside a map's domain.  These subclass ValueError: first.
-    except (CacheMismatch, GrowthDomainError, NoPlusFullSetError) as exc:
+    except (CacheMismatch, RouteMismatch, GrowthDomainError, NoPlusFullSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # A refused input: malformed (TableauError, json and unicode decode errors,

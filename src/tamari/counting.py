@@ -11,8 +11,8 @@ Two independent routes are kept side by side on purpose:
   they are the brute oracle the sweeps are tested against; and
 * the *recursion*: the count of maximal chains of length n+i is
   ``sum_{t=1}^{2i+3} C(n+i, t+i) * N_i(t)`` where ``N_i(t)`` counts chains of
-  length t+i with no plus-full-sets, and the initial values come from the
-  inclusion-exclusion ``N_i(n) = sum_{t=1}^{n} (-1)^(n-t) C(n+i, t+i) * #C_i(t)``.
+  length t+i with no plus-full-sets; :func:`initial_values` computes each by that
+  sweep and by ``N_i(n) = sum_{t=1}^{n} (-1)^(n-t) C(n+i, t+i) * #C_i(t)`` (inclusion-exclusion).
 
 Everything is exact integer arithmetic; there is no floating point here.
 """
@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .shapes import Box, CoverGraph, Partition, ShapeError, cover_graph
 from .tableaux import Tableau, plus_full_set_labels
@@ -54,8 +54,8 @@ class LengthHistogram:
 
 def sweep(n: int, max_length: int | None = None,
           skip_edge: Callable[..., bool] | None = None) -> dict[int, int]:
-    """Maximal chains of the n-th lattice by length, up to ``max_length``, with no
-    cover step for which ``skip_edge(shape, strip, n)`` holds.
+    """Maximal chains of the n-th lattice by length, up to ``max_length`` (default
+    C(n, 2): all), with no cover step for which ``skip_edge(shape, strip, n)`` holds.
 
     Sweeps the vertex ids in increasing order (decreasing box count), pushing
     per-length chain counts from the staircase upward.  A step removes at most
@@ -64,6 +64,8 @@ def sweep(n: int, max_length: int | None = None,
     """
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
+    if max_length is None:
+        max_length = comb(n, 2)
     graph = cover_graph(n)
     vertices, covers, strips = graph.vertices, graph.covers, graph.strips
     reach: list[dict[int, int]] = [{} for _ in vertices]
@@ -71,11 +73,8 @@ def sweep(n: int, max_length: int | None = None,
     for vertex in range(graph.top):
         here = reach[vertex]
         reach[vertex] = {}
-        if max_length is None:  # kept apart: the unbounded sweep is the hot path
-            step = {length + 1: count for length, count in here.items()}
-        else:
-            slack = max_length - vertices[vertex][0]
-            step = {length + 1: count for length, count in here.items() if length <= slack}
+        slack = max_length - vertices[vertex][0]
+        step = {length + 1: count for length, count in here.items() if length <= slack}
         if not step:
             continue
         targets = covers[vertex] if skip_edge is None else [
@@ -194,16 +193,43 @@ def census(n: int) -> ChainCensus:
     return result
 
 
-def nofull_initial_values(i: int, max_t: int | None = None) -> dict[int, int]:
-    """Initial values N_i(t) for t = 1..min(2i+3, max_t), by inclusion-exclusion
-    over :func:`count_by_length`.  Terms beyond ``max_t`` never matter to
-    :func:`chains_count` at ``n <= max_t`` because their binomial weight vanishes.
+class RouteMismatch(ValueError):
+    """The two routes to an initial value N_i(t) disagree."""
+
+    def __init__(self, i: int, t: int, ie: int, brute: int) -> None:
+        super().__init__(f"routes disagree at i={i}, t={t}: brute {brute} vs "
+                         f"inclusion-exclusion {ie}")
+        self.i, self.t, self.ie, self.brute = i, t, ie, brute
+
+
+def initial_values(offsets: Iterable[int], max_t: int) -> dict[int, dict[int, int]]:
+    """``{i: {t: N_i(t)}}`` for each offset i and t = 1..min(max_t, 2i+3), by two routes.
+
+    Each order t gets two :func:`sweep` calls, bounded at the longest chain any
+    offset needs: one skips the plus-full steps, the other counts all chains for
+    :func:`inclusion_exclusion`.  Raises :class:`RouteMismatch` where they disagree.
+    Terms past ``max_t`` have zero weight in :func:`chains_count` at n <= max_t.
     """
-    if i < -1:
-        raise ValueError(f"length offset must be >= -1, got {i}")
-    limit = 2 * i + 3 if max_t is None else min(max_t, 2 * i + 3)
-    return inclusion_exclusion(i, {t: count_by_length(t).get(t + i)
-                                   for t in range(1, limit + 1)})
+    tops = {i: min(max_t, 2 * i + 3) for i in offsets}
+    if min(tops, default=-1) < -1:
+        raise ValueError(f"length offset must be >= -1, got {min(tops)}")
+    longest = max(tops, default=-1)
+    # Orders ascending, an order's two sweeps together: each cover graph is built once.
+    sweeps = {t: (sweep(t, t + longest), sweep(t, t + longest, is_plus_full_step))
+              for t in range(1, max(tops.values(), default=0) + 1)}
+    table = {}
+    for i, top in tops.items():
+        row = table[i] = inclusion_exclusion(
+            i, {t: sweeps[t][0].get(t + i, 0) for t in range(1, top + 1)})
+        for t, value in row.items():
+            if value != (brute := sweeps[t][1].get(t + i, 0)):
+                raise RouteMismatch(i, t, value, brute)
+    return table
+
+
+def nofull_initial_values(i: int, max_t: int | None = None) -> dict[int, int]:
+    """The row i of :func:`initial_values`: N_i(t) for t = 1..min(2i+3, max_t)."""
+    return initial_values([i], 2 * i + 3 if max_t is None else max_t)[i]
 
 
 def inclusion_exclusion(i: int, chain_counts: Mapping[int, int]) -> dict[int, int]:

@@ -1,6 +1,8 @@
+from itertools import islice
+
 import pytest
 
-from tamari import checks, cli
+from tamari import checks, cli, counting
 from tamari.checks import VerifyLimits, run_suite
 from tamari.tableaux import RSetClass
 
@@ -37,20 +39,49 @@ def test_verify_growth_cli(capsys):
 
 
 def test_initial_values_check_stops_at_the_longest_chains(monkeypatch):
-    calls = []
-    original = checks.nofull_initial_values
+    offsets = []
+    original = checks.initial_values
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        if len(calls) > 100:
+    def counted(requested, max_t):
+        requested = list(islice(requested, 101))
+        offsets.extend(requested)
+        if len(offsets) > 100:
             raise AssertionError("the offset loop is not bounded by the chain lengths")
-        return original(*args, **kwargs)
+        return original(requested, max_t)
 
-    monkeypatch.setattr(checks, "nofull_initial_values", counted)
+    monkeypatch.setattr(checks, "initial_values", counted)
     result = checks.check_initial_values_vs_brute(VerifyLimits(max_n=7, max_i=20000))
     assert result.passed, result
-    assert len(calls) == 16  # offsets -1..14; C(7,2) - 7 = 14
+    assert len(offsets) == 16  # offsets -1..14; C(7,2) - 7 = 14
     assert result.detail == "i <= 14, t <= 7"
+
+
+@pytest.fixture
+def one_route_off(monkeypatch):
+    """``counting.sweep`` with one cell off by one: chains of length 6 in order 5
+    that skip the plus-full steps, so N_1(5) differs between the two routes."""
+    original = counting.sweep
+
+    def off_by_one(n, max_length=None, skip_edge=None):
+        counts = original(n, max_length, skip_edge)
+        if n == 5 and skip_edge is not None:
+            counts[6] += 1
+        return counts
+
+    monkeypatch.setattr(counting, "sweep", off_by_one)
+
+
+def test_initial_values_check_fails_where_the_routes_disagree(one_route_off):
+    result = checks.check_initial_values_vs_brute(VerifyLimits(max_n=7, max_i=2))
+    assert not result.passed
+    assert result.counterexample == {"i": 1, "t": 5, "ie": 10, "brute": 11}
+
+
+def test_nofull_initial_values_raises_where_the_routes_disagree(one_route_off):
+    with pytest.raises(counting.RouteMismatch) as caught:
+        counting.nofull_initial_values(1)
+    assert (caught.value.i, caught.value.t, caught.value.ie, caught.value.brute) == \
+        (1, 5, 10, 11)
 
 
 def test_plus_full_set_bound_can_fail(monkeypatch):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tamari import cli
+from tamari import cli, counting
 from tamari.tableaux import Tableau
 
 
@@ -119,19 +119,20 @@ def test_nofull_skips_cells_beyond_ceilings(capsys):
 def sweep_calls(monkeypatch):
     """The (order, edge filter) of each sweep the CLI makes, in call order."""
     calls = []
-    original = cli.sweep
+    original = counting.sweep
 
     def counted_sweep(n, max_length=None, skip_edge=None):
         calls.append((n, skip_edge))
         return original(n, max_length, skip_edge)
 
-    monkeypatch.setattr(cli, "sweep", counted_sweep)
+    monkeypatch.setattr(counting, "sweep", counted_sweep)
     return calls
 
 
 def twice_per_order(top):
     """Each order 1..top swept once over all chains and once skipping plus-full steps."""
-    return [(n, skip) for n in range(1, top + 1) for skip in (None, cli.is_plus_full_step)]
+    return [(n, skip) for n in range(1, top + 1)
+            for skip in (None, counting.is_plus_full_step)]
 
 
 def test_nofull_sweeps_each_order_twice(capsys, sweep_calls):
@@ -153,7 +154,7 @@ def test_nofull_skipped_report_stays_short(capsys, sweep_calls):
 def test_nofull_routes_that_disagree_fail_and_write_nothing(tmp_path, capsys, monkeypatch,
                                                              skip):
     path = tmp_path / "cache.json"
-    original = cli.sweep
+    original = counting.sweep
 
     def off_by_one(n, max_length=None, skip_edge=None):
         counts = original(n, max_length, skip_edge)
@@ -161,7 +162,7 @@ def test_nofull_routes_that_disagree_fail_and_write_nothing(tmp_path, capsys, mo
             counts[6] += 1  # one cell of one route: chains of length 6 in order 5
         return counts
 
-    monkeypatch.setattr(cli, "sweep", off_by_one)
+    monkeypatch.setattr(counting, "sweep", off_by_one)
     code, out, err = run(capsys, "nofull", "--max-i", "2", "--cache", str(path))
     assert code == 1 and out == ""
     assert "routes disagree at i=1, t=5" in err
@@ -207,6 +208,16 @@ def test_skipped_cells_are_counted_not_visited(capsys, monkeypatch):
     assert len(lookups) <= cli.DP_LIMIT
 
 
+def test_nofull_offset_ceiling_is_checked_before_any_row(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(cli, "_initial_values", no_table)
+    code, out, err = run(capsys, "nofull", "--max-i", "1000000000")
+    assert code == 2 and out == ""
+    assert err == f"error: --max-i must lie in -1..{cli.MAX_I}\n"
+
+
 def test_count_methods(capsys):
     code, out, _ = run(capsys, "count", "--i", "0", "--n", "9")
     assert code == 0 and out.strip() == "84"
@@ -224,8 +235,6 @@ def test_count_methods(capsys):
 
 def test_count_with_huge_offset_returns_at_once(capsys, monkeypatch):
     from math import comb
-
-    from tamari import counting
 
     calls = []
 
@@ -344,7 +353,7 @@ def test_cache_writer_waits_for_the_lock(tmp_path):
 
 def test_concurrent_cache_writer_conflict_fails(tmp_path, capsys, monkeypatch):
     path = tmp_path / "cache.json"
-    original = cli.inclusion_exclusion
+    original = counting.inclusion_exclusion
 
     def with_rival_writer(i, chain_counts):
         rival = cli.empty_cache()
@@ -352,7 +361,7 @@ def test_concurrent_cache_writer_conflict_fails(tmp_path, capsys, monkeypatch):
         cli.save_cache(str(path), rival)
         return original(i, chain_counts)
 
-    monkeypatch.setattr(cli, "inclusion_exclusion", with_rival_writer)
+    monkeypatch.setattr(counting, "inclusion_exclusion", with_rival_writer)
     code, _, err = run(capsys, "count", "--i", "0", "--n", "5", "--cache", str(path))
     assert code == 1 and "disagrees" in err
     assert cli.cache_get(cli.load_cache(str(path)), 0, 3) == 999
