@@ -15,8 +15,8 @@ Commands
 
 ``nofull`` and ``count`` build one table of initial values per command, for
 all their offsets at once: :func:`tamari.counting.initial_values` up to the
-histogram ceiling, the cache beyond.  The cache records every computed cell;
-its file is merged, under a lock, with whatever another writer stored meanwhile.
+histogram ceiling, the cache beyond.  A cache file records every computed cell
+and is merged, under a lock, with whatever another writer stored meanwhile.
 
 Exit codes: 0 success, 1 verification or fixture failure (or an input chain
 outside a map's domain), 2 usage error (malformed input, or an unreadable
@@ -215,23 +215,25 @@ def cache_get(cache: dict, i: int, t: int) -> int | None:
 SKIPPED_SHOWN = 20  # skipped cells named in a report; the rest are only counted
 
 
-def _initial_values(offsets, need_t: int, args: argparse.Namespace, cache: dict,
+def _initial_values(offsets, need_t: int, args: argparse.Namespace, cache: dict | None,
                     ) -> tuple[dict[int, dict[int, int]], tuple[int, list[tuple[int, int]]]]:
     """Initial values N_i(t) for each offset i and t <= min(need_t, 2i+3): by
     :func:`initial_values` up to the histogram ceiling, each recorded in ``cache``
-    as ``brute``, and from ``cache`` beyond.  Returns the table and the number of
-    unobtainable cells with the first :data:`SKIPPED_SHOWN` of them.
+    as ``brute`` (None: no cache file), and from ``cache`` beyond.  Returns the table
+    and the number of unobtainable cells with the first :data:`SKIPPED_SHOWN` of them.
     """
     dp_limit = _ceiling(args, DP_LIMIT, DP_LIMIT_LARGE)
     table = initial_values(offsets, min(need_t, dp_limit))
+    stored = cache["nofull"] if cache is not None else {}
     missing, shown = 0, []
     for i, row in table.items():
-        for t, value in row.items():
-            cache_update(cache, i, t, value, "brute")
+        if cache is not None:
+            for t, value in row.items():
+                cache_update(cache, i, t, value, "brute")
         # Past the histogram ceiling a cell comes from the cache or is skipped;
         # skipped cells are counted, not visited, so the work stays linear in the offsets.
         top = min(need_t, 2 * i + 3)
-        beyond = {int(t): int(value) for t, value in cache["nofull"].get(str(i), {}).items()
+        beyond = {int(t): int(value) for t, value in stored.get(str(i), {}).items()
                   if dp_limit < int(t) <= top}
         row.update(sorted(beyond.items()))
         missing += max(top - dp_limit, 0) - len(beyond)
@@ -286,7 +288,7 @@ def cmd_nofull(args: argparse.Namespace) -> int:
     if not -1 <= args.max_i <= MAX_I:  # the table holds one row per offset
         raise ValueError(f"--max-i must lie in -1..{MAX_I}")
     cache_path = args.cache or os.environ.get(CACHE_ENV)
-    cache = load_cache(cache_path) if cache_path else empty_cache()
+    cache = load_cache(cache_path) if cache_path else None
     values, (missing, shown) = _initial_values(range(-1, args.max_i + 1),
                                                2 * args.max_i + 3, args, cache)
     if args.check:
@@ -325,7 +327,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.i < -1 or args.n < 1:
         raise ValueError("need --i >= -1 and --n >= 1")
     cache_path = args.cache or os.environ.get(CACHE_ENV)
-    cache = load_cache(cache_path) if cache_path else empty_cache()
+    cache = load_cache(cache_path) if cache_path else None
     results: dict[str, int] = {}
     if args.method in ("recursion", "both"):
         table, (missing, shown) = _initial_values([args.i], args.n, args, cache)

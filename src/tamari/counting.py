@@ -2,13 +2,13 @@
 
 Two independent routes are kept side by side on purpose:
 
-* the *lattice sweeps* over the cover graph of :func:`tamari.shapes.cover_graph`:
-  :func:`sweep` counts chains by length up to a length bound, skipping the
-  cover steps an edge filter rejects (:func:`is_plus_full_step` leaves the
-  chains with no plus-full-set), and :func:`census` also tallies the minimal
-  plus-full-set labels.  :func:`enumerate_maximal_chains` streams the actual
-  chain tableaux; classified by :func:`tamari.tableaux.plus_full_set_labels`,
-  they are the brute oracle the sweeps are tested against; and
+* the *lattice sweeps*, one engine up the vertices reachable from the staircase:
+  :func:`sweep` counts chains by length up to a length bound, skipping the cover steps
+  an edge filter rejects (:func:`is_plus_full_step` leaves the chains with no
+  plus-full-set), and :func:`census` also tallies the minimal plus-full-set labels.
+  :func:`enumerate_maximal_chains` streams the chain tableaux over the cover graph;
+  classified by :func:`tamari.tableaux.plus_full_set_labels`, they are the brute
+  oracle the sweeps are tested against; and
 * the *recursion*: the count of maximal chains of length n+i is
   ``sum_{t=1}^{2i+3} C(n+i, t+i) * N_i(t)`` where ``N_i(t)`` counts chains of
   length t+i with no plus-full-sets; :func:`initial_values` computes each by that
@@ -26,7 +26,8 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .shapes import Box, CoverGraph, Partition, ShapeError, cover_graph
+from .shapes import (Box, CoverGraph, Partition, ShapeError, covers_with_strips,
+                     cover_graph, staircase)
 from .tableaux import Tableau, plus_full_set_labels
 
 
@@ -52,39 +53,47 @@ class LengthHistogram:
         return sum(self.counts.values())
 
 
+def _climb(n: int, start: dict, advance: Callable[[Partition, dict], Callable | None]) -> dict:
+    """The state that reaches the null diagram of the n-th lattice from ``start`` at the
+    staircase.  Each box-count level maps its reachable vertices to their states and is
+    freed once pushed; a step removing a strip goes that many boxes up.  Once per vertex,
+    ``advance(shape, state)`` returns a function from a step's strip to the state moved
+    across (None: step not taken), or None if nothing survives: covers are then skipped."""
+    if n < 1:
+        raise ShapeError(f"lattice order must be >= 1, got {n}")
+    levels: dict[int, dict[Partition, dict]] = {comb(n, 2): {staircase(n - 1): start}}
+    for boxes in range(comb(n, 2), 0, -1):
+        for shape, state in levels.pop(boxes, {}).items():
+            across = advance(shape, state)
+            if across is None:
+                continue
+            for cover, strip in covers_with_strips(shape, n):
+                moved = across(strip)
+                if moved is None:
+                    continue
+                target = levels.setdefault(boxes - len(strip), {}).setdefault(cover, {})
+                for key, count in moved.items():
+                    target[key] = target.get(key, 0) + count
+    return levels.get(0, {}).get((), {})
+
+
 def sweep(n: int, max_length: int | None = None,
           skip_edge: Callable[..., bool] | None = None) -> dict[int, int]:
     """Maximal chains of the n-th lattice by length, up to ``max_length`` (default
-    C(n, 2): all), with no cover step for which ``skip_edge(shape, strip, n)`` holds.
+    None: all), with no cover step for which ``skip_edge(shape, strip, n)`` holds.
 
-    Sweeps the vertex ids in increasing order (decreasing box count), pushing
-    per-length chain counts from the staircase upward.  A step removes at most
-    one box of row 1, so a chain at depth d of a vertex with k boxes in row 1
-    is dropped once d + k > ``max_length``.
+    Pushes per-length chain counts from the staircase up the reachable vertices
+    (:func:`_climb`).  A step removes at most one box of row 1, so a chain at
+    depth d of a vertex with k boxes in row 1 is dropped once d + k > ``max_length``.
     """
-    if n < 1:
-        raise ShapeError(f"lattice order must be >= 1, got {n}")
-    if max_length is None:
-        max_length = comb(n, 2)
-    graph = cover_graph(n)
-    vertices, covers, strips = graph.vertices, graph.covers, graph.strips
-    reach: list[dict[int, int]] = [{} for _ in vertices]
-    reach[0][0] = 1
-    for vertex in range(graph.top):
-        here = reach[vertex]
-        reach[vertex] = {}
-        slack = max_length - vertices[vertex][0]
-        step = {length + 1: count for length, count in here.items() if length <= slack}
+    def advance(shape: Partition, reach: dict[int, int]) -> Callable | None:
+        step = {length + 1: count for length, count in reach.items()
+                if max_length is None or length + shape[0] <= max_length}
         if not step:
-            continue
-        targets = covers[vertex] if skip_edge is None else [
-            cover for cover, strip in zip(covers[vertex], strips[vertex])
-            if not skip_edge(vertices[vertex], strip, n)]
-        for cover in targets:
-            target = reach[cover]
-            for length, count in step.items():
-                target[length] = target.get(length, 0) + count
-    return reach[graph.top]
+            return None
+        return lambda strip: None if skip_edge and skip_edge(shape, strip, n) else step
+
+    return _climb(n, {0: 1}, advance)
 
 
 @lru_cache(maxsize=32)
@@ -163,28 +172,21 @@ def is_plus_full_step(shape: Partition, strip: tuple[Box, ...], n: int) -> bool:
 def census(n: int) -> ChainCensus:
     """Classify every maximal chain of the n-th lattice by its plus-full-sets.
 
-    One sweep over the cover graph, like :func:`sweep`, but each vertex counts
-    the chains reaching it by (length, steps taken since the last plus-full
-    step, or -1 before the first).  At the top the last plus-full step carries
-    the minimal label, which is that step count + 1.
+    The engine of :func:`sweep`, but each vertex counts the chains reaching it
+    by (length, steps taken since the last plus-full step, or -1 before the
+    first).  At the top the last plus-full step carries the minimal label,
+    which is that step count + 1.
     """
-    if n < 1:
-        raise ShapeError(f"lattice order must be >= 1, got {n}")
-    graph = cover_graph(n)
-    reach: list[dict[tuple[int, int], int]] = [{} for _ in graph.vertices]
-    reach[0][(0, -1)] = 1
-    for vertex in range(graph.top):
-        here = reach[vertex]
-        reach[vertex] = {}
-        shape = graph.vertices[vertex]
-        for cover, strip in zip(graph.covers[vertex], graph.strips[vertex]):
-            full = is_plus_full_step(shape, strip, n)
-            target = reach[cover]
-            for (length, since), count in here.items():
-                key = (length + 1, 0 if full else (since + 1 if since >= 0 else -1))
-                target[key] = target.get(key, 0) + count
+    def advance(shape: Partition, reach: dict[tuple[int, int], int]) -> Callable:
+        full: dict[tuple[int, int], int] = {}
+        plain = {}
+        for (length, since), count in reach.items():
+            full[length + 1, 0] = full.get((length + 1, 0), 0) + count
+            plain[length + 1, since + 1 if since >= 0 else -1] = count
+        return lambda strip: full if is_plus_full_step(shape, strip, n) else plain
+
     result = ChainCensus(n)
-    for (length, since), count in sorted(reach[graph.top].items()):
+    for (length, since), count in sorted(_climb(n, {(0, -1): 1}, advance).items()):
         result.by_length[length] = result.by_length.get(length, 0) + count
         if since < 0:
             result.nofull_by_length[length] = count
@@ -214,7 +216,6 @@ def initial_values(offsets: Iterable[int], max_t: int) -> dict[int, dict[int, in
     if min(tops, default=-1) < -1:
         raise ValueError(f"length offset must be >= -1, got {min(tops)}")
     longest = max(tops, default=-1)
-    # Orders ascending, an order's two sweeps together: each cover graph is built once.
     sweeps = {t: (sweep(t, t + longest), sweep(t, t + longest, is_plus_full_step))
               for t in range(1, max(tops.values(), default=0) + 1)}
     table = {}
@@ -330,9 +331,5 @@ def vanishing_check(i: int, n: int) -> bool:
     length = n + i
     if summary.nofull_by_length.get(length, 0) != 0:
         return False
-    tally = summary.min_plus_full.get(length, {})
-    if set(tally) != set(range(1, 3 * i + 4 + 1)):
-        return False
-    if any(count <= 0 for count in tally.values()):
-        return False
-    return sum(tally.values()) == summary.by_length.get(length, 0)
+    # the census tallies are positive and sum to by_length by construction
+    return set(summary.min_plus_full.get(length, {})) == set(range(1, 3 * i + 4 + 1))

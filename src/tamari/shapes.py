@@ -354,11 +354,10 @@ def cover_graph(n: int) -> CoverGraph:
     """The cover graph of the n-th lattice, one :func:`covers_with_strips` call per vertex.
 
     The vertices are :func:`partitions_in_staircase` as listed, so a random
-    index into either picks the same diagram.  Memoized for the eight most
-    recent orders, the orders 1..8 that the property checks draw from and
-    sweep in turn; every lattice sweep shares it.  The orders below 8 are
-    small (order 7 has 429 vertices), so the slots beyond the largest graphs
-    cost little memory.
+    index into either picks the same diagram.  The chain stream and the random
+    draws read it; the counts walk the reachable vertices without it.  Memoized
+    for the eight most recent orders, the orders 1..8 that the property checks
+    draw from in turn; together those eight graphs hold about 1.5 MiB.
     """
     if n < 1:
         raise ShapeError(f"ambient parameter must be >= 1, got {n}")

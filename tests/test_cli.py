@@ -169,7 +169,6 @@ def test_nofull_routes_that_disagree_fail_and_write_nothing(tmp_path, capsys, mo
     assert not path.exists()
 
 
-@pytest.mark.slow
 def test_nofull_computes_the_committed_offset_four_cells(tmp_path, capsys):
     from tamari.fixtures import nofull_table
 
@@ -187,7 +186,25 @@ def test_nofull_computes_the_committed_offset_four_cells(tmp_path, capsys):
     assert cache["provenance"]["4"]["10"] == cache["provenance"]["4"]["11"] == "brute"
 
 
-def test_skipped_cells_are_counted_not_visited(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [("nofull", "--max-i", "3", "--format", "csv"),
+                                  ("count", "--i", "1", "--n", "12")])
+def test_cells_are_recorded_only_with_a_cache_file(tmp_path, capsys, monkeypatch, argv):
+    updates = []
+    original = cli.cache_update
+
+    def counted_cache_update(cache, i, t, value, provenance):
+        updates.append((i, t))
+        return original(cache, i, t, value, provenance)
+
+    monkeypatch.setattr(cli, "cache_update", counted_cache_update)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and updates == []
+    code, cached, _ = run(capsys, *argv, "--cache", str(tmp_path / "cache.json"))
+    assert code == 0 and updates and cached == plain
+
+
+def test_skipped_cells_are_counted_not_visited(tmp_path, capsys, monkeypatch):
     lookups = []
     original = cli.cache_get
 
@@ -197,15 +214,18 @@ def test_skipped_cells_are_counted_not_visited(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cache_get", counted_cache_get)
     max_i = 2000
-    code, _, err = run(capsys, "nofull", "--max-i", str(max_i), "--format", "csv")
+    cache = str(tmp_path / "cache.json")  # computed cells are looked up only to be recorded
+    code, _, err = run(capsys, "nofull", "--max-i", str(max_i), "--format", "csv",
+                       "--cache", cache)
     assert code == 0
     skipped = sum(2 * i + 3 - cli.DP_LIMIT for i in range(4, max_i + 1))
     assert f"{skipped} cells, first: [(4, 10), (4, 11), (5, 10)" in err
-    assert len(lookups) <= cli.DP_LIMIT * (max_i + 2)  # the computed cells only
+    assert 0 < len(lookups) <= cli.DP_LIMIT * (max_i + 2)  # the computed cells only
     lookups.clear()
-    code, _, err = run(capsys, "count", "--i", str(10 ** 6), "--n", str(10 ** 9))
+    code, _, err = run(capsys, "count", "--i", str(10 ** 6), "--n", str(10 ** 9),
+                       "--cache", cache)
     assert code == 2 and "t in [10, 11, 12," in err
-    assert len(lookups) <= cli.DP_LIMIT
+    assert 0 < len(lookups) <= cli.DP_LIMIT
 
 
 def test_nofull_offset_ceiling_is_checked_before_any_row(capsys, monkeypatch):

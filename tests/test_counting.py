@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from tamari import cli, counting, shapes
 from tamari.checks import stream_census
 from tamari.counting import (
     IncompleteTableError,
@@ -11,6 +12,7 @@ from tamari.counting import (
     count_by_length,
     enumerate_maximal_chains,
     equal_representation_check,
+    initial_values,
     is_plus_full_step,
     longest_chain_count,
     nofull_initial_values,
@@ -248,6 +250,33 @@ def test_census_matches_the_classified_stream(n):
 @pytest.mark.slow
 def test_census_matches_the_classified_stream_order_seven():
     assert census(7) == stream_census(7)
+
+
+@pytest.mark.slow
+def test_initial_values_compute_the_committed_offset_five_row():
+    # both routes at orders 12 and 13 too: every cell of the row, none read back
+    row = initial_values([5], 13)[5]
+    fixture = nofull_table()
+    assert sorted(row) == list(range(1, 14))
+    assert row == {t: fixture.get((5, t), 0) for t in row}
+
+
+def test_counting_builds_no_cover_graph(monkeypatch, capsys):
+    def no_graph(n):
+        raise AssertionError(f"cover_graph({n}) was built")
+
+    monkeypatch.setattr(shapes, "cover_graph", no_graph)
+    monkeypatch.setattr(counting, "cover_graph", no_graph)
+    count_by_length.cache_clear()  # so that `table` sweeps each order here
+    published = length_table()[9]
+    assert sweep(9) == published
+    assert sweep(9, 12) == {l: c for l, c in published.items() if l <= 12}
+    assert sweep(7, 9, is_plus_full_step)[9] == 280
+    assert census(7).nofull_by_length[9] == 280
+    assert initial_values(range(-1, 4), 9)[3][9] == 15400
+    assert cli.main(["table", "--max-n", "8", "--allow-large"]) == 0
+    assert cli.main(["count", "--i", "2", "--n", "9", "--method", "both"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "37444"
 
 
 def test_plus_full_step_matches_classification(chains_by_order):
