@@ -2,7 +2,9 @@
 
 Two independent routes are kept side by side on purpose:
 
-* the *lattice sweeps*, one engine up the vertices reachable from the staircase:
+* the *lattice sweeps*, one engine up the vertices reachable from the staircase,
+  each vertex holding one int that packs its chain counts into fixed-width fields
+  (:func:`_field_width` proves no field overflows):
   :func:`sweep` counts chains by length up to a length bound, skipping the cover steps
   an edge filter rejects (:func:`is_plus_full_step` leaves the chains with no
   plus-full-set), and :func:`census` also tallies the minimal plus-full-set labels.
@@ -26,8 +28,7 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .shapes import (Box, CoverGraph, Partition, ShapeError, covers_with_strips,
-                     cover_graph, staircase)
+from .shapes import Box, CoverGraph, Partition, ShapeError, _covers, cover_graph, staircase
 from .tableaux import Tableau, plus_full_set_labels
 
 
@@ -53,28 +54,68 @@ class LengthHistogram:
         return sum(self.counts.values())
 
 
-def _climb(n: int, start: dict, advance: Callable[[Partition, dict], Callable | None]) -> dict:
+def _field_width(n: int) -> int:
+    """Bits per length field in the packed states of order n: the bit length of
+    ``prod_{b=1}^{C(n,2)} min(n-1, k(b))``, where k(b) is the largest k with
+    k(k+1)/2 <= b.
+
+    A vertex's covers are its corners, one each.  A partition with k corners has
+    at least 1 + 2 + ... + k = k(k+1)/2 boxes, and at most n-1 rows, so a vertex
+    with b boxes has at most min(n-1, k(b)) covers.  Box counts fall strictly along
+    a chain, so all the chains that reach a vertex, at all lengths together, number
+    at most that product.  No field reaches 2^width, and no carry can cross a
+    field.  The width is 77 bits at order 9, where real counts need at most 40,
+    and 136 bits at order 11, where they need at most 74 (the looser bound
+    ``(n-1)^C(n,2)`` would give 183).
+    """
+    product, k = 1, 0
+    for boxes in range(1, comb(n, 2) + 1):
+        if (k + 1) * (k + 2) // 2 <= boxes:
+            k += 1
+        product *= min(n - 1, k)
+    return product.bit_length()
+
+
+def _unpack(packed: int, width: int) -> dict[int, int]:
+    """The nonzero fields of a packed state, ``{field index: count}``, index ascending."""
+    mask = (1 << width) - 1
+    fields = {}
+    index = 0
+    while packed:
+        if count := packed & mask:
+            fields[index] = count
+        packed >>= width
+        index += 1
+    return fields
+
+
+def _climb(n: int, start: int,
+           advance: Callable[[Partition, int], tuple[int, int] | None],
+           marked: Callable[..., bool] | None = None) -> int:
     """The state that reaches the null diagram of the n-th lattice from ``start`` at the
-    staircase.  Each box-count level maps its reachable vertices to their states and is
-    freed once pushed; a step removing a strip goes that many boxes up.  Once per vertex,
-    ``advance(shape, state)`` returns a function from a step's strip to the state moved
-    across (None: step not taken), or None if nothing survives: covers are then skipped."""
+    staircase.  A state is one int packing chain counts into fields (:func:`_field_width`).
+
+    Each box-count level maps its reachable vertices to their states and is freed
+    once pushed; a step removing a strip goes that many boxes up, and states merge by
+    addition.  Once per vertex, ``advance(shape, state)`` returns the states moved
+    across a step, ``(plain, special)``, or None if nothing survives (covers are then
+    skipped); a step takes ``special`` where ``marked(shape, strip, n)`` holds.
+    """
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
-    levels: dict[int, dict[Partition, dict]] = {comb(n, 2): {staircase(n - 1): start}}
+    levels: dict[int, dict[Partition, int]] = {comb(n, 2): {staircase(n - 1): start}}
     for boxes in range(comb(n, 2), 0, -1):
         for shape, state in levels.pop(boxes, {}).items():
-            across = advance(shape, state)
-            if across is None:
+            steps = advance(shape, state)
+            if steps is None:
                 continue
-            for cover, strip in covers_with_strips(shape, n):
-                moved = across(strip)
-                if moved is None:
-                    continue
-                target = levels.setdefault(boxes - len(strip), {}).setdefault(cover, {})
-                for key, count in moved.items():
-                    target[key] = target.get(key, 0) + count
-    return levels.get(0, {}).get((), {})
+            plain, special = steps
+            for cover, strip in _covers(shape, n):
+                moved = special if marked and marked(shape, strip, n) else plain
+                if moved:
+                    level = levels.setdefault(boxes - len(strip), {})
+                    level[cover] = level.get(cover, 0) + moved
+    return levels.get(0, {}).get((), 0)
 
 
 def sweep(n: int, max_length: int | None = None,
@@ -82,18 +123,23 @@ def sweep(n: int, max_length: int | None = None,
     """Maximal chains of the n-th lattice by length, up to ``max_length`` (default
     None: all), with no cover step for which ``skip_edge(shape, strip, n)`` holds.
 
-    Pushes per-length chain counts from the staircase up the reachable vertices
-    (:func:`_climb`).  A step removes at most one box of row 1, so a chain at
-    depth d of a vertex with k boxes in row 1 is dropped once d + k > ``max_length``.
+    Pushes chain counts from the staircase up the reachable vertices (:func:`_climb`);
+    a vertex's state packs the count of its chains of depth d into field d, so a
+    step is one shift by the field width.  A step removes at most one box of row 1,
+    so a chain at depth d of a vertex with k boxes in row 1 is dropped once
+    d + k > ``max_length``: one mask per vertex, built only when it drops something.
     """
-    def advance(shape: Partition, reach: dict[int, int]) -> Callable | None:
-        step = {length + 1: count for length, count in reach.items()
-                if max_length is None or length + shape[0] <= max_length}
-        if not step:
-            return None
-        return lambda strip: None if skip_edge and skip_edge(shape, strip, n) else step
+    width, top = _field_width(n), comb(n, 2)
 
-    return _climb(n, {0: 1}, advance)
+    def advance(shape: Partition, reach: int) -> tuple[int, int] | None:
+        keep = top if max_length is None else max_length - shape[0]
+        if keep < 0:
+            return None
+        if keep < top:
+            reach &= (1 << width * (keep + 1)) - 1
+        return (reach << width, 0) if reach else None
+
+    return _unpack(_climb(n, 1, advance, skip_edge), width)
 
 
 @lru_cache(maxsize=32)
@@ -172,21 +218,30 @@ def is_plus_full_step(shape: Partition, strip: tuple[Box, ...], n: int) -> bool:
 def census(n: int) -> ChainCensus:
     """Classify every maximal chain of the n-th lattice by its plus-full-sets.
 
-    The engine of :func:`sweep`, but each vertex counts the chains reaching it
-    by (length, steps taken since the last plus-full step, or -1 before the
-    first).  At the top the last plus-full step carries the minimal label,
-    which is that step count + 1.
+    The engine of :func:`sweep`, but each vertex counts the chains reaching it by
+    (length, steps taken since the last plus-full step, or -1 before the first).
+    The packed state holds one block of C(n,2)+1 length fields per ``since``, the
+    clean block (-1) lowest.  A plain step shifts each field one length up and each
+    block but the clean one a block up; a plus-full step folds every block into the
+    block of ``since`` 0, once per vertex.  At the top the last plus-full step
+    carries the minimal label, which is that step count + 1.
     """
-    def advance(shape: Partition, reach: dict[tuple[int, int], int]) -> Callable:
-        full: dict[tuple[int, int], int] = {}
-        plain = {}
-        for (length, since), count in reach.items():
-            full[length + 1, 0] = full.get((length + 1, 0), 0) + count
-            plain[length + 1, since + 1 if since >= 0 else -1] = count
-        return lambda strip: full if is_plus_full_step(shape, strip, n) else plain
+    width, block = _field_width(n), comb(n, 2) + 1
+    span = width * block
+    clean_mask = (1 << span) - 1
+
+    def advance(shape: Partition, reach: int) -> tuple[int, int]:
+        clean = reach & clean_mask
+        folded, rest = 0, reach
+        while rest:
+            folded += rest & clean_mask
+            rest >>= span
+        return (clean << width) | ((reach - clean) << (span + width)), folded << (span + width)
 
     result = ChainCensus(n)
-    for (length, since), count in sorted(_climb(n, {(0, -1): 1}, advance).items()):
+    packed = _unpack(_climb(n, 1, advance, is_plus_full_step), width)
+    for (length, since), count in sorted(((k % block, k // block - 1), c)
+                                         for k, c in packed.items()):
         result.by_length[length] = result.by_length.get(length, 0) + count
         if since < 0:
             result.nofull_by_length[length] = count

@@ -7,6 +7,11 @@ removes a strip of boxes determined by a corner box.  Dyck paths of length 2n
 encode the same vertices, and the covering relation has a natural description
 in both pictures; this module provides both plus the conversions.
 
+Every public function validates its shapes.  The one unchecked entry is
+``_covers``, the kernel of :func:`covers_with_strips`; only
+:func:`tamari.counting._climb` calls it, and only on shapes that the kernel itself
+produced from the staircase.
+
 Conventions (pinned once, used repo-wide):
 
 * A partition is a plain tuple of weakly decreasing positive integers with no
@@ -225,7 +230,13 @@ def covers_with_strips(parts: Partition, n: int) -> tuple[tuple[Partition, tuple
     every strip and cover is a slice of tuples built once per vertex.
     :func:`strip_of_box` is the definitional route to the same strips.
     """
-    shape = _require_vertex(parts, n)
+    return _covers(_require_vertex(parts, n), n)
+
+
+def _covers(shape: Partition, n: int) -> tuple[tuple[Partition, tuple[Box, ...]], ...]:
+    """The body of :func:`covers_with_strips`, for a ``shape`` already known to be a
+    vertex of the n-th lattice: nothing is checked.  Only the counting engine calls
+    it, on shapes it generated from the staircase by this kernel."""
     rows = len(shape)
     boxes = tuple(zip(range(1, rows + 1), shape))
     shrunk = tuple([length - 1 for length in shape])

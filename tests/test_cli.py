@@ -184,6 +184,12 @@ def test_nofull_computes_the_committed_offset_four_cells(tmp_path, capsys):
         assert value == fixture.get((i, t), 0), (i, t)
     cache = json.loads(path.read_text())
     assert cache["provenance"]["4"]["10"] == cache["provenance"]["4"]["11"] == "brute"
+    # past the default ceiling those two cells now come from the cache: not skipped
+    code, out, err = run(capsys, "nofull", "--max-i", "5", "--format", "csv",
+                         "--cache", str(path))
+    assert code == 0 and "4,11,1401400" in out.splitlines()
+    assert "skipped (beyond ceilings, no cache entry): 4 cells, " \
+           "first: [(5, 10), (5, 11), (5, 12), (5, 13)]" in err
 
 
 @pytest.mark.parametrize("argv", [("nofull", "--max-i", "3", "--format", "csv"),
@@ -266,6 +272,16 @@ def test_count_with_huge_offset_returns_at_once(capsys, monkeypatch):
     monkeypatch.setattr(counting, "comb", counted_comb)
     code, out, _ = run(capsys, "count", "--i", str(10 ** 12), "--n", "3")
     assert code == 0 and out.strip() == "0"
+
+
+def test_brute_count_with_huge_offset_returns_at_once(capsys):
+    # the sweep's length bound is 100009, past every chain: no mask is built
+    import time
+
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--i", "100000", "--n", "9", "--method", "brute")
+    assert code == 0 and out.strip() == "0"
+    assert time.perf_counter() - start < 10
 
 
 def test_count_writes_and_reuses_cache(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -98,6 +99,56 @@ def test_bounded_sweep_truncates_the_histogram(n):
     counts = count_by_length(n).counts
     for bound in range(n - 1, comb(n, 2) + 1):
         assert sweep(n, bound) == {l: c for l, c in counts.items() if l <= bound}, bound
+
+
+def largest_triangle_index(boxes):
+    """The largest k with k(k+1)/2 <= boxes."""
+    k = 0
+    while (k + 1) * (k + 2) // 2 <= boxes:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_a_vertex_has_few_corners_for_its_boxes(n):
+    # the lemma behind the field width: k corners need k(k+1)/2 boxes
+    for vertex in shapes.partitions_in_staircase(n):
+        corners = len(shapes.corner_boxes(vertex))
+        assert corners <= min(n - 1, largest_triangle_index(sum(vertex))), vertex
+        assert corners == len(shapes.covers_with_strips(vertex, n))
+
+
+def test_the_field_width_holds_every_count():
+    assert [counting._field_width(n) for n in (9, 11)] == [77, 136]
+    for n in range(1, 11):
+        # the chains of every length together fit one field
+        assert count_by_length(n).total < 2 ** counting._field_width(n), n
+
+
+def test_a_field_width_too_small_would_be_seen(monkeypatch):
+    # order 9 needs 40 bits; at 20 the carries cross fields and the counts go wrong
+    monkeypatch.setattr(counting, "_field_width", lambda n: 20)
+    assert sweep(9) != length_table()[9]
+
+
+def peak_bytes(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("skip_edge", [None, is_plus_full_step])
+def test_a_huge_length_bound_allocates_nothing_big(skip_edge):
+    # a length mask for such a bound would take megabytes at 10**6 (checked
+    # first) and gigabytes at 10**9; the unbounded sweep peaks near 0.2 MB
+    unbounded = sweep(8, skip_edge=skip_edge)
+    for bound in (10 ** 6, 10 ** 9):
+        result, peak = peak_bytes(lambda: sweep(8, bound, skip_edge))
+        assert result == unbounded
+        assert peak < 2 ** 20, (bound, peak)
 
 
 def nofull(i, n):

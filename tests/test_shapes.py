@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tamari import shapes
 from tamari.shapes import (
     ShapeError,
     as_partition,
@@ -215,6 +216,12 @@ def test_cover_graph_matches_the_definition(n):
         assert [from_dyck_path(p) for p in upper_covers_dyck(to_dyck_path(vertex, n))] \
             == [cover for cover, _ in edges]
         assert all(cover > index for cover in graph.covers[index])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_unchecked_kernel_is_the_validated_one(n):
+    for vertex in partitions_in_staircase(n):
+        assert shapes._covers(vertex, n) == covers_with_strips(vertex, n), vertex
 
 
 def test_cover_kernel_keeps_validation():

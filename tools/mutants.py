@@ -1,0 +1,177 @@
+"""Mutation check: does the tier-1 suite notice a small break in the program?
+
+Run from the root of a checkout:
+
+    python3 tools/mutants.py                          # every mutant, then the kill table
+    python3 tools/mutants.py --only mask-keep,census-swap
+    python3 tools/mutants.py --list
+
+Each mutant replaces one snippet of one file under ``src`` (the snippet must
+occur there exactly once).  It is applied to a fresh copy of ``src`` in a
+temporary directory, and the tier-1 suite runs against that copy with ``-x``
+(``PYTHONPATH`` points at the copy; the tests are the checkout's own).  A
+mutant is killed when the suite fails.  The unmutated copy runs first, since a
+kill means nothing if the suite already fails.
+
+Mutants marked equivalent change no behaviour and should survive.  The exit
+status is 0 when every other mutant is killed and every equivalent one
+survives, 1 otherwise, and 2 when the unmutated suite fails or a snippet is
+not found.  Stdlib only; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIME_LIMIT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str         # relative to src/tamari
+    before: str
+    after: str
+    equivalent: str = ""  # why the mutant changes no behaviour; empty if it does
+
+
+MUTANTS = (
+    # the counting engine's packed state
+    Mutant("mask-keep", "counting.py", "(1 << width * (keep + 1)) - 1",
+           "(1 << width * keep) - 1"),
+    Mutant("keep-negative", "counting.py", "if keep < 0:", "if keep <= 0:"),
+    Mutant("step-shift", "counting.py", "(reach << width, 0)", "(reach << 0, 0)"),
+    Mutant("census-swap", "counting.py",
+           "return (clean << width) | ((reach - clean) << (span + width)), "
+           "folded << (span + width)",
+           "return folded << (span + width), "
+           "(clean << width) | ((reach - clean) << (span + width))"),
+    Mutant("fold-no-clean", "counting.py", "folded, rest = 0, reach",
+           "folded, rest = 0, reach >> span"),
+    Mutant("level-step", "counting.py", "boxes - len(strip)", "boxes - 1"),
+    # older hand-made mutants: counting, cli, checks, tableaux
+    Mutant("sweep-prune", "counting.py", "max_length - shape[0]", "max_length - shape[0] - 1"),
+    Mutant("plus-full-step", "counting.py", "shape[end_row] >= end_col - 1",
+           "shape[end_row] >= end_col"),
+    Mutant("ie-sign", "counting.py", "(-1) ** (t - s)", "(-1) ** (t - s + 1)"),
+    Mutant("census-label", "counting.py", "[since + 1] = count", "[since] = count"),
+    Mutant("recursion-extra-term", "counting.py", "min(2 * i + 3, n) + 1",
+           "min(2 * i + 4, n) + 1"),
+    Mutant("skipped-count", "cli.py", "missing += max(top - dp_limit, 0) - len(beyond)",
+           "missing += max(top - dp_limit, 0)"),
+    Mutant("roundtrip-increment", "checks.py", "if len(labels) != len(pfs) + 1:",
+           "if False:"),
+    Mutant("census-noop", "counting.py",
+           "result.by_length.get(length, 0) + count", "count + result.by_length.get(length, 0)",
+           "integer addition commutes"),
+    Mutant("labels-strict", "tableaux.py", "rows[k][-1] >= r:", "rows[k][-1] > r:",
+           "outer-diagonal labels are distinct, so equality never occurs"),
+    Mutant("labels-scan-from", "tableaux.py", "for row in rows[k:])", "for row in rows[k + 1:])",
+           "the first test already keeps r out of row k+1, so the scan can start there"),
+    # chain surgery and the cache merge
+    Mutant("expand-pivot", "bijections.py", "(r + 1,) * (x <= d)", "(r + 1,) * (x < d)"),
+    Mutant("decompose-level", "bijections.py", "params.append(labels[0] - 1)",
+           "params.append(labels[-1] - 1)"),
+    Mutant("cache-merge", "cli.py", 'for i, row in stored["nofull"].items():',
+           "for i, row in ():"),
+)
+
+
+def run_suite(src: str) -> tuple[bool, str, float]:
+    """Tier-1 with ``-x`` against the package in ``src``: (passed, first failure, seconds)."""
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
+               "--continue-on-collection-errors"]
+    start = time.monotonic()
+    try:
+        proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True,
+                              timeout=TIME_LIMIT_S)
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIME_LIMIT_S} s", time.monotonic() - start
+    elapsed = time.monotonic() - start
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    if failed:
+        return False, failed.group(1), elapsed
+    last = proc.stdout.strip().splitlines()
+    return proc.returncode == 0, last[-1] if last else "", elapsed
+
+
+def fresh_copy(scratch: str) -> str:
+    src = os.path.join(scratch, "src")
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(os.path.join(ROOT, "src"), src,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def mutated(src: str, mutant: Mutant) -> str:
+    """The text of the mutant's file in ``src`` with the mutant applied."""
+    with open(os.path.join(src, "tamari", mutant.path)) as handle:
+        text = handle.read()
+    found = text.count(mutant.before)
+    if found != 1:
+        raise LookupError(f"{mutant.name}: snippet occurs {found} times in {mutant.path}")
+    return text.replace(mutant.before, mutant.after)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", help="comma-separated mutant names")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    chosen = MUTANTS
+    if args.only:
+        names = set(args.only.split(","))
+        chosen = tuple(m for m in MUTANTS if m.name in names)
+        if unknown := names - {m.name for m in chosen}:
+            parser.error(f"unknown mutants: {sorted(unknown)}")
+    if args.list:
+        for m in chosen:
+            print(f"{m.name:22} {m.path:14} {m.before!r} -> {m.after!r}"
+                  + (f"  [equivalent: {m.equivalent}]" if m.equivalent else ""))
+        return 0
+    try:
+        for mutant in chosen:
+            mutated(os.path.join(ROOT, "src"), mutant)
+    except LookupError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+
+    with tempfile.TemporaryDirectory(prefix="tamari-mutants-") as scratch:
+        passed, first, elapsed = run_suite(fresh_copy(scratch))
+        print(f"unmutated: {'passed' if passed else 'FAILED at ' + first} in {elapsed:.0f} s",
+              flush=True)
+        if not passed:
+            return 2
+        rows = []
+        for mutant in chosen:
+            src = fresh_copy(scratch)
+            text = mutated(src, mutant)
+            with open(os.path.join(src, "tamari", mutant.path), "w") as handle:
+                handle.write(text)
+            survived, first, elapsed = run_suite(src)
+            expected = survived == bool(mutant.equivalent)
+            rows.append((mutant.name, "survived" if survived else "killed",
+                         "equivalent" if mutant.equivalent else "",
+                         "" if expected else "UNEXPECTED", f"{elapsed:.0f} s",
+                         "" if survived else first))
+            print(" | ".join(rows[-1]), flush=True)
+
+    print()
+    print("| mutant | result | marked | | time | first failing test |")
+    print("|---|---|---|---|---|---|")
+    for row in rows:
+        print("| " + " | ".join(row) + " |")
+    return 1 if any(row[3] for row in rows) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
