@@ -11,7 +11,8 @@ Commands
 * ``count``: one chain count, by the recursion and/or the brute sweep.
 * ``grow`` / ``decompose`` / ``recompose``: apply the chain surgery maps to a
   tableau read from stdin or a file; growth-level tuples are comma-separated.
-* ``verify``: the property suites of :mod:`tamari.checks`.
+* ``verify``: the property suites of :mod:`tamari.checks`, which only this
+  command imports.
 
 ``nofull`` and ``count`` build one table of initial values per command, for
 all their offsets at once: :func:`tamari.counting.initial_values` up to the
@@ -51,7 +52,6 @@ from .bijections import (
     insert_plus_full_set,
     recompose,
 )
-from .checks import VerifyLimits, run_suite
 from .counting import (
     RouteMismatch,
     chains_count,
@@ -447,6 +447,8 @@ def cmd_recompose(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .checks import VerifyLimits, run_suite  # no other command loads the suites
+
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
     if args.samples < 0:

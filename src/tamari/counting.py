@@ -4,7 +4,9 @@ Two independent routes are kept side by side on purpose:
 
 * the *lattice sweeps*, one engine up the vertices reachable from the staircase,
   each vertex holding one int that packs its chain counts into fixed-width fields
-  (:func:`_field_width` proves no field overflows):
+  (:func:`_field_width` proves no field overflows); the engine reads each cover step
+  from the kernel ``shapes._steps`` as its cover and the rows ``top+1 .. d`` of its
+  strip, so no strip's boxes are built:
   :func:`sweep` counts chains by length up to a length bound, skipping the cover steps
   an edge filter rejects (:func:`is_plus_full_step` leaves the chains with no
   plus-full-set), and :func:`census` also tallies the minimal plus-full-set labels.
@@ -28,7 +30,7 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .shapes import Box, CoverGraph, Partition, ShapeError, _covers, cover_graph, staircase
+from .shapes import CoverGraph, Partition, ShapeError, _steps, cover_graph, staircase
 from .tableaux import Tableau, plus_full_set_labels
 
 
@@ -99,7 +101,8 @@ def _climb(n: int, start: int,
     once pushed; a step removing a strip goes that many boxes up, and states merge by
     addition.  Once per vertex, ``advance(shape, state)`` returns the states moved
     across a step, ``(plain, special)``, or None if nothing survives (covers are then
-    skipped); a step takes ``special`` where ``marked(shape, strip, n)`` holds.
+    skipped); the step that removes the last boxes of rows ``top+1 .. d`` takes
+    ``special`` where ``marked(shape, top, d, n)`` holds.
     """
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
@@ -110,10 +113,10 @@ def _climb(n: int, start: int,
             if steps is None:
                 continue
             plain, special = steps
-            for cover, strip in _covers(shape, n):
-                moved = special if marked and marked(shape, strip, n) else plain
+            for cover, top, d in _steps(shape):
+                moved = special if marked and marked(shape, top, d, n) else plain
                 if moved:
-                    level = levels.setdefault(boxes - len(strip), {})
+                    level = levels.setdefault(boxes - (d - top), {})
                     level[cover] = level.get(cover, 0) + moved
     return levels.get(0, {}).get((), 0)
 
@@ -121,7 +124,8 @@ def _climb(n: int, start: int,
 def sweep(n: int, max_length: int | None = None,
           skip_edge: Callable[..., bool] | None = None) -> dict[int, int]:
     """Maximal chains of the n-th lattice by length, up to ``max_length`` (default
-    None: all), with no cover step for which ``skip_edge(shape, strip, n)`` holds.
+    None: all), with no cover step for which ``skip_edge(shape, top, d, n)`` holds,
+    where the step removes the last boxes of rows ``top+1 .. d`` of ``shape``.
 
     Pushes chain counts from the staircase up the reachable vertices (:func:`_climb`);
     a vertex's state packs the count of its chains of depth d into field d, so a
@@ -171,13 +175,13 @@ def _chains_up(graph: CoverGraph, start: int, length: int | None = None
     """
     n, covers, strips, top = graph.n, graph.covers, graph.strips, graph.top
     grid = [[0] * (n + 1) for _ in range(n + 1)]
-    cells = [(grid[x], range(1, size + 1)) for x, size in enumerate(graph.vertices[start], 1)]
+    cells = [(grid[x], size + 1) for x, size in enumerate(graph.vertices[start], 1)]
 
     def walk(vertex: int, depth: int) -> Iterator[Tableau]:
         if vertex == top:
             if length is None or depth == length:
-                yield Tableau(n, tuple(tuple(depth - row[y] for y in columns)
-                                       for row, columns in cells))
+                yield Tableau(n, tuple([tuple([depth - label for label in row[1:end]])
+                                        for row, end in cells]))
             return
         for cover, strip in zip(covers[vertex], strips[vertex]):
             for row, col in strip:
@@ -202,17 +206,18 @@ class ChainCensus:
     min_plus_full: dict[int, dict[int, int]] = field(default_factory=dict)
 
 
-def is_plus_full_step(shape: Partition, strip: tuple[Box, ...], n: int) -> bool:
-    """Whether the cover step removing ``strip`` from ``shape`` labels a plus-full-set.
+def is_plus_full_step(shape: Partition, top: int, d: int, n: int) -> bool:
+    """Whether the cover step removing the last boxes of rows ``top+1 .. d`` of
+    ``shape`` labels a plus-full-set.
 
-    The set is full when the strip starts in row 1 and ends at (k, n-k) on the
-    outer diagonal; it is plus-full when k = n-1 or box (k+1, n-k-1) is still
-    in ``shape``, since that box is removed later and so gets a smaller label.
+    The set is full when the strip starts in row 1 (``top`` is 0) and ends at
+    (d, n-d) on the outer diagonal; it is plus-full when d = n-1 or box
+    (d+1, n-d-1) is still in ``shape``, since that box is removed later and so
+    gets a smaller label.
     """
-    end_row, end_col = strip[-1]
-    if strip[0][0] != 1 or end_row + end_col != n:
+    if top or d + shape[d - 1] != n:
         return False
-    return end_row == n - 1 or (len(shape) > end_row and shape[end_row] >= end_col - 1)
+    return d == n - 1 or (len(shape) > d and shape[d] >= shape[d - 1] - 1)
 
 
 def census(n: int) -> ChainCensus:

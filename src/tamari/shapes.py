@@ -8,9 +8,10 @@ encode the same vertices, and the covering relation has a natural description
 in both pictures; this module provides both plus the conversions.
 
 Every public function validates its shapes.  The one unchecked entry is
-``_covers``, the kernel of :func:`covers_with_strips`; only
-:func:`tamari.counting._climb` calls it, and only on shapes that the kernel itself
-produced from the staircase.
+``_steps``, the kernel of :func:`covers_with_strips`: it names each cover step
+by its cover and the rows ``top+1 .. d`` of its strip, and builds no boxes.
+Besides :func:`covers_with_strips`, only :func:`tamari.counting._climb` calls
+it, and only on shapes that the kernel itself produced from the staircase.
 
 Conventions (pinned once, used repo-wide):
 
@@ -226,19 +227,22 @@ def covers_with_strips(parts: Partition, n: int) -> tuple[tuple[Partition, tuple
     antidiagonal of the last box of ``d`` (``top + shape[top-1] >= d +
     shape[d-1]``), or the virtual row 0, so the prime-path height is
     ``d - top`` and the strip of a corner in row ``d`` is the last boxes of
-    rows ``top+1 .. d``.  The scan reads each row of each strip once, and
-    every strip and cover is a slice of tuples built once per vertex.
-    :func:`strip_of_box` is the definitional route to the same strips.
+    rows ``top+1 .. d``.  The kernel ``_steps`` finds ``top`` and the cover;
+    this entry validates the vertex and builds each strip's boxes from those
+    rows.  :func:`strip_of_box` is the definitional route to the same strips.
     """
-    return _covers(_require_vertex(parts, n), n)
+    shape = _require_vertex(parts, n)
+    return tuple([(cover, tuple(zip(range(top + 1, d + 1), shape[top:d])))
+                  for cover, top, d in _steps(shape)])
 
 
-def _covers(shape: Partition, n: int) -> tuple[tuple[Partition, tuple[Box, ...]], ...]:
-    """The body of :func:`covers_with_strips`, for a ``shape`` already known to be a
-    vertex of the n-th lattice: nothing is checked.  Only the counting engine calls
-    it, on shapes it generated from the staircase by this kernel."""
+def _steps(shape: Partition) -> list[tuple[Partition, int, int]]:
+    """``(cover, top, d)`` for each corner of ``shape``, by corner row ``d`` ascending:
+    the step removes the last boxes of rows ``top+1 .. d`` (see
+    :func:`covers_with_strips`).  Nothing is checked and no box is built; besides
+    :func:`covers_with_strips`, only the counting engine calls it, on shapes it
+    generated from the staircase."""
     rows = len(shape)
-    boxes = tuple(zip(range(1, rows + 1), shape))
     shrunk = tuple([length - 1 for length in shape])
     result = []
     for d in range(1, rows + 1):
@@ -252,8 +256,8 @@ def _covers(shape: Partition, n: int) -> tuple[tuple[Partition, tuple[Box, ...]]
         cover = shape[:top] + shrunk[top:d] + shape[d:]
         if length == 1:  # rows of length 1 end the shape and empty
             cover = cover[:cover.index(0)]
-        result.append((cover, boxes[top:d]))
-    return tuple(result)
+        result.append((cover, top, d))
+    return result
 
 
 def upper_covers(parts: Sequence[int], n: int) -> list[Partition]:

@@ -18,6 +18,10 @@ Since a full-set ends on the outer diagonal, :func:`plus_full_set_labels`
 reads the candidates off the n-1 outer-diagonal boxes instead of classifying
 every label; :func:`classify_r_set` stays the per-label definition.
 
+The derived values of a :class:`Tableau` (shape, length, r-sets, whether it
+is a staircase) are computed on first read and stored on the instance by
+:class:`_once`, which takes no lock.
+
 Every public way to build a :class:`Tableau` validates it.  The private
 ``Tableau._trusted`` skips that, and only maps whose output is correct by
 construction from a validated maximal chain may use it: the growth map and its
@@ -30,7 +34,6 @@ import enum
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .shapes import (
@@ -54,6 +57,29 @@ class ChainError(ValueError):
 
 class NotChainTableauError(TableauError):
     """The tableau does not encode any saturated chain."""
+
+
+class _once:
+    """A read-only property computed on the first read and stored on the instance.
+
+    The stored value shadows this descriptor, which defines no ``__set__``, so
+    later reads are plain attribute reads.  Unlike ``functools.cached_property``
+    before Python 3.12 it takes no lock, and the value is still lazy.  Two threads
+    that read at once may both compute it; they store equal values.
+    """
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class RSetClass(enum.Enum):
@@ -100,7 +126,7 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         if type(self.n) is not int or self.n < 1:
             raise TableauError(f"ambient parameter must be an integer >= 1, got {self.n!r}")
         if not validate_tableau(self.rows):
@@ -117,16 +143,16 @@ class Tableau:
         object.__setattr__(tab, "rows", rows)
         return tab
 
-    @cached_property
+    @_once
     def shape(self) -> Partition:
-        return tuple(len(row) for row in self.rows)
+        return tuple(map(len, self.rows))
 
-    @cached_property
+    @_once
     def length(self) -> int:
         # rows are non-empty and strictly increasing, so each row ends at its maximum
         return max((row[-1] for row in self.rows), default=0)
 
-    @cached_property
+    @_once
     def _r_sets(self) -> dict[int, tuple[Box, ...]]:
         sets: dict[int, list[Box]] = {}
         for x, row in enumerate(self.rows, start=1):
@@ -145,7 +171,7 @@ class Tableau:
             raise TableauError(f"label {r} out of range 1..{self.length}")
         return self._r_sets[r]
 
-    @cached_property
+    @_once
     def is_staircase(self) -> bool:
         # the row count first: ``n`` may come from an unchecked header
         return len(self.shape) == self.n - 1 and self.shape == staircase(self.n - 1)

@@ -554,6 +554,26 @@ def test_verify_cli(capsys):
     assert report["passed"] and len(report["checks"]) == 6
 
 
+def test_only_verify_imports_the_property_suites():
+    import os
+    import subprocess
+    import sys
+
+    import tamari
+
+    script = ("import sys, tamari.cli\n"
+              "print('tamari.checks' in sys.modules)\n"
+              "code = tamari.cli.main(['verify', '--suite', 'formulas', '--max-n', '4'])\n"
+              "print('tamari.checks' in sys.modules, code)\n")
+    src = os.path.dirname(os.path.dirname(tamari.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0, proc.stderr
+    assert lines[0] == "False" and lines[-1] == "True 0"
+    assert all(line.startswith("PASS") for line in lines[1:-1]) and len(lines) > 2
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--suite", "bogus"])

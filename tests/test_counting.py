@@ -331,15 +331,16 @@ def test_counting_builds_no_cover_graph(monkeypatch, capsys):
 
 
 def test_plus_full_step_matches_classification(chains_by_order):
-    # each step of a chain, classified from its cover edge alone, against
-    # classify_r_set on the finished tableau
-    for n in range(1, 6):
+    # each step of a chain, classified from its cover edge alone (the rows
+    # top+1 .. d of its strip), against classify_r_set on the finished tableau
+    for n in range(1, 7):
         for tab in chains_by_order[n]:
             chain = tableau_to_chain(tab)  # null diagram first
             for r in range(1, tab.length + 1):
                 lower, strip = chain[r], tab.r_set(r)
+                top, d = strip[0][0] - 1, strip[-1][0]
                 expected = classify_r_set(tab, r) is RSetClass.PLUS_FULL
-                assert is_plus_full_step(lower, strip, n) == expected, (tab.rows, r)
+                assert is_plus_full_step(lower, top, d, n) == expected, (tab.rows, r)
 
 
 def test_vanishing_small():

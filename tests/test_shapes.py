@@ -220,8 +220,17 @@ def test_cover_graph_matches_the_definition(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_the_unchecked_kernel_is_the_validated_one(n):
+    # the box-free kernel steps once per corner, and its rows top+1 .. d are the
+    # rows of the strip that strip_of_box defines and covers_with_strips returns
     for vertex in partitions_in_staircase(n):
-        assert shapes._covers(vertex, n) == covers_with_strips(vertex, n), vertex
+        steps = shapes._steps(vertex)
+        assert [(d, vertex[d - 1]) for _, _, d in steps] == corner_boxes(vertex), vertex
+        edges = []
+        for cover, top, d in steps:
+            strip = strip_of_box(vertex, n, (d, vertex[d - 1]))
+            assert [row for row, _ in strip] == list(range(top + 1, d + 1)), vertex
+            edges.append((cover, strip))
+        assert tuple(edges) == covers_with_strips(vertex, n), vertex
 
 
 def test_cover_kernel_keeps_validation():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamari import tableaux
 from tamari.checks import all_chain_tableaux, candidate_tableaux, random_chain_to_top
 from tamari.shapes import partitions_in_staircase, staircase, strip_of_box, upper_covers
 from tamari.tableaux import (
@@ -62,6 +63,50 @@ def test_tableau_basics():
         tab.label(1, 3)
     with pytest.raises(TableauError):
         tab.r_set(4)
+
+
+def test_a_derived_value_is_computed_once_and_stored():
+    calls = []
+
+    class Probe:
+        @tableaux._once
+        def value(self):
+            calls.append(self)
+            return len(calls)
+
+    probe = Probe()
+    assert (probe.value, probe.value) == (1, 1)
+    assert calls == [probe] and vars(probe) == {"value": 1}
+    assert isinstance(vars(Probe)["value"], tableaux._once)
+    assert "cached_property" not in vars(tableaux)
+    for name in ("shape", "length", "_r_sets", "is_staircase"):
+        assert isinstance(vars(Tableau)[name], tableaux._once), name
+
+
+def test_derived_values_equal_a_fresh_recomputation(chains_by_order):
+    for n in range(1, 7):
+        for tab in chains_by_order[n]:
+            shape = tuple(len(row) for row in tab.rows)
+            boxes = [(value, (x, y)) for x, row in enumerate(tab.rows, 1)
+                     for y, value in enumerate(row, 1)]
+            length = max((value for value, _ in boxes), default=0)
+            assert tab.shape == shape and tab.length == length
+            assert tab._r_sets == {r: tuple(box for value, box in boxes if value == r)
+                                   for r in range(1, length + 1)}
+            assert tab.is_staircase and shape == staircase(n - 1)
+
+
+def test_reading_derived_values_keeps_equality_hash_and_repr():
+    fresh = Tableau(3, [[1, 2], [3]])
+    tab = Tableau(3, ((1, 2), (3,)))
+    assert type(fresh.rows) is tuple and all(type(row) is tuple for row in fresh.rows)
+    before = (hash(tab), repr(tab))
+    assert (tab.shape, tab.length, tab.r_set(3), tab.is_staircase) == \
+        ((2, 1), 3, ((2, 1),), True)
+    assert (hash(tab), repr(tab)) == before
+    assert repr(tab) == "Tableau(n=3, rows=((1, 2), (3,)))"
+    assert tab == fresh and hash(tab) == hash(fresh) == hash((3, ((1, 2), (3,))))
+    assert tab != Tableau(3, ((1, 2), (1,)))
 
 
 def test_encode_pentagon_chains():

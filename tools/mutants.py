@@ -56,11 +56,16 @@ MUTANTS = (
            "(clean << width) | ((reach - clean) << (span + width))"),
     Mutant("fold-no-clean", "counting.py", "folded, rest = 0, reach",
            "folded, rest = 0, reach >> span"),
-    Mutant("level-step", "counting.py", "boxes - len(strip)", "boxes - 1"),
+    Mutant("level-step", "counting.py", "boxes - (d - top)", "boxes - 1"),
+    # the box-free cover kernel and the edge filter on its rows
+    Mutant("steps-top-scan", "shapes.py", "top + shape[top - 1] < level",
+           "top + shape[top - 1] <= level"),
+    Mutant("plus-full-top", "counting.py", "if top or d + shape[d - 1] != n:",
+           "if d + shape[d - 1] != n:"),
     # older hand-made mutants: counting, cli, checks, tableaux
     Mutant("sweep-prune", "counting.py", "max_length - shape[0]", "max_length - shape[0] - 1"),
-    Mutant("plus-full-step", "counting.py", "shape[end_row] >= end_col - 1",
-           "shape[end_row] >= end_col"),
+    Mutant("plus-full-step", "counting.py", "shape[d] >= shape[d - 1] - 1",
+           "shape[d] >= shape[d - 1]"),
     Mutant("ie-sign", "counting.py", "(-1) ** (t - s)", "(-1) ** (t - s + 1)"),
     Mutant("census-label", "counting.py", "[since + 1] = count", "[since] = count"),
     Mutant("recursion-extra-term", "counting.py", "min(2 * i + 3, n) + 1",
