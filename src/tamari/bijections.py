@@ -86,7 +86,10 @@ def pivot_row(chain: Tableau, r: int) -> int:
     """Minimal k in [n-1] whose outer-diagonal label is <= r, else n."""
     n = _require_maximal(chain)
     # row k of the staircase ends at its outer-diagonal box (k, n-k)
-    return next((k for k, row in enumerate(chain.rows, start=1) if row[-1] <= r), n)
+    for k, row in enumerate(chain.rows, start=1):
+        if row[-1] <= r:
+            return k
+    return n
 
 
 def expand_chain(chain: Tableau, r: int) -> Tableau:
@@ -101,13 +104,19 @@ def expand_chain(chain: Tableau, r: int) -> Tableau:
     if not 0 <= r <= chain.length:
         raise TableauError(f"level {r} out of range 0..{chain.length}")
     d = pivot_row(chain, r)  # row d ends on the outer diagonal, so no label in it exceeds r
+    up = r + 1
     rows = []
-    for x, row in enumerate(chain.rows + ((),), start=1):  # row n is empty
+    for x, row in enumerate(chain.rows, start=1):
         cut = bisect_right(row, r)
-        rows.append(row[:cut] + (r + 1,) * (x <= d) + tuple(v + 1 for v in row[cut:]))
+        grown = row[:cut] + (up,) * (x <= d)
+        if cut < len(row):  # a row with no label above r needs no shift
+            grown += tuple([value + 1 for value in row[cut:]])
+        rows.append(grown)
         if x == d:
             rows.append(row)
-    return Tableau._trusted(n + 1, tuple(row for row in rows if row))
+    if d == n:  # the pivot is the empty row n: the (r+1)-set ends in a new last row
+        rows.append((up,))
+    return Tableau._trusted(n + 1, tuple(rows))
 
 
 def insert_plus_full_set(chain: Tableau, r: int) -> Tableau:
@@ -126,9 +135,10 @@ def _shrink(chain: Tableau, r: int) -> Tableau:
     """Undo :func:`expand_chain` at level ``r``: drop ``r+1``, lower the labels above it
     and delete row ``d+1``, which must equal row ``d``.  Row ``d`` is where the
     plus-full (r+1)-set ends: its outer-diagonal box (d, n-d) is labelled ``r+1``."""
-    d = [row[-1] for row in chain.rows].index(r + 1) + 1
-    rows = [tuple(value - (value > r + 1) for value in row if value != r + 1)
-            for row in chain.rows]
+    up = r + 1
+    d = [row[-1] for row in chain.rows].index(up) + 1
+    rows = [tuple([value - (value > up) for value in row if value != up])
+            if row[-1] >= up else row for row in chain.rows]
     if rows[d - 1] != (rows[d] if d < len(rows) else ()):
         raise TableauError(f"rows {d} and {d + 1} differ, cannot collapse: {chain.rows!r}")
     del rows[d - 1]  # the twin of row d+1, or the empty row d when there is none

@@ -19,8 +19,9 @@ reads the candidates off the n-1 outer-diagonal boxes instead of classifying
 every label; :func:`classify_r_set` stays the per-label definition.
 
 The derived values of a :class:`Tableau` (shape, length, r-sets, whether it
-is a staircase) are computed on first read and stored on the instance by
-:class:`_once`, which takes no lock.
+is a staircase, its plus-full-set labels) are computed on first read and
+stored on the instance by :class:`_once`, which takes no lock.  So a tableau
+is classified at most once, however many maps ask for its plus-full-sets.
 
 Every public way to build a :class:`Tableau` validates it.  The private
 ``Tableau._trusted`` skips that, and only maps whose output is correct by
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import enum
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -160,6 +160,30 @@ class Tableau:
                 sets.setdefault(value, []).append((x, y))
         return {r: tuple(boxes) for r, boxes in sets.items()}
 
+    @_once
+    def _plus_full_set_labels(self) -> tuple[int, ...]:
+        """The scan behind :func:`plus_full_set_labels`."""
+        rows = self.rows
+        if not rows:
+            return ()
+        n = _require_maximal(self)
+        first = rows[0]
+        labels = []
+        for k in range(1, n):
+            r = rows[k - 1][-1]
+            if k < n - 1 and rows[k][-1] >= r:  # rows[k][-1] is label(k+1, n-k-1)
+                continue
+            if r not in first:
+                continue
+            # rows[k][-1] < r keeps r out of row k+1, so the scan starts below it
+            for row in rows[k + 1:]:
+                if r in row:
+                    break
+            else:
+                labels.append(r)
+        labels.sort()
+        return tuple(labels)
+
     def label(self, row: int, col: int) -> int:
         if not (1 <= row <= len(self.rows) and 1 <= col <= len(self.rows[row - 1])):
             raise TableauError(f"box {(row, col)!r} outside shape {self.shape!r}")
@@ -205,7 +229,7 @@ class Tableau:
         except (KeyError, ValueError) as exc:
             raise TableauError(f"bad tableau header: {lines[0]!r}") from exc
         try:
-            rows = tuple(tuple(int(v) for v in line.split()) for line in lines[1:])
+            rows = tuple([tuple(map(int, line.split())) for line in lines[1:]])
         except ValueError as exc:
             raise TableauError(f"bad tableau labels: {exc}") from exc
         tab = cls(n, rows)
@@ -338,21 +362,6 @@ def plus_full_set_labels(tab: Tableau) -> tuple[int, ...]:
     qualify.  Such an r-set is plus-full when k = n-1 or label(k+1, n-k-1) < r,
     when r is in row 1 (its begin box), and when r is in no row below k (so
     (k, n-k) is its end box).  This is :func:`classify_r_set` on those labels.
+    The scan runs once per tableau: its result is stored on the instance.
     """
-    rows = tab.rows
-    if not rows:
-        return ()
-    n = _require_maximal(tab)
-    first = rows[0]
-    labels = []
-    for k in range(1, n):
-        r = rows[k - 1][-1]
-        if k < n - 1 and rows[k][-1] >= r:  # rows[k][-1] is label(k+1, n-k-1)
-            continue
-        at = bisect_left(first, r)
-        if at == len(first) or first[at] != r:
-            continue
-        if any(r in row for row in rows[k:]):
-            continue
-        labels.append(r)
-    return tuple(sorted(labels))
+    return tab._plus_full_set_labels

@@ -279,6 +279,31 @@ def test_decompose_classifies_each_chain_once(monkeypatch):
         assert len(classified) == len(params) + 1
 
 
+def test_a_surgery_cycle_classifies_each_new_chain_once(monkeypatch):
+    # decompose classifies the chain and each of its k shrunken chains; recompose
+    # reuses the base's classification, insert the chain's, and extract
+    # classifies the one chain it is given
+    kernel = vars(Tableau)["_plus_full_set_labels"]
+    scan, scanned = kernel.func, []
+
+    def counted(tab):
+        scanned.append(tab)
+        return scan(tab)
+
+    monkeypatch.setattr(kernel, "func", counted)
+    base = chain_without_plus_full_sets(2)
+    for params in [(), (3,), (0, 1, 2), (1, 1, 3, 3), (0, 4, 4, 6, 9)]:
+        grown = recompose(ChainDecomposition(base, params))
+        chain = Tableau(grown.n, grown.rows)  # a fresh instance: nothing stored yet
+        scanned.clear()
+        parts = decompose(chain)
+        assert recompose(parts) == chain
+        r = params[0] if params else chain.length
+        assert extract_plus_full_set(insert_plus_full_set(chain, r)) == (r, chain)
+        assert len(scanned) == len(params) + 2
+        assert len({id(tab) for tab in scanned}) == len(scanned)
+
+
 def test_recompose_classifies_only_its_base(monkeypatch):
     from tamari import bijections, tableaux
 

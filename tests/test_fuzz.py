@@ -10,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamari import cli
+from tamari.bijections import (
+    decompose,
+    extract_plus_full_set,
+    insert_plus_full_set,
+    recompose,
+)
 from tamari.counting import enumerate_maximal_chains
 from tamari.shapes import ShapeError, parse_partition
-from tamari.tableaux import Tableau, TableauError
+from tamari.tableaux import Tableau, TableauError, plus_full_set_labels
 
 FUZZ = settings(max_examples=300, deadline=None)
 
@@ -81,9 +87,9 @@ CHAINS = [tab for n in range(1, 6) for tab in enumerate_maximal_chains(n)]
 
 
 @st.composite
-def staircase_tableaux(draw):
+def staircase_tableaux(draw, max_n=5):
     """Row-strict, column-weak staircase tableaux: most encode no chain, a few do."""
-    n = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=max_n))
     rows = []
     for k in range(n - 1, 0, -1):
         row = []
@@ -132,3 +138,26 @@ def test_surgery_commands_never_raise(command, style, stdin):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:")
         assert len(err.getvalue().strip().splitlines()) == 1
+
+
+@FUZZ
+@given(staircase_tableaux(max_n=7))
+def test_surgery_keeps_its_contract_on_every_staircase_tableau(data):
+    """Chain or not, a validated staircase tableau either makes ``decompose`` raise
+    TableauError or decomposes into a valid plus-full-set-free base that
+    recomposes to it; growth at every level of its domain gives a valid
+    tableau that extraction maps back."""
+    chain = Tableau(data["n"], data["rows"])
+    try:
+        parts = decompose(chain)
+    except TableauError:
+        pass
+    else:
+        base = Tableau(parts.base.n, parts.base.rows)
+        assert base.is_staircase and plus_full_set_labels(base) == ()
+        assert recompose(parts) == chain
+    labels = plus_full_set_labels(chain)
+    for r in range(labels[0] if labels else chain.length + 1):
+        grown = insert_plus_full_set(chain, r)
+        assert Tableau(grown.n, grown.rows).is_staircase
+        assert extract_plus_full_set(grown) == (r, chain)

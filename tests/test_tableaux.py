@@ -79,8 +79,11 @@ def test_a_derived_value_is_computed_once_and_stored():
     assert calls == [probe] and vars(probe) == {"value": 1}
     assert isinstance(vars(Probe)["value"], tableaux._once)
     assert "cached_property" not in vars(tableaux)
-    for name in ("shape", "length", "_r_sets", "is_staircase"):
+    for name in ("shape", "length", "_r_sets", "is_staircase", "_plus_full_set_labels"):
         assert isinstance(vars(Tableau)[name], tableaux._once), name
+    tab = Tableau(4, ((1, 2, 4), (1, 2), (3,)))
+    assert plus_full_set_labels(tab) is plus_full_set_labels(tab) == (4,)
+    assert vars(tab)["_plus_full_set_labels"] == (4,)
 
 
 def test_derived_values_equal_a_fresh_recomputation(chains_by_order):
@@ -94,6 +97,9 @@ def test_derived_values_equal_a_fresh_recomputation(chains_by_order):
             assert tab._r_sets == {r: tuple(box for value, box in boxes if value == r)
                                    for r in range(1, length + 1)}
             assert tab.is_staircase and shape == staircase(n - 1)
+            assert plus_full_set_labels(tab) == tuple(
+                r for r in range(1, length + 1)
+                if classify_r_set(tab, r) is RSetClass.PLUS_FULL)
 
 
 def test_reading_derived_values_keeps_equality_hash_and_repr():

@@ -77,12 +77,18 @@ MUTANTS = (
     Mutant("census-noop", "counting.py",
            "result.by_length.get(length, 0) + count", "count + result.by_length.get(length, 0)",
            "integer addition commutes"),
-    Mutant("labels-strict", "tableaux.py", "rows[k][-1] >= r:", "rows[k][-1] > r:",
-           "outer-diagonal labels are distinct, so equality never occurs"),
-    Mutant("labels-scan-from", "tableaux.py", "for row in rows[k:])", "for row in rows[k + 1:])",
-           "the first test already keeps r out of row k+1, so the scan can start there"),
+    # on a staircase tableau that encodes no chain, label(k+1, n-k-1) may equal r,
+    # and only this test keeps r out of row k+1, where the scan below no longer looks
+    Mutant("labels-strict", "tableaux.py", "rows[k][-1] >= r:", "rows[k][-1] > r:"),
+    Mutant("labels-scan-from", "tableaux.py", "for row in rows[k + 1:]:", "for row in rows[k:]:",
+           "the first test already keeps r out of row k+1, so the scan may start there or at it"),
     # chain surgery and the cache merge
-    Mutant("expand-pivot", "bijections.py", "(r + 1,) * (x <= d)", "(r + 1,) * (x < d)"),
+    Mutant("expand-pivot", "bijections.py", "(up,) * (x <= d)", "(up,) * (x < d)"),
+    Mutant("expand-shift-shortcut", "bijections.py", "if cut < len(row):", "if cut <= len(row):",
+           "a row with no label above r shifts an empty tail, so it is left as it is either way"),
+    Mutant("shrink-relabel", "bijections.py", "value - (value > up)", "value - (value >= up)",
+           "the label r+1 itself is filtered out, so it is never lowered either way"),
+    Mutant("shrink-shortcut", "bijections.py", "if row[-1] >= up else row", "if row[-1] > up else row"),
     Mutant("decompose-level", "bijections.py", "params.append(labels[0] - 1)",
            "params.append(labels[-1] - 1)"),
     Mutant("cache-merge", "cli.py", 'for i, row in stored["nofull"].items():',
