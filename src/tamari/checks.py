@@ -16,7 +16,8 @@ from typing import Callable, Iterator
 from .shapes import (
     Box,
     Partition,
-    cover_graph,
+    _require_vertex,
+    _steps,
     enclosure,
     from_dyck_path,
     partitions_in_staircase,
@@ -108,10 +109,9 @@ def all_dyck_paths(n: int) -> Iterator[str]:
 def all_chain_tableaux(n: int) -> Iterator[Tableau]:
     """Every saturated chain of the n-th lattice ending at the null diagram,
     encoded as a chain tableau (length = chain length, any shape): the chains
-    up from each vertex id in turn."""
-    graph = cover_graph(n)
-    for start in range(len(graph.vertices)):
-        yield from _chains_up(graph, start)
+    up from each vertex of :func:`partitions_in_staircase` in turn."""
+    for start in partitions_in_staircase(n):
+        yield from _chains_up(n, start)
 
 
 def stream_census(n: int) -> ChainCensus:
@@ -136,19 +136,17 @@ def random_chain_to_top(n: int, rng: random.Random,
     """A saturated chain from a (random) vertex up to the null diagram,
     returned top-first as :func:`tamari.tableaux.chain_to_tableau` expects.
 
-    A random start is a uniform vertex id of :func:`cover_graph`, whose vertices
-    come in :func:`partitions_in_staircase` order.  Each step takes a random
-    upper cover, listed in :func:`upper_covers` order, so a seed always gives
-    the same chain.
+    A random start is a uniform index into :func:`partitions_in_staircase`; the
+    start is validated once.  Each step takes a random upper cover, listed in
+    :func:`upper_covers` order, so a seed always gives the same chain.
     """
-    graph = cover_graph(n)
-    current = rng.randrange(len(graph.vertices)) if start is None \
-        else graph.vertices.index(start)
-    steps = [graph.vertices[current]]
-    while current != graph.top:
-        options = graph.covers[current]
-        current = options[rng.randrange(len(options))]
-        steps.append(graph.vertices[current])
+    if start is None:
+        vertices = partitions_in_staircase(n)
+        start = vertices[rng.randrange(len(vertices))]
+    steps = [_require_vertex(start, n)]
+    while steps[-1]:
+        options = _steps(steps[-1])
+        steps.append(options[rng.randrange(len(options))][0])
     steps.reverse()
     return steps
 
@@ -276,7 +274,7 @@ def check_strip_translation(limits: VerifyLimits) -> CheckResult:
 
     def random_last_box(n: int) -> tuple[Partition, int, Box]:
         while True:
-            vertices = cover_graph(n).vertices
+            vertices = partitions_in_staircase(n)
             shape = vertices[rng.randrange(len(vertices))]
             if shape:
                 row = rng.randrange(1, len(shape) + 1)

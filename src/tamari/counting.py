@@ -10,7 +10,7 @@ Two independent routes are kept side by side on purpose:
   :func:`sweep` counts chains by length up to a length bound, skipping the cover steps
   an edge filter rejects (:func:`is_plus_full_step` leaves the chains with no
   plus-full-set), and :func:`census` also tallies the minimal plus-full-set labels.
-  :func:`enumerate_maximal_chains` streams the chain tableaux over the cover graph;
+  :func:`enumerate_maximal_chains` streams the chain tableaux up the same kernel;
   classified by :func:`tamari.tableaux.plus_full_set_labels`, they are the brute
   oracle the sweeps are tested against; and
 * the *recursion*: the count of maximal chains of length n+i is
@@ -30,7 +30,7 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .shapes import CoverGraph, Partition, ShapeError, _steps, cover_graph, staircase
+from .shapes import Partition, ShapeError, _steps, staircase
 from .tableaux import Tableau, plus_full_set_labels
 
 
@@ -161,31 +161,35 @@ def enumerate_maximal_chains(n: int, length: int | None = None) -> Iterator[Tabl
     """
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
-    yield from _chains_up(cover_graph(n), 0, length)
+    yield from _chains_up(n, staircase(n - 1), length)
 
 
-def _chains_up(graph: CoverGraph, start: int, length: int | None = None
-               ) -> Iterator[Tableau]:
-    """Every chain from vertex id ``start`` up to the null diagram, depth first
-    by the cover ordering, as a chain tableau of ``start``'s shape; with
-    ``length`` given, only the chains of that length.
+def _chains_up(n: int, start: Partition, length: int | None = None) -> Iterator[Tableau]:
+    """Every chain from the vertex ``start`` of the n-th lattice up to the null
+    diagram, depth first by the cover ordering, as a chain tableau of ``start``'s
+    shape; with ``length`` given, only the chains of that length.  ``start`` must
+    be a validated vertex: the steps come from the unchecked kernel ``_steps``.
 
     Each box records the depth of the step that removes it; at the top, a step
     at depth d of a chain of length l carries label l - d.
     """
-    n, covers, strips, top = graph.n, graph.covers, graph.strips, graph.top
     grid = [[0] * (n + 1) for _ in range(n + 1)]
-    cells = [(grid[x], size + 1) for x, size in enumerate(graph.vertices[start], 1)]
+    cells = [(grid[x], size + 1) for x, size in enumerate(start, 1)]
+    # a shape lies on many chains: list its steps once per stream
+    memo: dict[Partition, list[tuple[Partition, int, int]]] = {}
 
-    def walk(vertex: int, depth: int) -> Iterator[Tableau]:
-        if vertex == top:
+    def walk(shape: Partition, depth: int) -> Iterator[Tableau]:
+        if not shape:
             if length is None or depth == length:
                 yield Tableau(n, tuple([tuple([depth - label for label in row[1:end]])
                                         for row, end in cells]))
             return
-        for cover, strip in zip(covers[vertex], strips[vertex]):
-            for row, col in strip:
-                grid[row][col] = depth
+        steps = memo.get(shape)
+        if steps is None:
+            steps = memo[shape] = _steps(shape)
+        for cover, top, d in steps:
+            for row in range(top + 1, d + 1):
+                grid[row][shape[row - 1]] = depth
             yield from walk(cover, depth + 1)
 
     return walk(start, 0)

@@ -8,10 +8,14 @@ encode the same vertices, and the covering relation has a natural description
 in both pictures; this module provides both plus the conversions.
 
 Every public function validates its shapes.  The one unchecked entry is
-``_steps``, the kernel of :func:`covers_with_strips`: it names each cover step
-by its cover and the rows ``top+1 .. d`` of its strip, and builds no boxes.
-Besides :func:`covers_with_strips`, only :func:`tamari.counting._climb` calls
-it, and only on shapes that the kernel itself produced from the staircase.
+``_steps``, the cover kernel: it names each cover step by its cover and the
+rows ``top+1 .. d`` of its strip, and builds no boxes.  It runs only on a
+validated vertex or on shapes it produced from one.  Its callers are
+:func:`covers_with_strips`, which validates its vertex; the counting engine
+:func:`tamari.counting._climb` and the chain stream
+:func:`tamari.counting._chains_up`, which start from a validated vertex; and
+the random draws :func:`tamari.checks.random_chain_to_top`, which validate
+their start.
 
 Conventions (pinned once, used repo-wide):
 
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 Partition = tuple[int, ...]
 Box = tuple[int, int]
@@ -239,9 +243,10 @@ def covers_with_strips(parts: Partition, n: int) -> tuple[tuple[Partition, tuple
 def _steps(shape: Partition) -> list[tuple[Partition, int, int]]:
     """``(cover, top, d)`` for each corner of ``shape``, by corner row ``d`` ascending:
     the step removes the last boxes of rows ``top+1 .. d`` (see
-    :func:`covers_with_strips`).  Nothing is checked and no box is built; besides
-    :func:`covers_with_strips`, only the counting engine calls it, on shapes it
-    generated from the staircase."""
+    :func:`covers_with_strips`).  Nothing is checked and no box is built, so
+    ``shape`` must be a validated vertex or a cover this kernel produced from one.
+    The callers: :func:`covers_with_strips`, ``counting._climb``,
+    ``counting._chains_up`` and ``checks.random_chain_to_top``."""
     rows = len(shape)
     shrunk = tuple([length - 1 for length in shape])
     result = []
@@ -320,10 +325,15 @@ def enclosure(parts: Sequence[int], n: int, box: Box) -> Enclosure:
     return Enclosure(top_row=top, shape=tuple(lengths), boxes=tuple(boxes))
 
 
-def partitions_in_staircase(n: int) -> list[Partition]:
+@lru_cache(maxsize=8)
+def partitions_in_staircase(n: int) -> tuple[Partition, ...]:
     """All diagrams inside the staircase of order n-1, i.e. the vertices of the
-    n-th Tamari lattice (Catalan-many), in :class:`CoverGraph` id order:
-    decreasing box count, ties by partition order."""
+    n-th Tamari lattice (Catalan-many), by decreasing box count, ties by
+    partition order: the staircase first, the null diagram last.
+
+    Memoized for the eight most recent orders, the orders 1..8 that the property
+    checks draw from in turn; a random draw indexes the cached tuple.
+    """
     if n < 1:
         raise ShapeError(f"ambient parameter must be >= 1, got {n}")
     result: list[Partition] = []
@@ -340,48 +350,4 @@ def partitions_in_staircase(n: int) -> list[Partition]:
 
     extend((), 1)
     result.sort(key=lambda p: (-sum(p), p))
-    return result
-
-
-class CoverGraph(NamedTuple):
-    """The covering relation of the n-th Tamari lattice on integer vertex ids.
-
-    Ids follow decreasing box count (ties by partition order), so id 0 is the
-    staircase, the last id is the null diagram and every cover step goes to a
-    larger id.  ``covers[v]`` lists the ids covering vertex ``v`` and
-    ``strips[v]`` the strip each of those steps removes, both by corner row
-    ascending, exactly as :func:`covers_with_strips` returns them.
-    """
-
-    n: int
-    vertices: tuple[Partition, ...]
-    covers: tuple[tuple[int, ...], ...]
-    strips: tuple[tuple[tuple[Box, ...], ...], ...]
-
-    @property
-    def top(self) -> int:
-        """Id of the null diagram, the maximum."""
-        return len(self.vertices) - 1
-
-
-@lru_cache(maxsize=8)
-def cover_graph(n: int) -> CoverGraph:
-    """The cover graph of the n-th lattice, one :func:`covers_with_strips` call per vertex.
-
-    The vertices are :func:`partitions_in_staircase` as listed, so a random
-    index into either picks the same diagram.  The chain stream and the random
-    draws read it; the counts walk the reachable vertices without it.  Memoized
-    for the eight most recent orders, the orders 1..8 that the property checks
-    draw from in turn; together those eight graphs hold about 1.5 MiB.
-    """
-    if n < 1:
-        raise ShapeError(f"ambient parameter must be >= 1, got {n}")
-    vertices = tuple(partitions_in_staircase(n))
-    ids = {vertex: index for index, vertex in enumerate(vertices)}
-    covers = []
-    strips = []
-    for vertex in vertices:
-        edges = covers_with_strips(vertex, n)
-        covers.append(tuple([ids[cover] for cover, _ in edges]))
-        strips.append(tuple([strip for _, strip in edges]))
-    return CoverGraph(n, vertices, tuple(covers), tuple(strips))
+    return tuple(result)

@@ -253,6 +253,8 @@ def test_count_methods(capsys):
     assert code == 0 and out.strip() == "112"
     code, out, _ = run(capsys, "count", "--i", "2", "--n", "5", "--method", "brute")
     assert code == 0 and out.strip() == "22"
+    code, out, _ = run(capsys, "count", "--i", "2", "--n", "9", "--method", "both")
+    assert code == 0 and out.strip() == "37444"
     code, out, _ = run(capsys, "count", "--i", "0", "--n", "9", "--method", "brute")
     assert code == 0 and out.strip() == "84"
     code, _, err = run(capsys, "count", "--i", "0", "--n", "10", "--method", "brute")

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from tamari import cli, counting, shapes
+from tamari import counting, shapes
 from tamari.checks import stream_census
 from tamari.counting import (
     IncompleteTableError,
@@ -127,8 +127,11 @@ def test_the_field_width_holds_every_count():
 
 def test_a_field_width_too_small_would_be_seen(monkeypatch):
     # order 9 needs 40 bits; at 20 the carries cross fields and the counts go wrong
+    published = length_table()[9]
+    assert sweep(9) == published
+    assert sweep(9, 12) == {l: c for l, c in published.items() if l <= 12}
     monkeypatch.setattr(counting, "_field_width", lambda n: 20)
-    assert sweep(9) != length_table()[9]
+    assert sweep(9) != published
 
 
 def peak_bytes(run):
@@ -187,6 +190,7 @@ def test_initial_values_by_inclusion_exclusion():
     assert row_one[4] == 2 and row_one[5] == 10
     row_three = nofull_initial_values(3)
     assert [row_three[t] for t in (5, 6, 7, 8, 9)] == [18, 220, 1464, 9240, 15400]
+    assert initial_values(range(-1, 4), 9)[3] == row_three
 
 
 def test_initial_values_match_brute_classification(censuses):
@@ -310,24 +314,6 @@ def test_initial_values_compute_the_committed_offset_five_row():
     fixture = nofull_table()
     assert sorted(row) == list(range(1, 14))
     assert row == {t: fixture.get((5, t), 0) for t in row}
-
-
-def test_counting_builds_no_cover_graph(monkeypatch, capsys):
-    def no_graph(n):
-        raise AssertionError(f"cover_graph({n}) was built")
-
-    monkeypatch.setattr(shapes, "cover_graph", no_graph)
-    monkeypatch.setattr(counting, "cover_graph", no_graph)
-    count_by_length.cache_clear()  # so that `table` sweeps each order here
-    published = length_table()[9]
-    assert sweep(9) == published
-    assert sweep(9, 12) == {l: c for l, c in published.items() if l <= 12}
-    assert sweep(7, 9, is_plus_full_step)[9] == 280
-    assert census(7).nofull_by_length[9] == 280
-    assert initial_values(range(-1, 4), 9)[3][9] == 15400
-    assert cli.main(["table", "--max-n", "8", "--allow-large"]) == 0
-    assert cli.main(["count", "--i", "2", "--n", "9", "--method", "both"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "37444"
 
 
 def test_plus_full_step_matches_classification(chains_by_order):

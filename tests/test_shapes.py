@@ -7,7 +7,6 @@ from tamari.shapes import (
     as_partition,
     contained_in_staircase,
     corner_boxes,
-    cover_graph,
     covers_with_strips,
     enclosure,
     format_partition,
@@ -104,7 +103,12 @@ def test_path_roundtrip_exhaustive(n):
 def test_vertex_counts_are_catalan():
     catalan = [1, 2, 5, 14, 42, 132, 429, 1430]
     for n, expected in enumerate(catalan, start=1):
-        assert len(partitions_in_staircase(n)) == expected
+        vertices = partitions_in_staircase(n)
+        assert len(set(vertices)) == len(vertices) == expected
+        # by decreasing box count: the staircase first, the null diagram last
+        assert vertices[0] == staircase(n - 1) and vertices[-1] == ()
+        sizes = [sum(vertex) for vertex in vertices]
+        assert sizes == sorted(sizes, reverse=True)
 
 
 def test_prime_heights_simple_paths():
@@ -203,25 +207,10 @@ def covers_by_definition(vertex, n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_cover_graph_matches_the_definition(n):
-    graph = cover_graph(n)
-    assert sorted(graph.vertices) == sorted(partitions_in_staircase(n))
-    assert graph.vertices[0] == staircase(n - 1) and graph.vertices[graph.top] == ()
-    sizes = [sum(vertex) for vertex in graph.vertices]
-    assert sizes == sorted(sizes, reverse=True)
-    for index, vertex in enumerate(graph.vertices):
-        edges = [(graph.vertices[cover], strip)
-                 for cover, strip in zip(graph.covers[index], graph.strips[index])]
-        assert edges == covers_by_definition(vertex, n), vertex
-        assert [from_dyck_path(p) for p in upper_covers_dyck(to_dyck_path(vertex, n))] \
-            == [cover for cover, _ in edges]
-        assert all(cover > index for cover in graph.covers[index])
-
-
-@pytest.mark.parametrize("n", range(1, 9))
 def test_the_unchecked_kernel_is_the_validated_one(n):
     # the box-free kernel steps once per corner, and its rows top+1 .. d are the
-    # rows of the strip that strip_of_box defines and covers_with_strips returns
+    # rows of the strip that strip_of_box defines and covers_with_strips returns;
+    # its covers, in order, are the definition's and the Dyck-path swaps'
     for vertex in partitions_in_staircase(n):
         steps = shapes._steps(vertex)
         assert [(d, vertex[d - 1]) for _, _, d in steps] == corner_boxes(vertex), vertex
@@ -231,6 +220,9 @@ def test_the_unchecked_kernel_is_the_validated_one(n):
             assert [row for row, _ in strip] == list(range(top + 1, d + 1)), vertex
             edges.append((cover, strip))
         assert tuple(edges) == covers_with_strips(vertex, n), vertex
+        assert edges == covers_by_definition(vertex, n), vertex
+        assert [from_dyck_path(p) for p in upper_covers_dyck(to_dyck_path(vertex, n))] \
+            == [cover for cover, _ in edges], vertex
 
 
 def test_cover_kernel_keeps_validation():
@@ -244,14 +236,15 @@ def test_cover_kernel_keeps_validation():
         with pytest.raises(ShapeError):
             covers_with_strips((), n)
     with pytest.raises(ShapeError):
-        cover_graph(0)
+        partitions_in_staircase(0)
 
 
 def test_cover_caches_are_bounded():
     assert not hasattr(covers_with_strips, "cache_info")
-    maxsize = cover_graph.cache_parameters()["maxsize"]
+    assert not hasattr(shapes._steps, "cache_info")
+    maxsize = partitions_in_staircase.cache_parameters()["maxsize"]
     assert maxsize is not None and maxsize > 0
-    assert cover_graph(5) is cover_graph(5)
+    assert partitions_in_staircase(5) is partitions_in_staircase(5)
 
 
 def test_upper_covers_dyck_examples():

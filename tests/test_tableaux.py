@@ -1,4 +1,5 @@
 import random
+import re
 from math import comb
 
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 
 from tamari import tableaux
 from tamari.checks import all_chain_tableaux, candidate_tableaux, random_chain_to_top
-from tamari.shapes import partitions_in_staircase, staircase, strip_of_box, upper_covers
+from tamari.shapes import (
+    ShapeError,
+    partitions_in_staircase,
+    staircase,
+    strip_of_box,
+    upper_covers,
+)
 from tamari.tableaux import (
     ChainError,
     NotChainTableauError,
@@ -161,6 +168,12 @@ def test_random_draws_match_the_uncached_vertex_list():
             bottom = staircase(n - 1)
             assert random_chain_to_top(n, cached_rng, start=bottom) == \
                 uncached(n, plain_rng, start=bottom)
+
+
+def test_a_draw_from_a_shape_outside_the_lattice_names_it():
+    for n, start in ((3, (3,)), (3, (1, 1, 1)), (4, (2, 3))):
+        with pytest.raises(ShapeError, match=re.escape(repr(start))):
+            random_chain_to_top(n, random.Random(1), start=start)
 
 
 def test_roundtrip_at_stated_scale():

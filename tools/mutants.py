@@ -62,6 +62,11 @@ MUTANTS = (
            "top + shape[top - 1] <= level"),
     Mutant("plus-full-top", "counting.py", "if top or d + shape[d - 1] != n:",
            "if d + shape[d - 1] != n:"),
+    # the chain stream and the random draws on the same kernel
+    Mutant("stream-strip-rows", "counting.py", "for row in range(top + 1, d + 1):",
+           "for row in range(top + 2, d + 1):"),
+    Mutant("draw-step", "checks.py", "options[rng.randrange(len(options))][0]",
+           "options[~rng.randrange(len(options))][0]"),
     # older hand-made mutants: counting, cli, checks, tableaux
     Mutant("sweep-prune", "counting.py", "max_length - shape[0]", "max_length - shape[0] - 1"),
     Mutant("plus-full-step", "counting.py", "shape[d] >= shape[d - 1] - 1",
