@@ -103,12 +103,7 @@ def test_path_roundtrip_exhaustive(n):
 def test_vertex_counts_are_catalan():
     catalan = [1, 2, 5, 14, 42, 132, 429, 1430]
     for n, expected in enumerate(catalan, start=1):
-        vertices = partitions_in_staircase(n)
-        assert len(set(vertices)) == len(vertices) == expected
-        # by decreasing box count: the staircase first, the null diagram last
-        assert vertices[0] == staircase(n - 1) and vertices[-1] == ()
-        sizes = [sum(vertex) for vertex in vertices]
-        assert sizes == sorted(sizes, reverse=True)
+        assert len(partitions_in_staircase(n)) == expected
 
 
 def test_prime_heights_simple_paths():
@@ -207,10 +202,28 @@ def covers_by_definition(vertex, n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
+def test_cover_graph_matches_the_definition(n):
+    # the cover relation, walked from every vertex in the order the walkers use,
+    # is the definition's and the Dyck-path swaps', and always leads later in it
+    vertices = partitions_in_staircase(n)
+    assert len(set(vertices)) == len(vertices)
+    # by decreasing box count: the staircase first, the null diagram last
+    assert vertices[0] == staircase(n - 1) and vertices[-1] == ()
+    sizes = [sum(vertex) for vertex in vertices]
+    assert sizes == sorted(sizes, reverse=True)
+    position = {vertex: index for index, vertex in enumerate(vertices)}
+    for index, vertex in enumerate(vertices):
+        edges = list(covers_with_strips(vertex, n))
+        assert edges == covers_by_definition(vertex, n), vertex
+        assert [from_dyck_path(p) for p in upper_covers_dyck(to_dyck_path(vertex, n))] \
+            == [cover for cover, _ in edges], vertex
+        assert all(position[cover] > index for cover, _ in edges), vertex
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_the_unchecked_kernel_is_the_validated_one(n):
     # the box-free kernel steps once per corner, and its rows top+1 .. d are the
-    # rows of the strip that strip_of_box defines and covers_with_strips returns;
-    # its covers, in order, are the definition's and the Dyck-path swaps'
+    # rows of the strip that strip_of_box defines and covers_with_strips returns
     for vertex in partitions_in_staircase(n):
         steps = shapes._steps(vertex)
         assert [(d, vertex[d - 1]) for _, _, d in steps] == corner_boxes(vertex), vertex
@@ -220,9 +233,6 @@ def test_the_unchecked_kernel_is_the_validated_one(n):
             assert [row for row, _ in strip] == list(range(top + 1, d + 1)), vertex
             edges.append((cover, strip))
         assert tuple(edges) == covers_with_strips(vertex, n), vertex
-        assert edges == covers_by_definition(vertex, n), vertex
-        assert [from_dyck_path(p) for p in upper_covers_dyck(to_dyck_path(vertex, n))] \
-            == [cover for cover, _ in edges], vertex
 
 
 def test_cover_kernel_keeps_validation():
