@@ -1,8 +1,10 @@
-"""Property suites behind the ``verify`` command (and reused by the test suite).
+"""Property suites behind the ``verify`` command, and the one home of each property.
 
 Each check returns a :class:`CheckResult`; a failing check carries a
-serializable counterexample.  Limits are deliberately conservative defaults;
-the CLI lets callers raise them.
+serializable counterexample, and its detail names the scale it ran at.  Limits
+are deliberately conservative defaults; the CLI lets callers raise them.  The
+tests call these checks rather than repeat their loops, and tier-1 runs each
+at its stated scale once (README, "Install and test").
 """
 
 from __future__ import annotations
@@ -100,12 +102,6 @@ def _fail(name: str, detail: str, example: dict) -> CheckResult:
 # generators
 
 
-def all_dyck_paths(n: int) -> Iterator[str]:
-    """All Dyck paths of length 2n (one per lattice vertex)."""
-    for vertex in partitions_in_staircase(n):
-        yield to_dyck_path(vertex, n)
-
-
 def all_chain_tableaux(n: int) -> Iterator[Tableau]:
     """Every saturated chain of the n-th lattice ending at the null diagram,
     encoded as a chain tableau (length = chain length, any shape): the chains
@@ -152,7 +148,10 @@ def random_chain_to_top(n: int, rng: random.Random,
 
 
 def random_maximal_chain(n: int, rng: random.Random) -> Tableau:
-    return chain_to_tableau(random_chain_to_top(n, rng, start=staircase(n - 1)), n)
+    """The tableau of ``random_chain_to_top(n, rng, start=staircase(n - 1))``, with the
+    same calls to ``rng``: the chain stream's walker, one random step per vertex."""
+    bottom = _require_vertex(staircase(n - 1), n)
+    return next(_chains_up(n, bottom, choose=lambda s: s[rng.randrange(len(s))]))
 
 
 def candidate_tableaux(n: int, max_length: int) -> Iterator[Tableau]:
@@ -224,7 +223,7 @@ def check_prime_trichotomy(limits: VerifyLimits) -> CheckResult:
     name = "covers/prime-trichotomy"
     top = min(limits.max_n, 8)
     for n in range(1, top + 1):
-        for path in all_dyck_paths(n):
+        for path in (to_dyck_path(vertex, n) for vertex in partitions_in_staircase(n)):
             spans = []
             level = 0
             starts = {}
@@ -421,8 +420,13 @@ def check_repeat_row_roundtrip(limits: VerifyLimits) -> CheckResult:
 def check_repeat_row_characterization(limits: VerifyLimits) -> CheckResult:
     name = "phi/repeat-row-characterization"
     top = min(limits.max_n, 5)
-    for tab in all_chain_tableaux(top):
-        for d in range(1, top + 1):
+    rng = random.Random(limits.seed + 5)
+    big = min(limits.max_n + 2, 7)
+    trials = max(1, limits.samples // 10)
+    drawn = (chain_to_tableau(random_chain_to_top(n, rng), n)
+             for n in (rng.randint(top + 1, big) for _ in range(trials)))
+    for tab in itertools.chain(all_chain_tableaux(top), drawn):
+        for d in range(1, tab.n + 1):
             if prime_path_of_row(tab.shape, tab.n, d).height == d:
                 if not is_chain_tableau(repeat_row(tab, d)):
                     return _fail(name, "duplication left the chain-tableau class",
@@ -436,17 +440,6 @@ def check_repeat_row_characterization(limits: VerifyLimits) -> CheckResult:
                 if not is_chain_tableau(unrepeat_row(tab, d)):
                     return _fail(name, "collapse left the chain-tableau class",
                                  {"rows": [list(r) for r in rows], "d": d})
-    rng = random.Random(limits.seed + 5)
-    big = min(limits.max_n + 2, 7)
-    trials = max(1, limits.samples // 10)
-    for _ in range(trials):
-        n = rng.randint(top + 1, big)
-        tab = chain_to_tableau(random_chain_to_top(n, rng), n)
-        for d in range(1, n + 1):
-            if prime_path_of_row(tab.shape, tab.n, d).height == d:
-                if not is_chain_tableau(repeat_row(tab, d)):
-                    return _fail(name, "duplication left the chain-tableau class",
-                                 {"rows": [list(r) for r in tab.rows], "d": d})
     return _ok(name, f"exhaustive both directions for n <= {top}, "
                      f"{trials} random tableaux up to n = {big}")
 
@@ -495,25 +488,46 @@ def check_append_bijection(limits: VerifyLimits) -> CheckResult:
     return _ok(name, f"exhaustive source/target comparison for n <= {top}")
 
 
+def _growth_failure(tab: Tableau, pfs: tuple[int, ...], r: int, grown: Tableau) -> str | None:
+    """What is wrong with ``grown``, the growth of ``tab`` (plus-full-set labels
+    ``pfs``) at level r, or None."""
+    labels = plus_full_set_labels(grown)
+    if not labels or labels[0] != r + 1:
+        return "grown chain has wrong minimal plus-full-set"
+    if len(labels) != len(pfs) + 1:
+        return "image does not gain exactly one plus-full-set"
+    if extract_plus_full_set(grown) != (r, tab):
+        return "extraction does not invert growth"
+    return None
+
+
+def _misshifted_label(full: set[int], plus: set[int], r: int, grown: Tableau) -> int | None:
+    """The first label j of a chain (full labels ``full``, plus-full ``plus``) whose
+    statuses are not those of label j (j <= r) or j+1 (j > r) of ``grown``, its
+    growth at level r; None if there is none."""
+    grown_full = _full_labels(grown)
+    grown_plus = set(plus_full_set_labels(grown))
+    for j in range(1, grown.length):
+        to = j if j <= r else j + 1
+        if (j in full) != (to in grown_full) or (j in plus) != (to in grown_plus):
+            return j
+    return None
+
+
 def check_growth_roundtrip(limits: VerifyLimits) -> CheckResult:
     name = "phi/roundtrip"
     top = min(limits.max_n, 6)
+    cases = 0
     for n in range(1, top + 1):
         for tab in enumerate_maximal_chains(n):
             pfs = plus_full_set_labels(tab)
             bound = min(pfs) - 1 if pfs else tab.length
             for r in range(0, bound + 1):
-                grown = expand_chain(tab, r)
-                labels = plus_full_set_labels(grown)
-                if not labels or labels[0] != r + 1:
-                    return _fail(name, "grown chain has wrong minimal plus-full-set",
+                if failure := _growth_failure(tab, pfs, r, insert_plus_full_set(tab, r)):
+                    return _fail(name, failure,
                                  {"n": n, "r": r, "rows": [list(x) for x in tab.rows]})
-                if len(labels) != len(pfs) + 1:
-                    return _fail(name, "image does not gain exactly one plus-full-set",
-                                 {"n": n, "r": r, "rows": [list(x) for x in tab.rows]})
-                if extract_plus_full_set(grown) != (r, tab):
-                    return _fail(name, "extraction does not invert growth",
-                                 {"n": n, "r": r, "rows": [list(x) for x in tab.rows]})
+                cases += 1
+    # the random cases also check the label shift and the decomposition
     rng = random.Random(limits.seed + 4)
     big = min(limits.max_n + 1, 7)
     for _ in range(limits.samples):
@@ -521,10 +535,17 @@ def check_growth_roundtrip(limits: VerifyLimits) -> CheckResult:
         pfs = plus_full_set_labels(tab)
         bound = min(pfs) - 1 if pfs else tab.length
         r = rng.randint(0, bound)
-        if extract_plus_full_set(insert_plus_full_set(tab, r)) != (r, tab):
-            return _fail(name, "random round-trip failed",
-                         {"n": big, "r": r, "rows": [list(x) for x in tab.rows]})
-    return _ok(name, f"exhaustive n <= {top} plus {limits.samples} random cases at n = {big}")
+        grown = insert_plus_full_set(tab, r)
+        example = {"n": big, "r": r, "rows": [list(x) for x in tab.rows]}
+        if failure := _growth_failure(tab, pfs, r, grown):
+            return _fail(name, f"random case: {failure}", example)
+        if (j := _misshifted_label(_full_labels(tab), set(pfs), r, grown)) is not None:
+            return _fail(name, "random case: full/plus statuses do not shift as required",
+                         {**example, "j": j})
+        if recompose(decompose(tab)) != tab:
+            return _fail(name, "random case: recompose does not invert decompose", example)
+    return _ok(name, f"{cases} cases exhaustive for n <= {top} plus {limits.samples} "
+                     f"random cases at n = {big} (with label shift and decomposition)")
 
 
 def check_label_shift(limits: VerifyLimits) -> CheckResult:
@@ -535,15 +556,11 @@ def check_label_shift(limits: VerifyLimits) -> CheckResult:
             full = _full_labels(tab)
             plus = set(plus_full_set_labels(tab))
             for r in range(0, tab.length + 1):
-                grown = expand_chain(tab, r)
-                grown_full = _full_labels(grown)
-                grown_plus = set(plus_full_set_labels(grown))
-                for j in range(1, tab.length + 1):
-                    to = j if j <= r else j + 1
-                    if (j in full) != (to in grown_full) or (j in plus) != (to in grown_plus):
-                        return _fail(name, "full/plus statuses do not shift as required",
-                                     {"n": n, "r": r, "j": j,
-                                      "rows": [list(x) for x in tab.rows]})
+                j = _misshifted_label(full, plus, r, expand_chain(tab, r))
+                if j is not None:
+                    return _fail(name, "full/plus statuses do not shift as required",
+                                 {"n": n, "r": r, "j": j,
+                                  "rows": [list(x) for x in tab.rows]})
     return _ok(name, f"exhaustive for n <= {top}")
 
 

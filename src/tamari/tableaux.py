@@ -25,8 +25,10 @@ is classified at most once, however many maps ask for its plus-full-sets.
 
 Every public way to build a :class:`Tableau` validates it.  The private
 ``Tableau._trusted`` skips that, and only maps whose output is correct by
-construction from a validated maximal chain may use it: the growth map and its
-inverse in :mod:`tamari.bijections`.
+construction may use it: the growth map and its inverse in
+:mod:`tamari.bijections`, which start from a validated maximal chain, and the
+chain stream ``tamari.counting._chains_up`` (and its random draws), which
+starts from a validated vertex and labels the rows of each cover step's strip.
 """
 
 from __future__ import annotations
@@ -289,11 +291,14 @@ def chain_to_tableau(chain: Sequence[Sequence[int]], n: int) -> Tableau:
 
 
 def _truncation_shapes(tab: Tableau) -> list[Partition]:
-    """Shapes of the label-<=r sub-tableaux for r = 0..length."""
-    shapes = []
-    for r in range(tab.length + 1):
-        shapes.append(as_partition(
-            sum(1 for value in row if value <= r) for row in tab.rows))
+    """Shapes of the label-<=r sub-tableaux for r = 0..length, each the one before
+    plus the r-set; labels grow along rows and down columns, so empty rows trail."""
+    lengths = [0] * len(tab.rows)
+    shapes = [()]
+    for r in range(1, tab.length + 1):
+        for x, _ in tab.r_set(r):
+            lengths[x - 1] += 1
+        shapes.append(tuple([length for length in lengths if length]))
     return shapes
 
 

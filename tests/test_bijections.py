@@ -18,15 +18,7 @@ from tamari.bijections import (
     repeat_row,
     unrepeat_row,
 )
-from tamari.checks import (
-    VerifyLimits,
-    check_append_bijection,
-    check_decomposition,
-    check_growth_image_counts,
-    check_label_shift,
-    check_repeat_row_characterization,
-    random_maximal_chain,
-)
+from tamari.checks import random_maximal_chain
 from tamari.tableaux import (
     RSetClass,
     Tableau,
@@ -53,14 +45,6 @@ def test_unrepeat_row():
     assert unrepeat_row(Tableau(3, ()), 2) == Tableau(2, ())
     with pytest.raises(TableauError):
         unrepeat_row(widened, 2)  # rows 2 and 3 differ
-
-
-def test_repeat_row_roundtrip_random():
-    rng = random.Random(5)
-    for _ in range(400):
-        tab = random_maximal_chain(6, rng)
-        d = rng.randint(1, 6)
-        assert unrepeat_row(repeat_row(tab, d), d) == tab
 
 
 def test_append_next_label():
@@ -159,17 +143,6 @@ def test_recompose_examples():
         recompose(ChainDecomposition(BASE, (4,)))  # level above the base length
 
 
-def test_decomposition_roundtrip_exhaustive(chains_by_order):
-    for n in range(1, 6):
-        for tab in chains_by_order[n]:
-            dec = decompose(tab)
-            assert not plus_full_set_labels(dec.base)
-            assert list(dec.params) == sorted(dec.params)
-            expected = tuple(sorted(r + j + 1 for j, r in enumerate(dec.params)))
-            assert plus_full_set_labels(tab) == expected
-            assert recompose(dec) == tab
-
-
 def test_witness_chains():
     assert chain_without_plus_full_sets(-1) == Tableau(1, ())
     assert chain_without_plus_full_sets(0) == BASE
@@ -182,15 +155,6 @@ def test_witness_chains():
         assert tab.is_staircase
         assert is_chain_tableau(tab)
         assert plus_full_set_labels(tab) == ()
-
-
-def test_property_checks_small():
-    limits = VerifyLimits(max_n=4, max_i=1, samples=200, seed=11)
-    for check in (check_repeat_row_characterization, check_append_bijection,
-                  check_label_shift, check_growth_image_counts,
-                  check_decomposition):
-        result = check(limits)
-        assert result.passed, result
 
 
 def test_expand_chain_is_the_paper_construction(chains_by_order):
@@ -260,6 +224,15 @@ def test_trusted_outputs_are_valid_tableaux(chains_by_order):
             labels = plus_full_set_labels(tab)
             if labels:
                 _as_validated(_shrink(tab, labels[0] - 1))
+
+
+def test_streamed_and_drawn_tableaux_are_valid_chain_tableaux(chains_by_order):
+    # the chain stream builds its tableaux unvalidated too, and so do its draws
+    draws = [random_maximal_chain(n, rng) for n in range(1, 9)
+             for rng in [random.Random(n)] for _ in range(500)]
+    for tab in [*(tab for n in range(1, 7) for tab in chains_by_order[n]), *draws]:
+        _as_validated(tab)
+        assert is_chain_tableau(tab), tab
 
 
 def test_decompose_classifies_each_chain_once(monkeypatch):

@@ -353,21 +353,3 @@ def test_mutual_inversion_on_committed_values():
                        for t in range(1, n + 1))
             assert back == (fixture.get((i, n), 0) if n <= 2 * i + 3 else 0)
 
-
-def test_degree_of_the_counting_polynomial():
-    for i in (-1, 0, 1, 2):
-        table = nofull_initial_values(i)
-        degree = 3 * i + 3
-        values = [chains_count(i, n, table) for n in range(1, degree + 4)]
-        diffs = values
-        for _ in range(degree):
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        assert all(d == table.get(2 * i + 3, 0) for d in diffs)
-        final = [b - a for a, b in zip(diffs, diffs[1:])]
-        assert all(d == 0 for d in final)
-
-
-def test_enumerated_chains_have_valid_plus_full_counts(chains_by_order, censuses):
-    for n in (4, 5):
-        nofull = sum(1 for tab in chains_by_order[n] if not plus_full_set_labels(tab))
-        assert nofull == sum(censuses[n].nofull_by_length.values())

@@ -264,26 +264,12 @@ def test_upper_covers_dyck_examples():
     assert [from_dyck_path(p) for p in covers] == upper_covers((3, 2, 1), 4)
 
 
-def test_prime_trichotomy_at_full_scale():
-    from tamari.checks import VerifyLimits, check_prime_trichotomy
+def test_covers_suite_at_stated_scale():
+    # orders <= 8; monotone heights on 200 random chains at <= 7, cover sets at <= 6
+    from tamari.checks import VerifyLimits, run_suite
 
-    result = check_prime_trichotomy(VerifyLimits(max_n=8))
-    assert result.passed, result
-
-
-def test_monotone_heights_at_stated_scale():
-    from tamari.checks import VerifyLimits, check_monotone_heights
-
-    result = check_monotone_heights(VerifyLimits(max_n=7, samples=4000, seed=23))
-    assert result.passed, result
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_cover_sets_agree_across_representations(n):
-    for vertex in partitions_in_staircase(n):
-        through_paths = [from_dyck_path(p)
-                         for p in upper_covers_dyck(to_dyck_path(vertex, n))]
-        assert through_paths == upper_covers(vertex, n)
+    for result in run_suite("covers", VerifyLimits(max_n=8, samples=4000, seed=23)):
+        assert result.passed, result
 
 
 def test_enclosure_with_virtual_row():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamari import tableaux
+from tamari import checks, tableaux
 from tamari.checks import all_chain_tableaux, candidate_tableaux, random_chain_to_top
 from tamari.shapes import (
     ShapeError,
@@ -104,9 +104,7 @@ def test_derived_values_equal_a_fresh_recomputation(chains_by_order):
             assert tab._r_sets == {r: tuple(box for value, box in boxes if value == r)
                                    for r in range(1, length + 1)}
             assert tab.is_staircase and shape == staircase(n - 1)
-            assert plus_full_set_labels(tab) == tuple(
-                r for r in range(1, length + 1)
-                if classify_r_set(tab, r) is RSetClass.PLUS_FULL)
+            assert plus_full_set_labels(tab) == _labels_by_definition(tab)
 
 
 def test_reading_derived_values_keeps_equality_hash_and_repr():
@@ -170,6 +168,15 @@ def test_random_draws_match_the_uncached_vertex_list():
                 uncached(n, plain_rng, start=bottom)
 
 
+def test_a_maximal_chain_draw_is_the_tableau_of_a_chain_draw():
+    for n in range(1, 9):
+        walked, stepped = random.Random(n), random.Random(n)
+        for _ in range(200):
+            chain = random_chain_to_top(n, stepped, start=staircase(n - 1))
+            assert checks.random_maximal_chain(n, walked) == chain_to_tableau(chain, n)
+            assert walked.getstate() == stepped.getstate()  # the same calls to the rng
+
+
 def test_a_draw_from_a_shape_outside_the_lattice_names_it():
     for n, start in ((3, (3,)), (3, (1, 1, 1)), (4, (2, 3))):
         with pytest.raises(ShapeError, match=re.escape(repr(start))):
@@ -177,10 +184,12 @@ def test_a_draw_from_a_shape_outside_the_lattice_names_it():
 
 
 def test_roundtrip_at_stated_scale():
-    from tamari.checks import VerifyLimits, check_encoding_roundtrip
-
-    result = check_encoding_roundtrip(VerifyLimits(max_n=6, samples=10_000, seed=17))
-    assert result.passed, result
+    # orders <= 6 (equal rows: all chains to the top at 5), 10,000 random chains at 7
+    limits = checks.VerifyLimits(max_n=6, samples=10_000, seed=17)
+    for check in (checks.check_encoding_roundtrip, checks.check_pfs_bound,
+                  checks.check_outer_diagonal_distinct, checks.check_equal_rows):
+        result = check(limits)
+        assert result.passed, result
 
 
 def test_truncate():
@@ -230,14 +239,8 @@ def test_is_chain_tableau_examples():
 
 
 def test_characterization_agrees_with_decoding():
-    for tab in candidate_tableaux(4, max_length=6):
-        by_strips = is_chain_tableau(tab)
-        try:
-            tableau_to_chain(tab)
-            by_covers = True
-        except NotChainTableauError:
-            by_covers = False
-        assert by_strips == by_covers
+    result = checks.check_characterization(checks.VerifyLimits(max_n=4))
+    assert result.passed, result
 
 
 def test_classify_r_set_on_the_short_lattice():
@@ -257,29 +260,6 @@ def test_plus_full_set_labels_examples(chains_by_order):
     length_four = [tab for tab in chains_by_order[4] if tab.length == 4]
     assert sorted(plus_full_set_labels(tab) for tab in length_four) == \
         [(1,), (2,), (3,), (4,)]
-
-
-def test_plus_full_set_count_bound(chains_by_order):
-    for n in range(1, 7):
-        for tab in chains_by_order[n]:
-            # by the definition: the diagonal scan cannot return more than n-1 labels
-            count = sum(1 for r in range(1, tab.length + 1)
-                        if classify_r_set(tab, r) is RSetClass.PLUS_FULL)
-            assert count <= n - 1 or n == 1
-
-
-def test_outer_diagonal_labels_distinct(chains_by_order):
-    for n in range(1, 7):
-        for tab in chains_by_order[n]:
-            labels = [tab.label(x, y) for x, y in outer_diagonal(tab)]
-            assert len(labels) == len(set(labels))
-
-
-def test_equal_length_rows_are_identical():
-    for tab in all_chain_tableaux(5):
-        for upper, lower in zip(tab.rows, tab.rows[1:]):
-            if len(upper) == len(lower):
-                assert upper == lower
 
 
 def test_text_format_roundtrip():
@@ -353,12 +333,6 @@ def test_from_text_rejects_non_integer_labels():
 def _labels_by_definition(tab):
     return tuple(r for r in range(1, tab.length + 1)
                  if classify_r_set(tab, r) is RSetClass.PLUS_FULL)
-
-
-def test_diagonal_scan_matches_the_definition_on_chains(chains_by_order):
-    for n in range(1, 7):
-        for tab in chains_by_order[n]:
-            assert plus_full_set_labels(tab) == _labels_by_definition(tab)
 
 
 def test_diagonal_scan_matches_the_definition_on_staircase_tableaux():
