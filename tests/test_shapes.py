@@ -264,11 +264,37 @@ def test_upper_covers_dyck_examples():
     assert [from_dyck_path(p) for p in covers] == upper_covers((3, 2, 1), 4)
 
 
-def test_covers_suite_at_stated_scale():
-    # orders <= 8; monotone heights on 200 random chains at <= 7, cover sets at <= 6
-    from tamari.checks import VerifyLimits, run_suite
+def test_prime_trichotomy_at_full_scale():
+    from tamari.checks import VerifyLimits, check_prime_trichotomy
 
-    for result in run_suite("covers", VerifyLimits(max_n=8, samples=4000, seed=23)):
+    result = check_prime_trichotomy(VerifyLimits(max_n=8))
+    assert result.passed, result
+
+
+def test_monotone_heights_at_stated_scale():
+    from tamari.checks import VerifyLimits, check_monotone_heights
+
+    result = check_monotone_heights(VerifyLimits(max_n=7, samples=4000, seed=23))
+    assert result.passed, result
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cover_sets_agree_across_representations(n):
+    # covers/path-vs-diagram at orders <= n (the check caps at 6)
+    from tamari.checks import VerifyLimits, check_cover_equivalence
+
+    result = check_cover_equivalence(VerifyLimits(max_n=n))
+    assert result.passed, result
+
+
+def test_strip_translation_and_poset_extremes_at_stated_scale():
+    # the covers checks without a test of their own: 1,000 strip pairs at orders <= 8,
+    # extremes at <= 8 (path round trip: test_path_roundtrip_exhaustive)
+    from tamari.checks import VerifyLimits, check_poset_extremes, check_strip_translation
+
+    limits = VerifyLimits(max_n=8, samples=4000, seed=23)
+    for check in (check_strip_translation, check_poset_extremes):
+        result = check(limits)
         assert result.passed, result
 
 
