@@ -21,9 +21,8 @@ maximal chain by construction, so both build it with the unvalidated
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
-from .shapes import staircase
+from .shapes import _Value, staircase
 from .tableaux import (
     Tableau,
     TableauError,
@@ -162,8 +161,7 @@ def extract_plus_full_set(chain: Tableau) -> tuple[int, Tableau]:
     return r, _shrink(chain, r)
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(_Value):
     """A plus-full-set-free base chain plus the growth levels applied to it.
 
     ``params`` is weakly increasing with ``0 <= params[-1] <= base.length``;
@@ -171,8 +169,11 @@ class ChainDecomposition:
     ``{params[j] + j + 1}``.
     """
 
-    base: Tableau
-    params: tuple[int, ...]
+    __slots__ = __match_args__ = ("base", "params")
+
+    def __init__(self, base: Tableau, params: tuple[int, ...]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "params", params)
 
 
 def decompose(chain: Tableau) -> ChainDecomposition:

@@ -24,14 +24,13 @@ Everything is exact integer arithmetic; there is no floating point here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .shapes import Partition, ShapeError, _steps, staircase
+from .shapes import Partition, ShapeError, _steps, _Value, staircase
 from .tableaux import Tableau, plus_full_set_labels
 
 # bound at import, so that rebinding the name ``Tableau`` here (the benchmark's
@@ -43,15 +42,21 @@ class IncompleteTableError(ValueError):
     """A required initial value N_i(t) is missing from the supplied table."""
 
 
-@dataclass(frozen=True)
-class LengthHistogram:
-    """Counts of maximal chains of the n-th lattice, keyed by chain length."""
+class LengthHistogram(_Value):
+    """Counts of maximal chains of the n-th lattice, keyed by chain length.
 
-    n: int
-    counts: Mapping[int, int]
+    ``counts`` is a read-only copy of the mapping passed in, so a histogram
+    is unhashable; copies and pickles rebuild it from a plain dict.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+    __slots__ = __match_args__ = ("n", "counts")
+
+    def __init__(self, n: int, counts: Mapping[int, int]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", MappingProxyType(dict(counts)))
+
+    def __reduce__(self):
+        return LengthHistogram, (self.n, dict(self.counts))
 
     def get(self, length: int) -> int:
         return self.counts.get(length, 0)
@@ -207,19 +212,30 @@ def _chains_up(n: int, start: Partition, length: int | None = None,
     return walk(start, 0)
 
 
-@dataclass
 class ChainCensus:
     """Plus-full-set tallies over all maximal chains of the n-th lattice.
 
     ``by_length`` counts chains by length, ``nofull_by_length`` those with no
     plus-full-set, and ``min_plus_full`` maps a length to a tally of the
-    minimal plus-full-set label over the remaining chains.
+    minimal plus-full-set label over the remaining chains.  Each tally left
+    out starts as a new empty dict.  A census is mutable, so it is unhashable;
+    equality and repr are those of the value types (``shapes._Value``).
     """
 
-    n: int
-    by_length: dict[int, int] = field(default_factory=dict)
-    nofull_by_length: dict[int, int] = field(default_factory=dict)
-    min_plus_full: dict[int, dict[int, int]] = field(default_factory=dict)
+    __match_args__ = ("n", "by_length", "nofull_by_length", "min_plus_full")
+
+    def __init__(self, n: int, by_length: dict[int, int] | None = None,
+                 nofull_by_length: dict[int, int] | None = None,
+                 min_plus_full: dict[int, dict[int, int]] | None = None) -> None:
+        self.n = n
+        self.by_length = {} if by_length is None else by_length
+        self.nofull_by_length = {} if nofull_by_length is None else nofull_by_length
+        self.min_plus_full = {} if min_plus_full is None else min_plus_full
+
+    _values = _Value._values
+    __eq__ = _Value.__eq__
+    __hash__ = None
+    __repr__ = _Value.__repr__
 
 
 def is_plus_full_step(shape: Partition, top: int, d: int, n: int) -> bool:

@@ -29,11 +29,18 @@ Conventions (pinned once, used repo-wide):
   weakly above the diagonal.  Row ``j`` of a diagram corresponds to the
   ``(n+1-j)``-th north step, so the null diagram maps to ``N^n E^n`` and the
   staircase to ``(NE)^n``.
+
+The small value types of the package (:class:`PrimePathInfo` and
+:class:`Enclosure` here, ``tableaux.Tableau``, ``bijections.ChainDecomposition``
+and ``counting.LengthHistogram``) derive from :class:`_Value`, an immutable
+base whose fields are its ``__match_args__``; ``counting.ChainCensus`` borrows
+its ``__eq__`` and ``__repr__`` and stays mutable.  They are plain classes, so
+importing ``tamari`` or ``tamari.cli`` runs no class generator and loads no
+``inspect``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -46,6 +53,44 @@ EAST = "E"
 
 class ShapeError(ValueError):
     """Malformed partition, path or box, or a containment violation."""
+
+
+class _Value:
+    """Immutable record whose fields are named by ``__match_args__``.
+
+    Subclasses write their own ``__init__`` (with ``object.__setattr__``).
+    Equality holds only between instances of the same class, the hash is that
+    of the field tuple, the repr is ``Name(field=value, ...)``, and copies and
+    pickles rebuild the instance from its fields.  Assigning or deleting an
+    attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def staircase(k: int) -> Partition:
@@ -183,13 +228,15 @@ def prime_subpath_heights(path: str) -> tuple[int, ...]:
     return tuple((end - start) // 2 for start, end in _prime_spans(path))
 
 
-@dataclass(frozen=True)
-class PrimePathInfo:
+class PrimePathInfo(_Value):
     """The prime Dyck subpath attached to a row of a diagram."""
 
-    start_row: int
-    height: int
-    steps: str
+    __slots__ = __match_args__ = ("start_row", "height", "steps")
+
+    def __init__(self, start_row: int, height: int, steps: str) -> None:
+        object.__setattr__(self, "start_row", start_row)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "steps", steps)
 
 
 def prime_path_of_row(parts: Sequence[int], n: int, d: int) -> PrimePathInfo:
@@ -301,17 +348,19 @@ def upper_covers_dyck(path: str) -> list[str]:
     return covers
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(_Value):
     """Bounding region of a strip, possibly reaching the virtual row 0.
 
     ``shape`` lists row lengths from ``top_row`` downward; the box set includes
     the row-0 boxes (written ``(0, col)``) when the window reaches that high.
     """
 
-    top_row: int
-    shape: Partition
-    boxes: tuple[Box, ...]
+    __slots__ = __match_args__ = ("top_row", "shape", "boxes")
+
+    def __init__(self, top_row: int, shape: Partition, boxes: tuple[Box, ...]) -> None:
+        object.__setattr__(self, "top_row", top_row)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "boxes", boxes)
 
 
 def enclosure(parts: Sequence[int], n: int, box: Box) -> Enclosure:

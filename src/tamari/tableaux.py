@@ -29,18 +29,20 @@ construction may use it: the growth map and its inverse in
 :mod:`tamari.bijections`, which start from a validated maximal chain, and the
 chain stream ``tamari.counting._chains_up`` (and its random draws), which
 starts from a validated vertex and labels the rows of each cover step's strip.
+Copies and pickles rebuild a tableau with ``Tableau(n, rows)``, so they
+validate it again.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from typing import Sequence
 
 from .shapes import (
     Box,
     Partition,
+    _Value,
     as_partition,
     contained_in_staircase,
     covers_with_strips,
@@ -114,27 +116,32 @@ def validate_tableau(rows: Sequence[Sequence[int]]) -> bool:
     return not labels or max(labels) == len(labels)
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(_Value):
     """Immutable labeled diagram inside the staircase of order ``n - 1``.
 
     ``rows`` holds the labels row by row.  Construction validates the tableau
     conditions, so every instance satisfies them (``_trusted`` instances by
     construction); whether the labels encode an actual chain is the separate
     predicate :func:`is_chain_tableau`.
+
+    The fields ``n`` and ``rows`` and the derived values live in the instance
+    ``__dict__``.  ``__init__``, ``__eq__`` and ``__hash__`` are written out
+    rather than inherited from the generic loops of ``shapes._Value``, since
+    the chain surgery builds and compares tableaux on its hot path.
     """
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    __match_args__ = ("n", "rows")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        if type(self.n) is not int or self.n < 1:
-            raise TableauError(f"ambient parameter must be an integer >= 1, got {self.n!r}")
-        if not validate_tableau(self.rows):
-            raise TableauError(f"not a valid tableau: {self.rows!r}")
-        if not contained_in_staircase(self.shape, self.n):
-            raise TableauError(f"shape {self.shape!r} does not fit ambient {self.n}")
+    def __init__(self, n: int, rows: Sequence[Sequence[int]]) -> None:
+        rows = tuple(map(tuple, rows))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+        if type(n) is not int or n < 1:
+            raise TableauError(f"ambient parameter must be an integer >= 1, got {n!r}")
+        if not validate_tableau(rows):
+            raise TableauError(f"not a valid tableau: {rows!r}")
+        if not contained_in_staircase(self.shape, n):
+            raise TableauError(f"shape {self.shape!r} does not fit ambient {n}")
 
     @classmethod
     def _trusted(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
@@ -144,6 +151,14 @@ class Tableau:
         object.__setattr__(tab, "n", n)
         object.__setattr__(tab, "rows", rows)
         return tab
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.rows) == (other.n, other.rows)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
 
     @_once
     def shape(self) -> Partition:

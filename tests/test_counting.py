@@ -241,14 +241,6 @@ def test_chains_count_requires_needed_entries():
     assert chains_count(0, 2, {1: 0, 2: 0}) == 0  # t=3 has zero weight at n=2
 
 
-def test_recursion_equals_walk_small():
-    for n in range(1, 7):
-        hist = count_by_length(n)
-        for i in range(-1, comb(n, 2) - n + 1):
-            table = nofull_initial_values(i, max_t=n)
-            assert chains_count(i, n, table) == hist.get(n + i)
-
-
 def test_recursion_equals_walk_extended_order_eight():
     hist = count_by_length(8)
     for i in range(-1, comb(8, 2) - 8 + 1):

@@ -182,11 +182,6 @@ def test_pentagon_cover_structure():
     assert upper_covers((1,), 3) == [()]
 
 
-def test_bottom_element_has_n_minus_one_covers():
-    for n in range(2, 8):
-        assert len(upper_covers(staircase(n - 1), n)) == n - 1
-
-
 def covers_by_definition(vertex, n):
     """Per corner, by increasing row: the strip from the prime path of the corner's
     row, and the diagram left when that strip is removed."""
@@ -289,7 +284,8 @@ def test_cover_sets_agree_across_representations(n):
 
 def test_strip_translation_and_poset_extremes_at_stated_scale():
     # the covers checks without a test of their own: 1,000 strip pairs at orders <= 8,
-    # extremes at <= 8 (path round trip: test_path_roundtrip_exhaustive)
+    # extremes (the bottom's n-1 covers, one shortest chain) at orders 2..8
+    # (path round trip: test_path_roundtrip_exhaustive)
     from tamari.checks import VerifyLimits, check_poset_extremes, check_strip_translation
 
     limits = VerifyLimits(max_n=8, samples=4000, seed=23)

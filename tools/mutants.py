@@ -100,6 +100,11 @@ MUTANTS = (
            "params.append(labels[-1] - 1)"),
     Mutant("cache-merge", "cli.py", 'for i, row in stored["nofull"].items():',
            "for i, row in ():"),
+    # the value types: a tableau's equality and the immutability of the records
+    Mutant("tableau-eq-rows", "tableaux.py", "return (self.n, self.rows) == (other.n, other.rows)",
+           "return self.rows == other.rows"),
+    Mutant("value-setattr", "shapes.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
+           "object.__setattr__(self, name, value)"),
 )
 
 
