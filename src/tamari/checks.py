@@ -19,7 +19,6 @@ from .shapes import (
     Box,
     Partition,
     _require_vertex,
-    _steps,
     enclosure,
     from_dyck_path,
     partitions_in_staircase,
@@ -62,12 +61,12 @@ from .counting import (
     conjecture_values,
     count_by_length,
     enumerate_maximal_chains,
-    equal_representation_check,
     inclusion_exclusion,
     initial_values,
+    is_plus_full_step,
     longest_chain_count,
     nofull_initial_values,
-    vanishing_check,
+    sweep,
 )
 
 
@@ -96,6 +95,11 @@ def _ok(name: str, detail: str) -> CheckResult:
 
 def _fail(name: str, detail: str, example: dict) -> CheckResult:
     return CheckResult(name, False, detail, example)
+
+
+def _routes_disagree(name: str, exc: RouteMismatch) -> CheckResult:
+    return _fail(name, "inclusion-exclusion disagrees with classification",
+                 {"i": exc.i, "t": exc.t, "ie": exc.ie, "brute": exc.brute})
 
 
 # ---------------------------------------------------------------------------
@@ -127,31 +131,19 @@ def stream_census(n: int) -> ChainCensus:
     return result
 
 
-def random_chain_to_top(n: int, rng: random.Random,
-                        start: Partition | None = None) -> list[Partition]:
-    """A saturated chain from a (random) vertex up to the null diagram,
-    returned top-first as :func:`tamari.tableaux.chain_to_tableau` expects.
+def random_chain(n: int, rng: random.Random, start: Partition | None = None) -> Tableau:
+    """A random saturated chain from ``start`` up to the null diagram, as a chain
+    tableau of ``start``'s shape: the chain stream's walker taking one random step
+    per vertex, in :func:`upper_covers` order, so a seed always gives the same chain.
 
-    A random start is a uniform index into :func:`partitions_in_staircase`; the
-    start is validated once.  Each step takes a random upper cover, listed in
-    :func:`upper_covers` order, so a seed always gives the same chain.
+    With no start given, the start is a uniform index into
+    :func:`partitions_in_staircase`; the start is validated once.
     """
     if start is None:
         vertices = partitions_in_staircase(n)
         start = vertices[rng.randrange(len(vertices))]
-    steps = [_require_vertex(start, n)]
-    while steps[-1]:
-        options = _steps(steps[-1])
-        steps.append(options[rng.randrange(len(options))][0])
-    steps.reverse()
-    return steps
-
-
-def random_maximal_chain(n: int, rng: random.Random) -> Tableau:
-    """The tableau of ``random_chain_to_top(n, rng, start=staircase(n - 1))``, with the
-    same calls to ``rng``: the chain stream's walker, one random step per vertex."""
-    bottom = _require_vertex(staircase(n - 1), n)
-    return next(_chains_up(n, bottom, choose=lambda s: s[rng.randrange(len(s))]))
+    start = _require_vertex(start, n)
+    return next(_chains_up(n, start, choose=lambda s: s[rng.randrange(len(s))]))
 
 
 def candidate_tableaux(n: int, max_length: int) -> Iterator[Tableau]:
@@ -256,7 +248,7 @@ def check_monotone_heights(limits: VerifyLimits) -> CheckResult:
     trials = max(1, limits.samples // 20)
     for _ in range(trials):
         n = rng.randint(1, top)
-        chain = random_chain_to_top(n, rng)
+        chain = tableau_to_chain(random_chain(n, rng))
         heights = [prime_subpath_heights(to_dyck_path(v, n)) for v in chain]
         for upper, lower in zip(heights, heights[1:]):
             if any(u < l for u, l in zip(upper, lower)):
@@ -335,9 +327,9 @@ def check_encoding_roundtrip(limits: VerifyLimits) -> CheckResult:
     rng = random.Random(limits.seed + 2)
     big = min(limits.max_n + 1, 7)
     for _ in range(limits.samples):
-        chain = random_chain_to_top(big, rng)
-        tab = chain_to_tableau(chain, big)
-        if tableau_to_chain(tab) != tuple(chain):
+        tab = random_chain(big, rng)
+        chain = tableau_to_chain(tab)
+        if chain_to_tableau(chain, big) != tab:
             return _fail(name, "random round-trip failed",
                          {"n": big, "chain": [list(v) for v in chain]})
     return _ok(name, f"exhaustive n <= {top} plus {limits.samples} random chains at n = {big}")
@@ -409,7 +401,7 @@ def check_repeat_row_roundtrip(limits: VerifyLimits) -> CheckResult:
     rng = random.Random(limits.seed + 3)
     big = min(limits.max_n + 1, 7)
     for _ in range(limits.samples):
-        tab = random_maximal_chain(big, rng)
+        tab = random_chain(big, rng, start=staircase(big - 1))
         d = rng.randint(1, big)
         if unrepeat_row(repeat_row(tab, d), d) != tab:
             return _fail(name, "row duplication does not round-trip",
@@ -423,8 +415,7 @@ def check_repeat_row_characterization(limits: VerifyLimits) -> CheckResult:
     rng = random.Random(limits.seed + 5)
     big = min(limits.max_n + 2, 7)
     trials = max(1, limits.samples // 10)
-    drawn = (chain_to_tableau(random_chain_to_top(n, rng), n)
-             for n in (rng.randint(top + 1, big) for _ in range(trials)))
+    drawn = (random_chain(n, rng) for n in (rng.randint(top + 1, big) for _ in range(trials)))
     for tab in itertools.chain(all_chain_tableaux(top), drawn):
         for d in range(1, tab.n + 1):
             if prime_path_of_row(tab.shape, tab.n, d).height == d:
@@ -531,7 +522,7 @@ def check_growth_roundtrip(limits: VerifyLimits) -> CheckResult:
     rng = random.Random(limits.seed + 4)
     big = min(limits.max_n + 1, 7)
     for _ in range(limits.samples):
-        tab = random_maximal_chain(big, rng)
+        tab = random_chain(big, rng, start=staircase(big - 1))
         pfs = plus_full_set_labels(tab)
         bound = min(pfs) - 1 if pfs else tab.length
         r = rng.randint(0, bound)
@@ -632,7 +623,11 @@ def check_recursion_vs_walk(limits: VerifyLimits) -> CheckResult:
     top = min(limits.max_n, 7)
     for n in range(1, top + 1):
         hist = count_by_length(n)
-        for i, table in initial_values(range(-1, comb(n, 2) - n + 1), n).items():
+        try:
+            tables = initial_values(range(-1, comb(n, 2) - n + 1), n)
+        except RouteMismatch as exc:
+            return _routes_disagree(name, exc)
+        for i, table in tables.items():
             if chains_count(i, n, table) != hist.get(n + i):
                 return _fail(name, "recursion disagrees with the lattice walk",
                              {"i": i, "n": n,
@@ -659,15 +654,17 @@ def check_initial_values_vs_brute(limits: VerifyLimits) -> CheckResult:
     try:
         initial_values(range(-1, top_i + 1), top)
     except RouteMismatch as exc:
-        return _fail(name, "inclusion-exclusion disagrees with classification",
-                     {"i": exc.i, "t": exc.t, "ie": exc.ie, "brute": exc.brute})
+        return _routes_disagree(name, exc)
     return _ok(name, f"i <= {top_i}, t <= {top}")
 
 
 def check_degree(limits: VerifyLimits) -> CheckResult:
     name = "formulas/polynomial-degree"
     for i in range(-1, min(limits.max_i, 2) + 1):
-        table = nofull_initial_values(i)
+        try:
+            table = nofull_initial_values(i)
+        except RouteMismatch as exc:
+            return _routes_disagree(name, exc)
         degree = 3 * i + 3
         values = [chains_count(i, n, table) for n in range(1, degree + 4)]
         diffs = values
@@ -696,25 +693,49 @@ def check_longest(limits: VerifyLimits) -> CheckResult:
 
 
 def check_vanishing(limits: VerifyLimits) -> CheckResult:
+    """For n >= 2i+4 no chain of length n+i avoids plus-full-sets, and the minimal
+    plus-full-set labels split the chains into the nonempty classes 1..3i+4."""
     name = "formulas/vanishing"
     top = min(limits.max_n, 7)
     done = []
     for i in (-1, 0, 1):
         for n in range(max(2 * i + 4, 1), top + 1):
-            if not vanishing_check(i, n):
+            summary = census(n)
+            if summary.nofull_by_length.get(n + i, 0):
                 return _fail(name, "a chain avoids plus-full-sets past the threshold",
                              {"i": i, "n": n})
+            # the census tallies are positive and sum to by_length by construction
+            if set(summary.min_plus_full.get(n + i, {})) != set(range(1, 3 * i + 5)):
+                return _fail(name, "the minimal labels do not fill 1..3i+4", {"i": i, "n": n})
             done.append((i, n))
     return _ok(name, f"checked {done}")
 
 
 def check_equal_representation(limits: VerifyLimits) -> CheckResult:
+    """For every set U of at most n-1 labels of 1..n+i, with t = |U|: the chains of
+    length n+i whose plus-full-set labels are exactly U number N_i(n-t), and those
+    whose labels contain U number #C_i(n-t).  The label sets come from the chain
+    stream classified by :func:`plus_full_set_labels`, so the cases stay at n <= 7."""
     name = "formulas/equal-representation"
     cases = [(0, 4), (0, 5), (1, 5), (1, 6)]
     cases = [(i, n) for i, n in cases if n <= limits.max_n + 1 and i <= limits.max_i]
     for i, n in cases:
-        if not equal_representation_check(i, n):
-            return _fail(name, "subset counts break equal representation", {"i": i, "n": n})
+        length = n + i
+        tallies: dict[frozenset[int], int] = {}
+        for tab in enumerate_maximal_chains(n, length=length):
+            labels = frozenset(plus_full_set_labels(tab))
+            tallies[labels] = tallies.get(labels, 0) + 1
+        for t in range(n):
+            expected = (sweep(n - t, n - t + i, is_plus_full_step).get(n - t + i, 0),
+                        count_by_length(n - t).get(n - t + i))
+            for subset in itertools.combinations(range(1, length + 1), t):
+                wanted = frozenset(subset)
+                exact = tallies.get(wanted, 0)
+                superset = sum(count for labels, count in tallies.items() if wanted <= labels)
+                if (exact, superset) != expected:
+                    return _fail(name, "subset counts break equal representation",
+                                 {"i": i, "n": n, "labels": list(subset),
+                                  "exact": exact, "superset": superset})
     return _ok(name, f"cases {cases}")
 
 
@@ -741,7 +762,10 @@ def check_mutual_inversion(limits: VerifyLimits) -> CheckResult:
 def check_conjecture(limits: VerifyLimits) -> CheckResult:
     name = "conjecture/products"
     top_i = min(limits.max_i, 2)
-    table = initial_values(range(-1, top_i + 1), 2 * top_i + 3)
+    try:
+        table = initial_values(range(-1, top_i + 1), 2 * top_i + 3)
+    except RouteMismatch as exc:
+        return _routes_disagree(name, exc)
     for i in range(-1, top_i + 1):
         for n, product in zip((2 * i + 3, 2 * i + 2), conjecture_values(i)):
             if product is None:

@@ -11,7 +11,7 @@ Two independent routes are kept side by side on purpose:
   an edge filter rejects (:func:`is_plus_full_step` leaves the chains with no
   plus-full-set), and :func:`census` also tallies the minimal plus-full-set labels.
   :func:`enumerate_maximal_chains` streams the chain tableaux up the same kernel
-  (the random draws of :mod:`tamari.checks` walk one step of it per vertex);
+  (the random draw :func:`tamari.checks.random_chain` takes one step of it per vertex);
   classified by :func:`tamari.tableaux.plus_full_set_labels`, they are the brute
   oracle the sweeps are tested against; and
 * the *recursion*: the count of maximal chains of length n+i is
@@ -25,13 +25,12 @@ Everything is exact integer arithmetic; there is no floating point here.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .shapes import Partition, ShapeError, _steps, _Value, staircase
-from .tableaux import Tableau, plus_full_set_labels
+from .tableaux import Tableau
 
 # bound at import, so that rebinding the name ``Tableau`` here (the benchmark's
 # tracer wraps it) leaves the stream's constructor alone
@@ -101,11 +100,11 @@ def _unpack(packed: int, width: int) -> dict[int, int]:
     return fields
 
 
-def _climb(n: int, start: int,
-           advance: Callable[[Partition, int], tuple[int, int] | None],
+def _climb(n: int, advance: Callable[[Partition, int], tuple[int, int] | None],
            marked: Callable[..., bool] | None = None) -> int:
-    """The state that reaches the null diagram of the n-th lattice from ``start`` at the
-    staircase.  A state is one int packing chain counts into fields (:func:`_field_width`).
+    """The state that reaches the null diagram of the n-th lattice from the state 1 (one
+    chain, of length 0) at the staircase.  A state is one int packing chain counts into
+    fields (:func:`_field_width`).
 
     Each box-count level maps its reachable vertices to their states and is freed
     once pushed; a step removing a strip goes that many boxes up, and states merge by
@@ -116,7 +115,7 @@ def _climb(n: int, start: int,
     """
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
-    levels: dict[int, dict[Partition, int]] = {comb(n, 2): {staircase(n - 1): start}}
+    levels: dict[int, dict[Partition, int]] = {comb(n, 2): {staircase(n - 1): 1}}
     for boxes in range(comb(n, 2), 0, -1):
         for shape, state in levels.pop(boxes, {}).items():
             steps = advance(shape, state)
@@ -153,7 +152,7 @@ def sweep(n: int, max_length: int | None = None,
             reach &= (1 << width * (keep + 1)) - 1
         return (reach << width, 0) if reach else None
 
-    return _unpack(_climb(n, 1, advance, skip_edge), width)
+    return _unpack(_climb(n, advance, skip_edge), width)
 
 
 @lru_cache(maxsize=32)
@@ -276,7 +275,7 @@ def census(n: int) -> ChainCensus:
         return (clean << width) | ((reach - clean) << (span + width)), folded << (span + width)
 
     result = ChainCensus(n)
-    packed = _unpack(_climb(n, 1, advance, is_plus_full_step), width)
+    packed = _unpack(_climb(n, advance, is_plus_full_step), width)
     for (length, since), count in sorted(((k % block, k // block - 1), c)
                                          for k, c in packed.items()):
         result.by_length[length] = result.by_length.get(length, 0) + count
@@ -385,43 +384,3 @@ def conjecture_values(i: int) -> tuple[int, int | None]:
     if remainder:
         raise ArithmeticError(f"i*product = {i * product} is not divisible by 5 at i={i}")
     return product, scaled
-
-
-def equal_representation_check(i: int, n: int) -> bool:
-    """Check equal representation over equal-size plus-full-set label subsets.
-
-    For every subset U of {1..n+i} with at most n-1 elements: the number of
-    chains of length n+i whose plus-full-set labels are exactly U must be
-    N_i(n-t), and the number whose labels contain U must be #C_i(n-t), where
-    t = |U|.  The label sets come from the chain stream classified by
-    :func:`plus_full_set_labels`, so this is for enumeration scale (n <= 7).
-    """
-    length = n + i
-    tallies: dict[frozenset[int], int] = {}
-    for tab in enumerate_maximal_chains(n, length=length):
-        labels = frozenset(plus_full_set_labels(tab))
-        tallies[labels] = tallies.get(labels, 0) + 1
-    for t in range(0, n):
-        expected_exact = sweep(n - t, n - t + i, is_plus_full_step).get(n - t + i, 0)
-        expected_super = count_by_length(n - t).get(n - t + i)
-        for subset in combinations(range(1, length + 1), t):
-            wanted = frozenset(subset)
-            exact = tallies.get(wanted, 0)
-            superset = sum(count for labels, count in tallies.items() if wanted <= labels)
-            if exact != expected_exact or superset != expected_super:
-                return False
-    return True
-
-
-def vanishing_check(i: int, n: int) -> bool:
-    """Check that for n >= 2i+4 no chain of length n+i avoids plus-full-sets and
-    the minimal plus-full-set labels partition the chains into the nonempty
-    classes 1..3i+4."""
-    if n < 2 * i + 4:
-        raise ValueError(f"vanishing applies for n >= {2 * i + 4}, got {n}")
-    summary = census(n)
-    length = n + i
-    if summary.nofull_by_length.get(length, 0) != 0:
-        return False
-    # the census tallies are positive and sum to by_length by construction
-    return set(summary.min_plus_full.get(length, {})) == set(range(1, 3 * i + 4 + 1))

@@ -13,11 +13,10 @@ kernel: it names each cover step by its cover and the rows ``top+1 .. d`` of
 its strip, and builds no boxes.  It runs only on a validated vertex or on
 shapes it produced from one.  Its callers are :func:`covers_with_strips`,
 which validates its vertex; the counting engine
-:func:`tamari.counting._climb` and the chain stream
-:func:`tamari.counting._chains_up`, which start from a validated vertex (the
-stream also draws :func:`tamari.checks.random_maximal_chain`, one step per
-vertex up from the validated staircase); and the random draws
-:func:`tamari.checks.random_chain_to_top`, which validate their start.
+:func:`tamari.counting._climb`, which starts from the staircase; and the chain
+stream :func:`tamari.counting._chains_up`, which starts from a validated
+vertex (the one random draw, :func:`tamari.checks.random_chain`, is the stream
+taking one random step per vertex up from a start it validates).
 
 Conventions (pinned once, used repo-wide):
 
@@ -299,9 +298,9 @@ def _steps(shape: Partition) -> list[tuple[Partition, int, int]]:
     the step removes the last boxes of rows ``top+1 .. d`` (see
     :func:`covers_with_strips`).  Nothing is checked and no box is built, so
     ``shape`` must be a validated vertex or a cover this kernel produced from one.
-    The callers: :func:`covers_with_strips`, ``counting._climb``,
-    ``counting._chains_up`` (the stream, and through it the draws
-    ``checks.random_maximal_chain``) and ``checks.random_chain_to_top``."""
+    The callers: :func:`covers_with_strips`, ``counting._climb`` and
+    ``counting._chains_up`` (the stream, and through it the one random draw
+    ``checks.random_chain``)."""
     rows = len(shape)
     shrunk = tuple([length - 1 for length in shape])
     result = []

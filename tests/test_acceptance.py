@@ -10,17 +10,17 @@ from tamari import cli
 from tamari.checks import (
     VerifyLimits,
     check_decomposition,
+    check_equal_representation,
     check_growth_roundtrip,
     check_label_shift,
+    check_vanishing,
 )
 from tamari.counting import (
     chains_count,
     conjecture_values,
     count_by_length,
-    equal_representation_check,
     longest_chain_count,
     nofull_initial_values,
-    vanishing_check,
 )
 from tamari.fixtures import length_table, nofull_table
 
@@ -91,12 +91,9 @@ def test_criterion_5_longest_chain_formula():
             "histogram top entry for orders 1..7 (286 and 33,592 included)")
 
 
-def test_criterion_6_vanishing_of_plus_full_free_chains(censuses):
-    for i in (-1, 0, 1):
-        for n in range(2 * i + 4, 8):
-            assert vanishing_check(i, n), (i, n)
-            tally = censuses[n].min_plus_full[n + i]
-            assert set(tally) == set(range(1, 3 * i + 5))
+def test_criterion_6_vanishing_of_plus_full_free_chains():
+    result = check_vanishing(VerifyLimits(max_n=7))
+    assert result.passed, result
     _passed("criterion 6: past the threshold order every chain has a "
             "plus-full-set and the minimal labels fill 1..3i+4, orders <= 7")
 
@@ -146,7 +143,6 @@ def test_criterion_9_large_orders_gated(capsys):
 
 
 def test_equal_representation_extension():
-    assert equal_representation_check(0, 4)
-    assert equal_representation_check(1, 6)
-    _passed("equal representation over label subsets holds at the sampled "
-            "orders")
+    result = check_equal_representation(VerifyLimits(max_n=5, max_i=1))
+    assert result.passed, result
+    _passed(f"equal representation over label subsets holds: {result.detail}")

@@ -18,7 +18,8 @@ from tamari.bijections import (
     repeat_row,
     unrepeat_row,
 )
-from tamari.checks import random_maximal_chain
+from tamari.checks import random_chain
+from tamari.shapes import staircase
 from tamari.tableaux import (
     RSetClass,
     Tableau,
@@ -228,7 +229,7 @@ def test_trusted_outputs_are_valid_tableaux(chains_by_order):
 
 def test_streamed_and_drawn_tableaux_are_valid_chain_tableaux(chains_by_order):
     # the chain stream builds its tableaux unvalidated too, and so do its draws
-    draws = [random_maximal_chain(n, rng) for n in range(1, 9)
+    draws = [random_chain(n, rng, start=staircase(n - 1)) for n in range(1, 9)
              for rng in [random.Random(n)] for _ in range(500)]
     for tab in [*(tab for n in range(1, 7) for tab in chains_by_order[n]), *draws]:
         _as_validated(tab)

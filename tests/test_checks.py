@@ -103,3 +103,22 @@ def test_growth_roundtrip_checks_the_plus_full_set_increment(monkeypatch):
     result = checks.check_growth_roundtrip(VerifyLimits(max_n=5, samples=0))
     assert not result.passed
     assert result.detail == "image does not gain exactly one plus-full-set"
+
+
+def test_a_route_mismatch_fails_each_check_that_builds_initial_values(one_route_off, capsys):
+    example = {"i": 1, "t": 5, "ie": 10, "brute": 11}
+    # the checks that build initial values fail; equal representation passes, since
+    # ``checks`` bound its own name ``sweep`` before the fixture patched ``counting``
+    results = run_suite("formulas", VerifyLimits(max_n=7, max_i=2))
+    assert len(results) == 8
+    failed = {r.name: r.counterexample for r in results if not r.passed}
+    assert failed == dict.fromkeys(["formulas/recursion-vs-walk",
+                                    "formulas/initial-values-vs-brute",
+                                    "formulas/polynomial-degree"], example)
+    conjecture = checks.check_conjecture(VerifyLimits(max_i=2))
+    assert not conjecture.passed and conjecture.counterexample == example
+    assert cli.main(["verify", "--suite", "formulas", "--max-n", "7"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    checked = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
+    assert len(checked) == 8
+    assert sum(line.startswith("FAIL ") for line in checked) == 3

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from tamari import counting, shapes
-from tamari.checks import stream_census
+from tamari.checks import VerifyLimits, check_mutual_inversion, stream_census
 from tamari.counting import (
     IncompleteTableError,
     census,
@@ -12,13 +12,11 @@ from tamari.counting import (
     conjecture_values,
     count_by_length,
     enumerate_maximal_chains,
-    equal_representation_check,
     initial_values,
     is_plus_full_step,
     longest_chain_count,
     nofull_initial_values,
     sweep,
-    vanishing_check,
 )
 from tamari.fixtures import length_table, nofull_table
 from tamari.tableaux import RSetClass, classify_r_set, plus_full_set_labels, tableau_to_chain
@@ -275,12 +273,6 @@ def test_conjecture_matches_committed_table():
             assert second == fixture.get((i, 2 * i + 2), 0)
 
 
-def test_equal_representation_small():
-    assert equal_representation_check(0, 4)
-    assert equal_representation_check(0, 5)
-    assert equal_representation_check(1, 5)
-
-
 def test_equal_representation_exact_cell():
     # chains of order 4 and length 4 whose only plus-full-set label is 1
     exact = [tab for tab in enumerate_maximal_chains(4, length=4)
@@ -321,27 +313,12 @@ def test_plus_full_step_matches_classification(chains_by_order):
                 assert is_plus_full_step(lower, top, d, n) == expected, (tab.rows, r)
 
 
-def test_vanishing_small():
-    assert vanishing_check(0, 4)
-    assert vanishing_check(0, 5)
-    assert vanishing_check(-1, 3)
-    with pytest.raises(ValueError):
-        vanishing_check(0, 3)
-    assert nofull(0, 3) == 1
-
-
 def test_vanishing_partition_sizes(censuses):
     tally = censuses[4].min_plus_full[4]
     assert tally == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 def test_mutual_inversion_on_committed_values():
-    fixture = nofull_table()
-    for i in range(-1, 6):
-        row = {t: fixture.get((i, t), 0) for t in range(1, 2 * i + 4)}
-        counts = {n: chains_count(i, n, row) for n in range(1, 14)}
-        for n in range(1, 14):
-            back = sum((-1) ** (n - t) * comb(n + i, t + i) * counts[t]
-                       for t in range(1, n + 1))
-            assert back == (fixture.get((i, n), 0) if n <= 2 * i + 3 else 0)
+    result = check_mutual_inversion(VerifyLimits(max_i=5))
+    assert result.passed, result
 

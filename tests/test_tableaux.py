@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamari import checks, tableaux
-from tamari.checks import all_chain_tableaux, candidate_tableaux, random_chain_to_top
+from tamari.checks import all_chain_tableaux, candidate_tableaux, random_chain
 from tamari.shapes import (
     ShapeError,
     partitions_in_staircase,
@@ -144,9 +144,8 @@ def test_decode_chains():
 def test_roundtrip_random_walks():
     rng = random.Random(99)
     for _ in range(300):
-        chain = random_chain_to_top(6, rng)
-        tab = chain_to_tableau(chain, 6)
-        assert tableau_to_chain(tab) == tuple(chain)
+        tab = random_chain(6, rng)
+        assert chain_to_tableau(tableau_to_chain(tab), 6) == tab
         assert is_chain_tableau(tab)
 
 
@@ -157,30 +156,22 @@ def test_random_draws_match_the_uncached_vertex_list():
         while steps[-1]:
             options = upper_covers(steps[-1], n)
             steps.append(options[rng.randrange(len(options))])
-        return steps[::-1]
+        return tuple(steps[::-1])
 
     for n in (1, 4, 7):
         cached_rng, plain_rng = random.Random(2024), random.Random(2024)
         for _ in range(200):
-            assert random_chain_to_top(n, cached_rng) == uncached(n, plain_rng)
+            assert tableau_to_chain(random_chain(n, cached_rng)) == uncached(n, plain_rng)
             bottom = staircase(n - 1)
-            assert random_chain_to_top(n, cached_rng, start=bottom) == \
+            assert tableau_to_chain(random_chain(n, cached_rng, start=bottom)) == \
                 uncached(n, plain_rng, start=bottom)
-
-
-def test_a_maximal_chain_draw_is_the_tableau_of_a_chain_draw():
-    for n in range(1, 9):
-        walked, stepped = random.Random(n), random.Random(n)
-        for _ in range(200):
-            chain = random_chain_to_top(n, stepped, start=staircase(n - 1))
-            assert checks.random_maximal_chain(n, walked) == chain_to_tableau(chain, n)
-            assert walked.getstate() == stepped.getstate()  # the same calls to the rng
+        assert cached_rng.getstate() == plain_rng.getstate()  # the same calls to the rng
 
 
 def test_a_draw_from_a_shape_outside_the_lattice_names_it():
     for n, start in ((3, (3,)), (3, (1, 1, 1)), (4, (2, 3))):
         with pytest.raises(ShapeError, match=re.escape(repr(start))):
-            random_chain_to_top(n, random.Random(1), start=start)
+            random_chain(n, random.Random(1), start=start)
 
 
 def test_roundtrip_at_stated_scale():
