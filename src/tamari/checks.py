@@ -97,6 +97,10 @@ def _fail(name: str, detail: str, example: dict) -> CheckResult:
     return CheckResult(name, False, detail, example)
 
 
+def _no_chain(name: str, detail: str, tab: Tableau) -> CheckResult:
+    return _fail(name, detail, {"n": tab.n, "rows": [list(r) for r in tab.rows]})
+
+
 def _routes_disagree(name: str, exc: RouteMismatch) -> CheckResult:
     return _fail(name, "inclusion-exclusion disagrees with classification",
                  {"i": exc.i, "t": exc.t, "ie": exc.ie, "brute": exc.brute})
@@ -248,7 +252,11 @@ def check_monotone_heights(limits: VerifyLimits) -> CheckResult:
     trials = max(1, limits.samples // 20)
     for _ in range(trials):
         n = rng.randint(1, top)
-        chain = tableau_to_chain(random_chain(n, rng))
+        draw = random_chain(n, rng)
+        try:
+            chain = tableau_to_chain(draw)
+        except NotChainTableauError:
+            return _no_chain(name, "a random draw encodes no chain", draw)
         heights = [prime_subpath_heights(to_dyck_path(v, n)) for v in chain]
         for upper, lower in zip(heights, heights[1:]):
             if any(u < l for u, l in zip(upper, lower)):
@@ -320,7 +328,10 @@ def check_encoding_roundtrip(limits: VerifyLimits) -> CheckResult:
     top = min(limits.max_n, 6)
     for n in range(1, top + 1):
         for tab in enumerate_maximal_chains(n):
-            chain = tableau_to_chain(tab)
+            try:
+                chain = tableau_to_chain(tab)
+            except NotChainTableauError:
+                return _no_chain(name, "a streamed tableau encodes no chain", tab)
             if chain_to_tableau(chain, n) != tab:
                 return _fail(name, "exhaustive round-trip failed",
                              {"n": n, "rows": [list(r) for r in tab.rows]})
@@ -328,7 +339,10 @@ def check_encoding_roundtrip(limits: VerifyLimits) -> CheckResult:
     big = min(limits.max_n + 1, 7)
     for _ in range(limits.samples):
         tab = random_chain(big, rng)
-        chain = tableau_to_chain(tab)
+        try:
+            chain = tableau_to_chain(tab)
+        except NotChainTableauError:
+            return _no_chain(name, "a random draw encodes no chain", tab)
         if chain_to_tableau(chain, big) != tab:
             return _fail(name, "random round-trip failed",
                          {"n": big, "chain": [list(v) for v in chain]})

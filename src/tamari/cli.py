@@ -55,9 +55,9 @@ from .bijections import (
 from .counting import (
     RouteMismatch,
     chains_count,
-    count_by_length,
     enumerate_maximal_chains,
     initial_values,
+    length_histograms,
     sweep,
 )
 from .fixtures import length_table, nofull_table
@@ -252,7 +252,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.max_n > _ceiling(args, ENUM_LIMIT, ENUM_LIMIT_LARGE):
         raise ValueError(f"--max-n {args.max_n} exceeds the ceiling; "
                          f"pass --allow-large (order 8) or --allow-huge")
-    histograms = {n: count_by_length(n) for n in range(1, args.max_n + 1)}
+    histograms = length_histograms(range(1, args.max_n + 1))
     if args.check:
         fixture = length_table()
         bad = [n for n, hist in histograms.items()

@@ -2,22 +2,28 @@
 
 Two independent routes are kept side by side on purpose:
 
-* the *lattice sweeps*, one engine up the vertices reachable from the staircase,
-  each vertex holding one int that packs its chain counts into fixed-width fields
-  (:func:`_field_width` proves no field overflows); the engine reads each cover step
-  from the kernel ``shapes._steps`` as its cover and the rows ``top+1 .. d`` of its
-  strip, so no strip's boxes are built:
-  :func:`sweep` counts chains by length up to a length bound, skipping the cover steps
-  an edge filter rejects (:func:`is_plus_full_step` leaves the chains with no
-  plus-full-set), and :func:`census` also tallies the minimal plus-full-set labels.
+* the *lattice sweeps*, one engine (:func:`_climb`) up the vertices reachable
+  from one or more seeds, each vertex holding one int that packs its chain counts
+  into fixed-width fields (:func:`_field_width` and :func:`_bounded_width` prove no
+  field overflows); each cover step comes from the kernel ``shapes._steps`` as its
+  cover and the rows ``top+1 .. d`` of its strip, so no strip's boxes are built.
+  A command climbs as few times as its counts allow: :func:`length_histograms`
+  climbs once for every order, seeded at each staircase; :func:`sweep` counts one
+  order up to a length bound, skipping the steps an edge filter rejects;
+  :func:`census` also tallies the minimal plus-full-set labels.
   :func:`enumerate_maximal_chains` streams the chain tableaux up the same kernel
   (the random draw :func:`tamari.checks.random_chain` takes one step of it per vertex);
   classified by :func:`tamari.tableaux.plus_full_set_labels`, they are the brute
   oracle the sweeps are tested against; and
 * the *recursion*: the count of maximal chains of length n+i is
   ``sum_{t=1}^{2i+3} C(n+i, t+i) * N_i(t)`` where ``N_i(t)`` counts chains of
-  length t+i with no plus-full-sets; :func:`initial_values` computes each by that
-  sweep and by ``N_i(n) = sum_{t=1}^{n} (-1)^(n-t) C(n+i, t+i) * #C_i(t)`` (inclusion-exclusion).
+  length t+i with no plus-full-sets.  :func:`initial_values` computes each from one
+  climb of order t with two blocks: the chains with no plus-full step yet (the clean
+  block), and the rest, into which a step :func:`is_plus_full_step` marks folds the
+  clean block.  One route is the clean block, the other
+  ``N_i(n) = sum_{t=1}^{n} (-1)^(n-t) C(n+i, t+i) * #C_i(t)`` (inclusion-exclusion)
+  over the sum of both blocks; a fold that loses chains, or moves them wrongly,
+  changes the routes differently and shows up as a :class:`RouteMismatch`.
 
 Everything is exact integer arithmetic; there is no floating point here.
 """
@@ -100,34 +106,59 @@ def _unpack(packed: int, width: int) -> dict[int, int]:
     return fields
 
 
-def _climb(n: int, advance: Callable[[Partition, int], tuple[int, int] | None],
-           marked: Callable[..., bool] | None = None) -> int:
-    """The state that reaches the null diagram of the n-th lattice from the state 1 (one
-    chain, of length 0) at the staircase.  A state is one int packing chain counts into
-    fields (:func:`_field_width`).
+def _bounded_width(n: int, max_length: int) -> int:
+    """Bits per length field for the chains of order n up to length ``max_length``:
+    ``min(_field_width(n), (max(n-1, 1) ** (L+1)).bit_length())``, L = min(max_length,
+    C(n,2)).
 
-    Each box-count level maps its reachable vertices to their states and is freed
-    once pushed; a step removing a strip goes that many boxes up, and states merge by
-    addition.  Once per vertex, ``advance(shape, state)`` returns the states moved
-    across a step, ``(plain, special)``, or None if nothing survives (covers are then
-    skipped); the step that removes the last boxes of rows ``top+1 .. d`` takes
-    ``special`` where ``marked(shape, top, d, n)`` holds.
+    A vertex has at most n-1 rows, so at most n-1 covers, and at most (n-1)^d chains
+    reach it at depth d <= L: a field, of one block or of two summed, stays below
+    (n-1)^(L+1).  Orders 1 and 2 have at most one chain per depth, and ``max(n-1, 1)``
+    keeps their width at 1 bit, not 0 (with 0, no shift would move a field).  Past
+    C(n,2) no chain grows, so the cap keeps the power small for any bound.
     """
+    top = min(max_length, comb(n, 2))
+    return min(_field_width(n), (max(n - 1, 1) ** (top + 1)).bit_length())
+
+
+def _staircase_of(n: int) -> Partition:
+    """The bottom of the n-th lattice, where every one of its maximal chains starts."""
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
-    levels: dict[int, dict[Partition, int]] = {comb(n, 2): {staircase(n - 1): 1}}
-    for boxes in range(comb(n, 2), 0, -1):
-        for shape, state in levels.pop(boxes, {}).items():
+    return staircase(n - 1)
+
+
+def _climb(seeds: Mapping[Partition, int],
+           advance: Callable[[Partition, int], tuple[int, int] | None],
+           marked: Callable[[Partition, int, int], bool] | None = None) -> int:
+    """The state that reaches the null diagram from the states ``seeds`` (``{vertex:
+    packed state}``).  A state is one int packing chain counts into fields
+    (:func:`_field_width`).
+
+    The levels are a list indexed by box count, each mapping its reachable vertices
+    to their states and freed once pushed; a seed starts in its own level.  A step
+    removing a strip goes that many boxes up, and states merge by addition.  Once per
+    vertex, ``advance(shape, state)`` returns the states moved across a step,
+    ``(plain, special)``, or None if nothing survives (covers are then skipped); the
+    step that removes the last boxes of rows ``top+1 .. d`` takes ``special`` where
+    ``marked(shape, top, d)`` holds.
+    """
+    levels: list = [{} for _ in range(max(map(sum, seeds), default=0) + 1)]
+    for seed, state in seeds.items():
+        levels[sum(seed)][seed] = state
+    for boxes in range(len(levels) - 1, 0, -1):
+        level, levels[boxes] = levels[boxes], None
+        for shape, state in level.items():
             steps = advance(shape, state)
             if steps is None:
                 continue
             plain, special = steps
             for cover, top, d in _steps(shape):
-                moved = special if marked and marked(shape, top, d, n) else plain
+                moved = special if marked and marked(shape, top, d) else plain
                 if moved:
-                    level = levels.setdefault(boxes - (d - top), {})
-                    level[cover] = level.get(cover, 0) + moved
-    return levels.get(0, {}).get((), 0)
+                    into = levels[boxes - (d - top)]
+                    into[cover] = into.get(cover, 0) + moved
+    return levels[0].get((), 0)
 
 
 def sweep(n: int, max_length: int | None = None,
@@ -142,6 +173,7 @@ def sweep(n: int, max_length: int | None = None,
     so a chain at depth d of a vertex with k boxes in row 1 is dropped once
     d + k > ``max_length``: one mask per vertex, built only when it drops something.
     """
+    seed = _staircase_of(n)
     width, top = _field_width(n), comb(n, 2)
 
     def advance(shape: Partition, reach: int) -> tuple[int, int] | None:
@@ -152,13 +184,41 @@ def sweep(n: int, max_length: int | None = None,
             reach &= (1 << width * (keep + 1)) - 1
         return (reach << width, 0) if reach else None
 
-    return _unpack(_climb(n, advance, skip_edge), width)
+    skipped = None if skip_edge is None else lambda shape, top, d: skip_edge(shape, top, d, n)
+    return _unpack(_climb({seed: 1}, advance, skipped), width)
+
+
+def length_histograms(orders: Iterable[int]) -> dict[int, LengthHistogram]:
+    """``{n: histogram of the maximal chains of order n by length}`` for each order,
+    ascending, from one climb seeded at every order's staircase.
+
+    Order n's chains fill their own block of C(n,2)+1 fields, the largest order
+    lowest, so the states near the bottom stay short.  A chain of order n reaches
+    length C(n,2) only at the null diagram, so no step shifts a field into the next
+    block.  All blocks take the width of the largest order m: a vertex of order
+    n < m with b boxes has at most min(n-1, k(b)) <= min(m-1, k(b)) covers and its
+    chains start at C(n,2) < C(m,2) boxes, so the product of :func:`_field_width`
+    at m bounds them too.
+    """
+    orders = sorted(set(orders), reverse=True)
+    if not orders:
+        return {}
+    width = _field_width(orders[0])
+    seeds, offsets, offset = {}, {}, 0
+    for n in orders:
+        seeds[_staircase_of(n)] = 1 << offset
+        offsets[n] = offset
+        offset += width * (comb(n, 2) + 1)
+    packed = _climb(seeds, lambda shape, reach: (reach << width, 0))
+    return {n: LengthHistogram(n, _unpack((packed >> offsets[n])
+                                          & ((1 << width * (comb(n, 2) + 1)) - 1), width))
+            for n in reversed(orders)}
 
 
 @lru_cache(maxsize=32)
 def count_by_length(n: int) -> LengthHistogram:
-    """Histogram of maximal chains by length: the unbounded, unfiltered :func:`sweep`."""
-    return LengthHistogram(n, sweep(n))
+    """Histogram of maximal chains by length: :func:`length_histograms` with one seed."""
+    return length_histograms([n])[n]
 
 
 def enumerate_maximal_chains(n: int, length: int | None = None) -> Iterator[Tableau]:
@@ -168,9 +228,7 @@ def enumerate_maximal_chains(n: int, length: int | None = None) -> Iterator[Tabl
     ascending); the optional filter emits only chains of the given length.
     Lengths are only known at the top, so filtering happens at emission.
     """
-    if n < 1:
-        raise ShapeError(f"lattice order must be >= 1, got {n}")
-    yield from _chains_up(n, staircase(n - 1), length)
+    yield from _chains_up(n, _staircase_of(n), length)
 
 
 def _chains_up(n: int, start: Partition, length: int | None = None,
@@ -185,18 +243,24 @@ def _chains_up(n: int, start: Partition, length: int | None = None,
     Each box records the depth of the step that removes it; at the top, a step
     at depth d of a chain of length l carries label l - d.  Every step removes
     the last boxes of a strip's rows, so the labels grow along rows and weakly
-    down columns, and the tableaux are built without validation.
+    down columns, and the tableaux are built without validation.  Each one arrives
+    with its ``shape``, ``length`` and ``is_staircase`` stored; its plus-full-sets
+    are classified from its rows.
     """
     grid = [[0] * (n + 1) for _ in range(n + 1)]
     cells = [(grid[x], size + 1) for x, size in enumerate(start, 1)]
+    maximal = start == staircase(n - 1)
     # a shape lies on many chains: list its steps once per stream
     memo: dict[Partition, list[tuple[Partition, int, int]]] = {}
 
     def walk(shape: Partition, depth: int) -> Iterator[Tableau]:
         if not shape:
             if length is None or depth == length:
-                yield _trusted_tableau(n, tuple([tuple([depth - label for label in row[1:end]])
+                tab = _trusted_tableau(n, tuple([tuple([depth - label for label in row[1:end]])
                                                  for row, end in cells]))
+                known = tab.__dict__
+                known["shape"], known["length"], known["is_staircase"] = start, depth, maximal
+                yield tab
             return
         steps = memo.get(shape)
         if steps is None:
@@ -275,7 +339,8 @@ def census(n: int) -> ChainCensus:
         return (clean << width) | ((reach - clean) << (span + width)), folded << (span + width)
 
     result = ChainCensus(n)
-    packed = _unpack(_climb(n, advance, is_plus_full_step), width)
+    packed = _unpack(_climb({_staircase_of(n): 1}, advance,
+                            lambda shape, top, d: is_plus_full_step(shape, top, d, n)), width)
     for (length, since), count in sorted(((k % block, k // block - 1), c)
                                          for k, c in packed.items()):
         result.by_length[length] = result.by_length.get(length, 0) + count
@@ -295,26 +360,59 @@ class RouteMismatch(ValueError):
         self.i, self.t, self.ie, self.brute = i, t, ie, brute
 
 
+def _nofull_and_all(t: int, max_length: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The chains of order t up to length ``max_length`` by length: those with no
+    plus-full step, and all of them.
+
+    One climb carries both in two blocks of min(``max_length``, C(t,2))+1 fields of
+    :func:`_bounded_width` bits, the clean block lowest.  A step shifts both one field
+    up, under the mask of :func:`sweep`; a step :func:`is_plus_full_step` marks folds
+    the clean block into the rest.
+    """
+    fields = min(max_length, comb(t, 2)) + 1
+    width = _bounded_width(t, max_length)
+    span = width * fields
+    clean_mask = (1 << span) - 1
+    top = comb(t, 2)
+
+    def advance(shape: Partition, reach: int) -> tuple[int, int] | None:
+        keep = max_length - shape[0]
+        if keep < 0:
+            return None
+        if keep < top:
+            mask = (1 << width * (keep + 1)) - 1
+            reach &= mask | (mask << span)
+        if not reach:
+            return None
+        return reach << width, ((reach & clean_mask) + (reach >> span)) << (span + width)
+
+    packed = _climb({_staircase_of(t): 1}, advance,
+                    lambda shape, top, d: is_plus_full_step(shape, top, d, t))
+    clean = packed & clean_mask
+    return _unpack(clean, width), _unpack(clean + (packed >> span), width)
+
+
 def initial_values(offsets: Iterable[int], max_t: int) -> dict[int, dict[int, int]]:
     """``{i: {t: N_i(t)}}`` for each offset i and t = 1..min(max_t, 2i+3), by two routes.
 
-    Each order t gets two :func:`sweep` calls, bounded at the longest chain any
-    offset needs: one skips the plus-full steps, the other counts all chains for
-    :func:`inclusion_exclusion`.  Raises :class:`RouteMismatch` where they disagree.
-    Terms past ``max_t`` have zero weight in :func:`chains_count` at n <= max_t.
+    Each order t gets one climb (:func:`_nofull_and_all`), bounded at the longest
+    chain any offset needs.  Its clean block is the first route; inclusion-exclusion
+    (:func:`inclusion_exclusion`) over the sum of its two blocks, all chains, is the
+    second.  Raises :class:`RouteMismatch` where they disagree.  Terms past ``max_t``
+    have zero weight in :func:`chains_count` at n <= max_t.
     """
     tops = {i: min(max_t, 2 * i + 3) for i in offsets}
     if min(tops, default=-1) < -1:
         raise ValueError(f"length offset must be >= -1, got {min(tops)}")
     longest = max(tops, default=-1)
-    sweeps = {t: (sweep(t, t + longest), sweep(t, t + longest, is_plus_full_step))
+    routes = {t: _nofull_and_all(t, t + longest)
               for t in range(1, max(tops.values(), default=0) + 1)}
     table = {}
     for i, top in tops.items():
         row = table[i] = inclusion_exclusion(
-            i, {t: sweeps[t][0].get(t + i, 0) for t in range(1, top + 1)})
+            i, {t: routes[t][1].get(t + i, 0) for t in range(1, top + 1)})
         for t, value in row.items():
-            if value != (brute := sweeps[t][1].get(t + i, 0)):
+            if value != (brute := routes[t][0].get(t + i, 0)):
                 raise RouteMismatch(i, t, value, brute)
     return table
 

@@ -13,7 +13,7 @@ kernel: it names each cover step by its cover and the rows ``top+1 .. d`` of
 its strip, and builds no boxes.  It runs only on a validated vertex or on
 shapes it produced from one.  Its callers are :func:`covers_with_strips`,
 which validates its vertex; the counting engine
-:func:`tamari.counting._climb`, which starts from the staircase; and the chain
+:func:`tamari.counting._climb`, which starts from staircases; and the chain
 stream :func:`tamari.counting._chains_up`, which starts from a validated
 vertex (the one random draw, :func:`tamari.checks.random_chain`, is the stream
 taking one random step per vertex up from a start it validates).
@@ -302,7 +302,6 @@ def _steps(shape: Partition) -> list[tuple[Partition, int, int]]:
     ``counting._chains_up`` (the stream, and through it the one random draw
     ``checks.random_chain``)."""
     rows = len(shape)
-    shrunk = tuple([length - 1 for length in shape])
     result = []
     for d in range(1, rows + 1):
         length = shape[d - 1]
@@ -312,10 +311,12 @@ def _steps(shape: Partition) -> list[tuple[Partition, int, int]]:
         top = d - 1
         while top and top + shape[top - 1] < level:
             top -= 1
-        cover = shape[:top] + shrunk[top:d] + shape[d:]
+        cover = list(shape)
+        for row in range(top, d):  # only the strip's rows lose a box
+            cover[row] -= 1
         if length == 1:  # rows of length 1 end the shape and empty
-            cover = cover[:cover.index(0)]
-        result.append((cover, top, d))
+            del cover[cover.index(0):]
+        result.append((tuple(cover), top, d))
     return result
 
 

@@ -227,13 +227,22 @@ def test_trusted_outputs_are_valid_tableaux(chains_by_order):
                 _as_validated(_shrink(tab, labels[0] - 1))
 
 
+STORED = ("shape", "length", "is_staircase")
+
+
 def test_streamed_and_drawn_tableaux_are_valid_chain_tableaux(chains_by_order):
-    # the chain stream builds its tableaux unvalidated too, and so do its draws
-    draws = [random_chain(n, rng, start=staircase(n - 1)) for n in range(1, 9)
-             for rng in [random.Random(n)] for _ in range(500)]
+    # the chain stream builds its tableaux unvalidated too, and so do its draws, from
+    # the staircase and from random starts; each arrives with its shape, length and
+    # staircase test stored, and they equal those computed from its rows
+    draws = [random_chain(n, rng, start=start) for n in range(1, 9)
+             for rng in [random.Random(n)] for start in (staircase(n - 1), None)
+             for _ in range(500)]
     for tab in [*(tab for n in range(1, 7) for tab in chains_by_order[n]), *draws]:
         _as_validated(tab)
         assert is_chain_tableau(tab), tab
+        computed = Tableau(tab.n, tab.rows)
+        assert [vars(tab)[name] for name in STORED] == \
+            [getattr(computed, name) for name in STORED], tab
 
 
 def test_decompose_classifies_each_chain_once(monkeypatch):

@@ -59,17 +59,17 @@ def test_initial_values_check_stops_at_the_longest_chains(monkeypatch):
 
 @pytest.fixture
 def one_route_off(monkeypatch):
-    """``counting.sweep`` with one cell off by one: chains of length 6 in order 5
-    that skip the plus-full steps, so N_1(5) differs between the two routes."""
-    original = counting.sweep
+    """The climb of order 5 with one cell of its clean block off by one: chains of
+    length 6 with no plus-full step, so N_1(5) differs between the two routes."""
+    original = counting._nofull_and_all
 
-    def off_by_one(n, max_length=None, skip_edge=None):
-        counts = original(n, max_length, skip_edge)
-        if n == 5 and skip_edge is not None:
-            counts[6] += 1
-        return counts
+    def off_by_one(t, max_length):
+        clean, every = original(t, max_length)
+        if t == 5:
+            clean[6] += 1
+        return clean, every
 
-    monkeypatch.setattr(counting, "sweep", off_by_one)
+    monkeypatch.setattr(counting, "_nofull_and_all", off_by_one)
 
 
 def test_initial_values_check_fails_where_the_routes_disagree(one_route_off):
@@ -122,3 +122,35 @@ def test_a_route_mismatch_fails_each_check_that_builds_initial_values(one_route_
     checked = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
     assert len(checked) == 8
     assert sum(line.startswith("FAIL ") for line in checked) == 3
+
+
+@pytest.fixture
+def broken_stream(monkeypatch):
+    """The chain stream, and so the draws, yielding valid tableaux that encode no
+    chain: row x labelled x, x+1, ... (the labels of a wrongly labelled strip)."""
+    from tamari import tableaux
+
+    original = counting._chains_up
+
+    def broken(n, start, length=None, choose=None):
+        for tab in original(n, start, length, choose):
+            yield tableaux.Tableau(n, [range(x, x + len(row))
+                                       for x, row in enumerate(tab.rows, 1)])
+
+    monkeypatch.setattr(counting, "_chains_up", broken)
+    monkeypatch.setattr(checks, "_chains_up", broken)
+
+
+def test_a_stream_of_tableaux_that_encode_no_chain_fails_the_checks(broken_stream, capsys):
+    assert cli.main(["verify", "--suite", "covers", "--max-n", "5", "--samples", "40"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL covers/monotone-heights: a random draw encodes no chain\n" \
+        '  counterexample: {"n": 4, "rows": [[1], [2], [3]]}\n' in out
+    assert cli.main(["verify", "--suite", "psi", "--max-n", "5", "--samples", "40"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL psi/roundtrip: a streamed tableau encodes no chain\n" \
+        '  counterexample: {"n": 3, "rows": [[1, 2], [2]]}\n' in out
+    # past the exhaustive orders, where every tableau is still a chain, the draws
+    drawn = checks.check_encoding_roundtrip(VerifyLimits(max_n=2, samples=20))
+    assert not drawn.passed and drawn.detail == "a random draw encodes no chain"
+    assert drawn.counterexample["n"] == 3

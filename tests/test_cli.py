@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tamari import cli, counting
+from tamari.shapes import staircase
 from tamari.tableaux import Tableau
 
 
@@ -116,53 +117,54 @@ def test_nofull_skips_cells_beyond_ceilings(capsys):
 
 
 @pytest.fixture
-def sweep_calls(monkeypatch):
-    """The (order, edge filter) of each sweep the CLI makes, in call order."""
+def climbs(monkeypatch):
+    """The seeds of each climb of the counting engine the CLI makes, in call order,
+    and whether the climb marks some steps (the plus-full ones, for ``nofull``)."""
     calls = []
-    original = counting.sweep
+    original = counting._climb
 
-    def counted_sweep(n, max_length=None, skip_edge=None):
-        calls.append((n, skip_edge))
-        return original(n, max_length, skip_edge)
+    def counted_climb(seeds, advance, marked=None):
+        calls.append((tuple(seeds), marked is not None))
+        return original(seeds, advance, marked)
 
-    monkeypatch.setattr(counting, "sweep", counted_sweep)
+    monkeypatch.setattr(counting, "_climb", counted_climb)
     return calls
 
 
-def twice_per_order(top):
-    """Each order 1..top swept once over all chains and once skipping plus-full steps."""
-    return [(n, skip) for n in range(1, top + 1)
-            for skip in (None, counting.is_plus_full_step)]
+def once_per_order(top):
+    """One climb from each staircase of orders 1..top, marking the plus-full steps
+    to carry both routes."""
+    return [((staircase(n - 1),), True) for n in range(1, top + 1)]
 
 
-def test_nofull_sweeps_each_order_twice(capsys, sweep_calls):
+def test_nofull_climbs_each_order_once(capsys, climbs):
     code, _, _ = run(capsys, "nofull", "--max-i", "3")
     assert code == 0
-    assert sweep_calls == twice_per_order(9)  # 2i+3 = 9, for every offset at once
+    assert climbs == once_per_order(9)  # 2i+3 = 9, for every offset at once
 
 
-def test_nofull_skipped_report_stays_short(capsys, sweep_calls):
+def test_nofull_skipped_report_stays_short(capsys, climbs):
     code, _, err = run(capsys, "nofull", "--max-i", "400", "--format", "csv")
     assert code == 0
     assert len(err.encode()) < 4096
     skipped = sum(2 * i + 3 - cli.DP_LIMIT for i in range(4, 401))
     assert f"{skipped} cells, first: [(4, 10), (4, 11), (5, 10)" in err
-    assert sweep_calls == twice_per_order(cli.DP_LIMIT)
+    assert climbs == once_per_order(cli.DP_LIMIT)
 
 
 @pytest.mark.parametrize("skip", [None, "plus-full"])
 def test_nofull_routes_that_disagree_fail_and_write_nothing(tmp_path, capsys, monkeypatch,
                                                              skip):
     path = tmp_path / "cache.json"
-    original = counting.sweep
+    original = counting._nofull_and_all
 
-    def off_by_one(n, max_length=None, skip_edge=None):
-        counts = original(n, max_length, skip_edge)
-        if n == 5 and (skip_edge is None) == (skip is None):
-            counts[6] += 1  # one cell of one route: chains of length 6 in order 5
-        return counts
+    def off_by_one(t, max_length):
+        clean, every = original(t, max_length)
+        if t == 5:  # one cell of one route: chains of length 6 in order 5
+            (every if skip is None else clean)[6] += 1
+        return clean, every
 
-    monkeypatch.setattr(counting, "sweep", off_by_one)
+    monkeypatch.setattr(counting, "_nofull_and_all", off_by_one)
     code, out, err = run(capsys, "nofull", "--max-i", "2", "--cache", str(path))
     assert code == 1 and out == ""
     assert "routes disagree at i=1, t=5" in err

@@ -132,6 +132,28 @@ def test_a_field_width_too_small_would_be_seen(monkeypatch):
     assert sweep(9) != published
 
 
+def test_a_bounded_width_one_bit_too_narrow_would_be_seen(monkeypatch):
+    # order 9 up to length 12, as ``nofull --max-i 3`` climbs it: the bounded width
+    # holds the largest count the climb ends with, and one bit less garbles it
+    routes = counting._nofull_and_all(9, 12)
+    clean, every = routes
+    largest = max(*clean.values(), *(every[l] - clean.get(l, 0) for l in every))
+    need = largest.bit_length()
+    assert counting._field_width(9) > counting._bounded_width(9, 12) >= need
+    monkeypatch.setattr(counting, "_bounded_width", lambda n, max_length: need - 1)
+    assert counting._nofull_and_all(9, 12) != routes
+
+
+def test_orders_one_and_two_have_a_one_bit_width_and_terminate():
+    # (t-1)^(L+1) is 0 or 1 there; a width of 0 bits would never leave ``_unpack``
+    for bound in (0, 1, 2, 10 ** 9):
+        assert counting._bounded_width(1, bound) == counting._bounded_width(2, bound) == 1
+        assert counting._nofull_and_all(1, bound) == ({0: 1}, {0: 1})
+        # the one chain of order 2 takes a plus-full step
+        assert counting._nofull_and_all(2, bound) == ({}, {1: 1} if bound else {})
+    assert initial_values(range(-1, 2), 2) == {-1: {1: 1}, 0: {1: 0, 2: 0}, 1: {1: 0, 2: 0}}
+
+
 def peak_bytes(run):
     tracemalloc.start()
     try:
@@ -150,6 +172,15 @@ def test_a_huge_length_bound_allocates_nothing_big(skip_edge):
         result, peak = peak_bytes(lambda: sweep(8, bound, skip_edge))
         assert result == unbounded
         assert peak < 2 ** 20, (bound, peak)
+    if skip_edge is is_plus_full_step:
+        # the initial-values climbs mark that filter's steps: at the largest offset
+        # the CLI admits, every order ``nofull`` climbs is bounded at t + 10**4, yet
+        # each block stops at C(t,2)+1 fields (sized by the bound, they take 80 MB)
+        from tamari import cli
+
+        table, peak = peak_bytes(lambda: initial_values([-1, cli.MAX_I], 9))
+        assert table[-1] == {1: 1} and table[cli.MAX_I] == {t: 0 for t in range(1, 10)}
+        assert peak < 2 ** 20, peak
 
 
 def nofull(i, n):

@@ -44,11 +44,20 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the counting engine's packed state
-    Mutant("mask-keep", "counting.py", "(1 << width * (keep + 1)) - 1",
-           "(1 << width * keep) - 1"),
-    Mutant("keep-negative", "counting.py", "if keep < 0:", "if keep <= 0:"),
-    Mutant("step-shift", "counting.py", "(reach << width, 0)", "(reach << 0, 0)"),
+    # the counting engine's packed state: the initial-values climb's mask, the
+    # bounded sweep's cut-off, the one climb of `table` and its seeds' blocks
+    Mutant("mask-keep", "counting.py", "mask = (1 << width * (keep + 1)) - 1",
+           "mask = (1 << width * keep) - 1"),
+    Mutant("keep-negative", "counting.py", "else max_length - shape[0]\n        if keep < 0:",
+           "else max_length - shape[0]\n        if keep <= 0:"),
+    Mutant("step-shift", "counting.py", "lambda shape, reach: (reach << width, 0)",
+           "lambda shape, reach: (reach << 0, 0)"),
+    Mutant("table-block-offset", "counting.py", "offset += width * (comb(n, 2) + 1)",
+           "offset += width * comb(n, 2)"),
+    # the fold of the initial-values climb: a plus-full step leaves the clean block as it is
+    Mutant("fold-unmoved", "counting.py",
+           "return reach << width, ((reach & clean_mask) + (reach >> span)) << (span + width)",
+           "return reach << width, reach << width"),
     Mutant("census-swap", "counting.py",
            "return (clean << width) | ((reach - clean) << (span + width)), "
            "folded << (span + width)",
@@ -71,7 +80,8 @@ MUTANTS = (
     Mutant("vanishing-classes", "checks.py", "3 * i + 5", "3 * i + 4"),
     Mutant("equal-rep-superset", "checks.py", "wanted <= labels", "wanted < labels"),
     # older hand-made mutants: counting, cli, checks, tableaux
-    Mutant("sweep-prune", "counting.py", "max_length - shape[0]", "max_length - shape[0] - 1"),
+    Mutant("sweep-prune", "counting.py", "keep = max_length - shape[0]",
+           "keep = max_length - shape[0] - 1"),
     Mutant("plus-full-step", "counting.py", "shape[d] >= shape[d - 1] - 1",
            "shape[d] >= shape[d - 1]"),
     Mutant("ie-sign", "counting.py", "(-1) ** (t - s)", "(-1) ** (t - s + 1)"),
