@@ -1,10 +1,13 @@
 """Property suites behind the ``verify`` command, and the one home of each property.
 
-Each check returns a :class:`CheckResult`; a failing check carries a
-serializable counterexample, and its detail names the scale it ran at.  Limits
-are deliberately conservative defaults; the CLI lets callers raise them.  The
-tests call these checks rather than repeat their loops, and tier-1 runs each
-at its stated scale once (README, "Install and test").
+A check is named by its place in :data:`SUITES` and run by :func:`run_check`,
+which turns its verdict into a :class:`CheckResult`: a failing check carries a
+serializable counterexample, and its detail names the scale it ran at.
+Whatever a check raises is its FAIL, caught there; only ``psi/characterization``
+catches an exception itself, as one of its two routes.  Limits are deliberately
+conservative defaults; the CLI lets callers raise them.  The tests run these
+checks rather than repeat their loops, and tier-1 runs each at its stated scale
+once (README, "Install and test").
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from .bijections import (
 )
 from .counting import (
     ChainCensus,
-    RouteMismatch,
     _chains_up,
+    _nofull_and_all,
     census,
     chains_count,
     conjecture_values,
@@ -63,10 +66,8 @@ from .counting import (
     enumerate_maximal_chains,
     inclusion_exclusion,
     initial_values,
-    is_plus_full_step,
     longest_chain_count,
     nofull_initial_values,
-    sweep,
 )
 
 
@@ -86,24 +87,17 @@ class CheckResult:
     counterexample: dict | None = None
 
 
-Check = Callable[[VerifyLimits], CheckResult]
+# (passed, detail, counterexample): what a check returns, without its name
+Verdict = tuple[bool, str, dict | None]
+Check = Callable[[VerifyLimits], Verdict]
 
 
-def _ok(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, True, detail)
+def _ok(detail: str) -> Verdict:
+    return True, detail, None
 
 
-def _fail(name: str, detail: str, example: dict) -> CheckResult:
-    return CheckResult(name, False, detail, example)
-
-
-def _no_chain(name: str, detail: str, tab: Tableau) -> CheckResult:
-    return _fail(name, detail, {"n": tab.n, "rows": [list(r) for r in tab.rows]})
-
-
-def _routes_disagree(name: str, exc: RouteMismatch) -> CheckResult:
-    return _fail(name, "inclusion-exclusion disagrees with classification",
-                 {"i": exc.i, "t": exc.t, "ie": exc.ie, "brute": exc.brute})
+def _fail(detail: str, example: dict) -> Verdict:
+    return False, detail, example
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +181,18 @@ def _full_labels(tab: Tableau) -> set[int]:
 # covers suite
 
 
-def check_path_roundtrip(limits: VerifyLimits) -> CheckResult:
-    name = "covers/path-roundtrip"
+def check_path_roundtrip(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 8)
     for n in range(1, top + 1):
         for vertex in partitions_in_staircase(n):
             back = from_dyck_path(to_dyck_path(vertex, n))
             if back != vertex:
-                return _fail(name, "conversion does not round-trip",
+                return _fail("conversion does not round-trip",
                              {"n": n, "vertex": list(vertex), "back": list(back)})
-    return _ok(name, f"exhaustive for n <= {top}")
+    return _ok(f"exhaustive for n <= {top}")
 
 
-def check_cover_equivalence(limits: VerifyLimits) -> CheckResult:
-    name = "covers/path-vs-diagram"
+def check_cover_equivalence(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 6)
     for n in range(1, top + 1):
         for vertex in partitions_in_staircase(n):
@@ -208,15 +200,14 @@ def check_cover_equivalence(limits: VerifyLimits) -> CheckResult:
                              for p in upper_covers_dyck(to_dyck_path(vertex, n))]
             direct = upper_covers(vertex, n)
             if through_paths != direct:
-                return _fail(name, "cover sets (or their order) disagree",
+                return _fail("cover sets (or their order) disagree",
                              {"n": n, "vertex": list(vertex),
                               "paths": [list(p) for p in through_paths],
                               "diagrams": [list(p) for p in direct]})
-    return _ok(name, f"exhaustive for n <= {top}, order included")
+    return _ok(f"exhaustive for n <= {top}, order included")
 
 
-def check_prime_trichotomy(limits: VerifyLimits) -> CheckResult:
-    name = "covers/prime-trichotomy"
+def check_prime_trichotomy(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 8)
     for n in range(1, top + 1):
         for path in (to_dyck_path(vertex, n) for vertex in partitions_in_staircase(n)):
@@ -239,34 +230,28 @@ def check_prime_trichotomy(limits: VerifyLimits) -> CheckResult:
                 proper = inside and not equal
                 conditions = [disjoint, single_point, proper, equal]
                 if sum(conditions) != 1:
-                    return _fail(name, "pair fits none or several cases",
+                    return _fail("pair fits none or several cases",
                                  {"path": path, "spans": [[a1, b1], [a2, b2]],
                                   "conditions": conditions})
-    return _ok(name, f"all subpath pairs for n <= {top}")
+    return _ok(f"all subpath pairs for n <= {top}")
 
 
-def check_monotone_heights(limits: VerifyLimits) -> CheckResult:
-    name = "covers/monotone-heights"
+def check_monotone_heights(limits: VerifyLimits) -> Verdict:
     rng = random.Random(limits.seed)
     top = min(limits.max_n, 7)
     trials = max(1, limits.samples // 20)
     for _ in range(trials):
         n = rng.randint(1, top)
-        draw = random_chain(n, rng)
-        try:
-            chain = tableau_to_chain(draw)
-        except NotChainTableauError:
-            return _no_chain(name, "a random draw encodes no chain", draw)
+        chain = tableau_to_chain(random_chain(n, rng))
         heights = [prime_subpath_heights(to_dyck_path(v, n)) for v in chain]
         for upper, lower in zip(heights, heights[1:]):
             if any(u < l for u, l in zip(upper, lower)):
-                return _fail(name, "heights increased moving down a cover",
+                return _fail("heights increased moving down a cover",
                              {"n": n, "chain": [list(v) for v in chain]})
-    return _ok(name, f"{trials} random chains, n <= {top}")
+    return _ok(f"{trials} random chains, n <= {top}")
 
 
-def check_strip_translation(limits: VerifyLimits) -> CheckResult:
-    name = "covers/strip-translation"
+def check_strip_translation(limits: VerifyLimits) -> Verdict:
     rng = random.Random(limits.seed + 1)
     top = min(limits.max_n + 2, 8)
     trials = max(1, limits.samples // 4)
@@ -299,58 +284,48 @@ def check_strip_translation(limits: VerifyLimits) -> CheckResult:
             == prime_path_of_row(shape2, n2, box2[0]).steps,
         ]
         if len(set(conditions)) != 1:
-            return _fail(name, "the four equivalent conditions disagree",
+            return _fail("the four equivalent conditions disagree",
                          {"first": [list(shape1), n1, list(box1)],
                           "second": [list(shape2), n2, list(box2)],
                           "conditions": conditions})
-    return _ok(name, f"{trials} random strip pairs")
+    return _ok(f"{trials} random strip pairs")
 
 
-def check_poset_extremes(limits: VerifyLimits) -> CheckResult:
-    name = "covers/poset-extremes"
+def check_poset_extremes(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 8)
     for n in range(2, top + 1):
         bottom_covers = upper_covers(staircase(n - 1), n)
         if len(bottom_covers) != n - 1:
-            return _fail(name, "bottom element cover count is wrong",
+            return _fail("bottom element cover count is wrong",
                          {"n": n, "covers": len(bottom_covers)})
         if count_by_length(n).get(n - 1) != 1:
-            return _fail(name, "shortest chain is not unique", {"n": n})
-    return _ok(name, f"n <= {top}")
+            return _fail("shortest chain is not unique", {"n": n})
+    return _ok(f"n <= {top}")
 
 
 # ---------------------------------------------------------------------------
 # chain-tableau suite
 
 
-def check_encoding_roundtrip(limits: VerifyLimits) -> CheckResult:
-    name = "psi/roundtrip"
+def check_encoding_roundtrip(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 6)
     for n in range(1, top + 1):
         for tab in enumerate_maximal_chains(n):
-            try:
-                chain = tableau_to_chain(tab)
-            except NotChainTableauError:
-                return _no_chain(name, "a streamed tableau encodes no chain", tab)
-            if chain_to_tableau(chain, n) != tab:
-                return _fail(name, "exhaustive round-trip failed",
+            if chain_to_tableau(tableau_to_chain(tab), n) != tab:
+                return _fail("exhaustive round-trip failed",
                              {"n": n, "rows": [list(r) for r in tab.rows]})
     rng = random.Random(limits.seed + 2)
     big = min(limits.max_n + 1, 7)
     for _ in range(limits.samples):
         tab = random_chain(big, rng)
-        try:
-            chain = tableau_to_chain(tab)
-        except NotChainTableauError:
-            return _no_chain(name, "a random draw encodes no chain", tab)
+        chain = tableau_to_chain(tab)
         if chain_to_tableau(chain, big) != tab:
-            return _fail(name, "random round-trip failed",
+            return _fail("random round-trip failed",
                          {"n": big, "chain": [list(v) for v in chain]})
-    return _ok(name, f"exhaustive n <= {top} plus {limits.samples} random chains at n = {big}")
+    return _ok(f"exhaustive n <= {top} plus {limits.samples} random chains at n = {big}")
 
 
-def check_characterization(limits: VerifyLimits) -> CheckResult:
-    name = "psi/characterization"
+def check_characterization(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 5)
     checked = 0
     for tab in candidate_tableaux(top, max_length=6):
@@ -361,70 +336,65 @@ def check_characterization(limits: VerifyLimits) -> CheckResult:
         except NotChainTableauError:
             cover_route = False
         if strip_route != cover_route:
-            return _fail(name, "strip and cover characterizations disagree",
+            return _fail("strip and cover characterizations disagree",
                          {"rows": [list(r) for r in tab.rows],
                           "strips": strip_route, "covers": cover_route})
         checked += 1
-    return _ok(name, f"{checked} candidate tableaux inside the staircase of order {top - 1}")
+    return _ok(f"{checked} candidate tableaux inside the staircase of order {top - 1}")
 
 
-def check_outer_diagonal_distinct(limits: VerifyLimits) -> CheckResult:
-    name = "psi/outer-diagonal-distinct"
+def check_outer_diagonal_distinct(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 6)
     for n in range(1, top + 1):
         for tab in enumerate_maximal_chains(n):
             labels = [tab.label(x, y) for x, y in outer_diagonal(tab)]
             if len(labels) != len(set(labels)):
-                return _fail(name, "repeated label on the outer diagonal",
+                return _fail("repeated label on the outer diagonal",
                              {"n": n, "rows": [list(r) for r in tab.rows]})
-    return _ok(name, f"all maximal chains for n <= {top}")
+    return _ok(f"all maximal chains for n <= {top}")
 
 
-def check_equal_rows(limits: VerifyLimits) -> CheckResult:
-    name = "psi/equal-length-rows-identical"
+def check_equal_rows(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 5)
     big = min(limits.max_n + 1, 6)
     for tab in itertools.chain(all_chain_tableaux(top), enumerate_maximal_chains(big)):
         rows = tab.rows
         for d in range(len(rows) - 1):
             if len(rows[d]) == len(rows[d + 1]) and rows[d] != rows[d + 1]:
-                return _fail(name, "equal-length rows differ",
+                return _fail("equal-length rows differ",
                              {"rows": [list(r) for r in rows], "d": d + 1})
-    return _ok(name, f"all chains ending at the top for n <= {top}, maximal chains at n = {big}")
+    return _ok(f"all chains ending at the top for n <= {top}, maximal chains at n = {big}")
 
 
-def check_pfs_bound(limits: VerifyLimits) -> CheckResult:
-    name = "psi/plus-full-set-bound"
+def check_pfs_bound(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 6)
     for n in range(1, top + 1):
         for tab in enumerate_maximal_chains(n):
             plus_full = sum(1 for r in range(1, tab.length + 1)
                             if classify_r_set(tab, r) is RSetClass.PLUS_FULL)
             if plus_full > n - 1:
-                return _fail(name, "more than n-1 plus-full-sets",
+                return _fail("more than n-1 plus-full-sets",
                              {"n": n, "rows": [list(r) for r in tab.rows]})
-    return _ok(name, f"all maximal chains for n <= {top}")
+    return _ok(f"all maximal chains for n <= {top}")
 
 
 # ---------------------------------------------------------------------------
 # growth-map suite
 
 
-def check_repeat_row_roundtrip(limits: VerifyLimits) -> CheckResult:
-    name = "phi/repeat-row-roundtrip"
+def check_repeat_row_roundtrip(limits: VerifyLimits) -> Verdict:
     rng = random.Random(limits.seed + 3)
     big = min(limits.max_n + 1, 7)
     for _ in range(limits.samples):
         tab = random_chain(big, rng, start=staircase(big - 1))
         d = rng.randint(1, big)
         if unrepeat_row(repeat_row(tab, d), d) != tab:
-            return _fail(name, "row duplication does not round-trip",
+            return _fail("row duplication does not round-trip",
                          {"rows": [list(r) for r in tab.rows], "d": d})
-    return _ok(name, f"{limits.samples} random chains at n = {big}")
+    return _ok(f"{limits.samples} random chains at n = {big}")
 
 
-def check_repeat_row_characterization(limits: VerifyLimits) -> CheckResult:
-    name = "phi/repeat-row-characterization"
+def check_repeat_row_characterization(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 5)
     rng = random.Random(limits.seed + 5)
     big = min(limits.max_n + 2, 7)
@@ -434,7 +404,7 @@ def check_repeat_row_characterization(limits: VerifyLimits) -> CheckResult:
         for d in range(1, tab.n + 1):
             if prime_path_of_row(tab.shape, tab.n, d).height == d:
                 if not is_chain_tableau(repeat_row(tab, d)):
-                    return _fail(name, "duplication left the chain-tableau class",
+                    return _fail("duplication left the chain-tableau class",
                                  {"rows": [list(r) for r in tab.rows], "d": d})
     for tab in all_chain_tableaux(top + 1):
         rows = tab.rows
@@ -443,14 +413,13 @@ def check_repeat_row_characterization(limits: VerifyLimits) -> CheckResult:
             row_d1 = rows[d] if d + 1 <= len(rows) else ()
             if row_d == row_d1 and prime_path_of_row(tab.shape, tab.n, d).height == d:
                 if not is_chain_tableau(unrepeat_row(tab, d)):
-                    return _fail(name, "collapse left the chain-tableau class",
+                    return _fail("collapse left the chain-tableau class",
                                  {"rows": [list(r) for r in rows], "d": d})
-    return _ok(name, f"exhaustive both directions for n <= {top}, "
+    return _ok(f"exhaustive both directions for n <= {top}, "
                      f"{trials} random tableaux up to n = {big}")
 
 
-def check_append_bijection(limits: VerifyLimits) -> CheckResult:
-    name = "phi/grow-step-bijection"
+def check_append_bijection(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 5)
     for n in range(1, top + 1):
         xs: dict[tuple[int, int], set[Tableau]] = {}
@@ -483,14 +452,14 @@ def check_append_bijection(limits: VerifyLimits) -> CheckResult:
             image = {append_next_label(repeat_row(x, d), d) for x in sources}
             expected = zs.get((d, r), set())
             if image != expected:
-                return _fail(name, "grow step is not a bijection onto its target",
+                return _fail("grow step is not a bijection onto its target",
                              {"n": n, "d": d, "r": r,
                               "image": len(image), "target": len(expected)})
         for key in zs:
             if key not in xs:
-                return _fail(name, "target class without sources",
+                return _fail("target class without sources",
                              {"n": n, "d": key[0], "r": key[1]})
-    return _ok(name, f"exhaustive source/target comparison for n <= {top}")
+    return _ok(f"exhaustive source/target comparison for n <= {top}")
 
 
 def _growth_failure(tab: Tableau, pfs: tuple[int, ...], r: int, grown: Tableau) -> str | None:
@@ -519,8 +488,7 @@ def _misshifted_label(full: set[int], plus: set[int], r: int, grown: Tableau) ->
     return None
 
 
-def check_growth_roundtrip(limits: VerifyLimits) -> CheckResult:
-    name = "phi/roundtrip"
+def check_growth_roundtrip(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 6)
     cases = 0
     for n in range(1, top + 1):
@@ -529,7 +497,7 @@ def check_growth_roundtrip(limits: VerifyLimits) -> CheckResult:
             bound = min(pfs) - 1 if pfs else tab.length
             for r in range(0, bound + 1):
                 if failure := _growth_failure(tab, pfs, r, insert_plus_full_set(tab, r)):
-                    return _fail(name, failure,
+                    return _fail(failure,
                                  {"n": n, "r": r, "rows": [list(x) for x in tab.rows]})
                 cases += 1
     # the random cases also check the label shift and the decomposition
@@ -543,18 +511,17 @@ def check_growth_roundtrip(limits: VerifyLimits) -> CheckResult:
         grown = insert_plus_full_set(tab, r)
         example = {"n": big, "r": r, "rows": [list(x) for x in tab.rows]}
         if failure := _growth_failure(tab, pfs, r, grown):
-            return _fail(name, f"random case: {failure}", example)
+            return _fail(f"random case: {failure}", example)
         if (j := _misshifted_label(_full_labels(tab), set(pfs), r, grown)) is not None:
-            return _fail(name, "random case: full/plus statuses do not shift as required",
+            return _fail("random case: full/plus statuses do not shift as required",
                          {**example, "j": j})
         if recompose(decompose(tab)) != tab:
-            return _fail(name, "random case: recompose does not invert decompose", example)
-    return _ok(name, f"{cases} cases exhaustive for n <= {top} plus {limits.samples} "
+            return _fail("random case: recompose does not invert decompose", example)
+    return _ok(f"{cases} cases exhaustive for n <= {top} plus {limits.samples} "
                      f"random cases at n = {big} (with label shift and decomposition)")
 
 
-def check_label_shift(limits: VerifyLimits) -> CheckResult:
-    name = "phi/label-shift"
+def check_label_shift(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 5)
     for n in range(1, top + 1):
         for tab in enumerate_maximal_chains(n):
@@ -563,14 +530,13 @@ def check_label_shift(limits: VerifyLimits) -> CheckResult:
             for r in range(0, tab.length + 1):
                 j = _misshifted_label(full, plus, r, expand_chain(tab, r))
                 if j is not None:
-                    return _fail(name, "full/plus statuses do not shift as required",
+                    return _fail("full/plus statuses do not shift as required",
                                  {"n": n, "r": r, "j": j,
                                   "rows": [list(x) for x in tab.rows]})
-    return _ok(name, f"exhaustive for n <= {top}")
+    return _ok(f"exhaustive for n <= {top}")
 
 
-def check_growth_image_counts(limits: VerifyLimits) -> CheckResult:
-    name = "phi/image-counts"
+def check_growth_image_counts(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 6)
     for n in range(1, top + 1):
         small = census(n)
@@ -583,102 +549,86 @@ def check_growth_image_counts(limits: VerifyLimits) -> CheckResult:
                 domain = total - sum(tally.get(j, 0) for j in range(1, r + 1))
                 image = grown_tally.get(r + 1, 0)
                 if domain != image:
-                    return _fail(name, "domain and image classes have different sizes",
+                    return _fail("domain and image classes have different sizes",
                                  {"n": n, "i": i, "r": r,
                                   "domain": domain, "image": image})
-    return _ok(name, f"all offsets and levels for n <= {top}")
+    return _ok(f"all offsets and levels for n <= {top}")
 
 
-def check_decomposition(limits: VerifyLimits) -> CheckResult:
-    name = "phi/decomposition"
+def check_decomposition(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 6)
     for n in range(1, top + 1):
         for tab in enumerate_maximal_chains(n):
             dec = decompose(tab)
             if plus_full_set_labels(dec.base):
-                return _fail(name, "base chain still has plus-full-sets",
+                return _fail("base chain still has plus-full-sets",
                              {"n": n, "rows": [list(x) for x in tab.rows]})
             if any(a > b for a, b in zip(dec.params, dec.params[1:])):
-                return _fail(name, "growth levels are not weakly increasing",
+                return _fail("growth levels are not weakly increasing",
                              {"n": n, "params": list(dec.params)})
             expected = tuple(sorted(r + j + 1 for j, r in enumerate(dec.params)))
             labels = plus_full_set_labels(tab)
             if labels != expected:
-                return _fail(name, "plus-full-set labels disagree with the levels",
+                return _fail("plus-full-set labels disagree with the levels",
                              {"n": n, "params": list(dec.params), "labels": list(labels)})
             if recompose(dec) != tab:
-                return _fail(name, "recompose does not invert decompose",
+                return _fail("recompose does not invert decompose",
                              {"n": n, "rows": [list(x) for x in tab.rows]})
-    return _ok(name, f"exhaustive for n <= {top}")
+    return _ok(f"exhaustive for n <= {top}")
 
 
-def check_witness(limits: VerifyLimits) -> CheckResult:
-    name = "phi/no-plus-full-set-witness"
+def check_witness(limits: VerifyLimits) -> Verdict:
     for i in range(-1, min(limits.max_i, 4) + 1):
         tab = chain_without_plus_full_sets(i)
         if tab.n != 2 * i + 3 and i >= 0:
-            return _fail(name, "witness lattice order is wrong", {"i": i, "n": tab.n})
+            return _fail("witness lattice order is wrong", {"i": i, "n": tab.n})
         if tab.length != 3 * i + 3 and i >= 0:
-            return _fail(name, "witness length is wrong", {"i": i, "length": tab.length})
+            return _fail("witness length is wrong", {"i": i, "length": tab.length})
         if not tab.is_staircase or not is_chain_tableau(tab):
-            return _fail(name, "witness is not a maximal chain", {"i": i})
+            return _fail("witness is not a maximal chain", {"i": i})
         if plus_full_set_labels(tab):
-            return _fail(name, "witness has a plus-full-set",
+            return _fail("witness has a plus-full-set",
                          {"i": i, "labels": list(plus_full_set_labels(tab))})
-    return _ok(name, f"i <= {min(limits.max_i, 4)}")
+    return _ok(f"i <= {min(limits.max_i, 4)}")
 
 
 # ---------------------------------------------------------------------------
 # formulas suite
 
 
-def check_recursion_vs_walk(limits: VerifyLimits) -> CheckResult:
-    name = "formulas/recursion-vs-walk"
+def check_recursion_vs_walk(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 7)
     for n in range(1, top + 1):
         hist = count_by_length(n)
-        try:
-            tables = initial_values(range(-1, comb(n, 2) - n + 1), n)
-        except RouteMismatch as exc:
-            return _routes_disagree(name, exc)
-        for i, table in tables.items():
+        for i, table in initial_values(range(-1, comb(n, 2) - n + 1), n).items():
             if chains_count(i, n, table) != hist.get(n + i):
-                return _fail(name, "recursion disagrees with the lattice walk",
+                return _fail("recursion disagrees with the lattice walk",
                              {"i": i, "n": n,
                               "recursion": chains_count(i, n, table),
                               "walk": hist.get(n + i)})
-    return _ok(name, f"every offset for n <= {top}")
+    return _ok(f"every offset for n <= {top}")
 
 
-def check_walk_vs_enumeration(limits: VerifyLimits) -> CheckResult:
-    name = "formulas/walk-vs-enumeration"
+def check_walk_vs_enumeration(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 6)
     for n in range(1, top + 1):
         streamed = stream_census(n)
         if census(n) != streamed or dict(count_by_length(n).counts) != streamed.by_length:
-            return _fail(name, "the sweeps disagree with the chain stream", {"n": n})
-    return _ok(name, f"n <= {top}")
+            return _fail("the sweeps disagree with the chain stream", {"n": n})
+    return _ok(f"n <= {top}")
 
 
-def check_initial_values_vs_brute(limits: VerifyLimits) -> CheckResult:
-    name = "formulas/initial-values-vs-brute"
+def check_initial_values_vs_brute(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 7)
     # past this offset no chain of order <= top is long enough: both routes give 0
     top_i = min(limits.max_i, comb(top, 2) - top)
-    try:
-        initial_values(range(-1, top_i + 1), top)
-    except RouteMismatch as exc:
-        return _routes_disagree(name, exc)
-    return _ok(name, f"i <= {top_i}, t <= {top}")
+    initial_values(range(-1, top_i + 1), top)  # raises where the routes disagree
+    return _ok(f"i <= {top_i}, t <= {top}")
 
 
-def check_degree(limits: VerifyLimits) -> CheckResult:
-    name = "formulas/polynomial-degree"
+def check_degree(limits: VerifyLimits) -> Verdict:
     for i in range(-1, min(limits.max_i, 2) + 1):
-        try:
-            table = nofull_initial_values(i)
-        except RouteMismatch as exc:
-            return _routes_disagree(name, exc)
+        table = nofull_initial_values(i)
         degree = 3 * i + 3
         values = [chains_count(i, n, table) for n in range(1, degree + 4)]
         diffs = values
@@ -686,51 +636,48 @@ def check_degree(limits: VerifyLimits) -> CheckResult:
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         leading = table.get(2 * i + 3, 0)
         if any(d != leading for d in diffs):
-            return _fail(name, "top finite difference is not the leading initial value",
+            return _fail("top finite difference is not the leading initial value",
                          {"i": i, "diffs": diffs, "expected": leading})
         final = [b - a for a, b in zip(diffs, diffs[1:])]
         if any(d != 0 for d in final):
-            return _fail(name, "degree exceeds 3i+3", {"i": i, "diffs": final})
-    return _ok(name, f"finite differences for i <= {min(limits.max_i, 2)}")
+            return _fail("degree exceeds 3i+3", {"i": i, "diffs": final})
+    return _ok(f"finite differences for i <= {min(limits.max_i, 2)}")
 
 
-def check_longest(limits: VerifyLimits) -> CheckResult:
-    name = "formulas/longest-chains"
+def check_longest(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 7)
     for n in range(1, top + 1):
         formula = longest_chain_count(n)
         walked = count_by_length(n).get(comb(n, 2))
         if formula != walked:
-            return _fail(name, "product formula disagrees with the walk",
+            return _fail("product formula disagrees with the walk",
                          {"n": n, "formula": formula, "walk": walked})
-    return _ok(name, f"n <= {top}")
+    return _ok(f"n <= {top}")
 
 
-def check_vanishing(limits: VerifyLimits) -> CheckResult:
+def check_vanishing(limits: VerifyLimits) -> Verdict:
     """For n >= 2i+4 no chain of length n+i avoids plus-full-sets, and the minimal
     plus-full-set labels split the chains into the nonempty classes 1..3i+4."""
-    name = "formulas/vanishing"
     top = min(limits.max_n, 7)
     done = []
     for i in (-1, 0, 1):
         for n in range(max(2 * i + 4, 1), top + 1):
             summary = census(n)
             if summary.nofull_by_length.get(n + i, 0):
-                return _fail(name, "a chain avoids plus-full-sets past the threshold",
+                return _fail("a chain avoids plus-full-sets past the threshold",
                              {"i": i, "n": n})
             # the census tallies are positive and sum to by_length by construction
             if set(summary.min_plus_full.get(n + i, {})) != set(range(1, 3 * i + 5)):
-                return _fail(name, "the minimal labels do not fill 1..3i+4", {"i": i, "n": n})
+                return _fail("the minimal labels do not fill 1..3i+4", {"i": i, "n": n})
             done.append((i, n))
-    return _ok(name, f"checked {done}")
+    return _ok(f"checked {done}")
 
 
-def check_equal_representation(limits: VerifyLimits) -> CheckResult:
+def check_equal_representation(limits: VerifyLimits) -> Verdict:
     """For every set U of at most n-1 labels of 1..n+i, with t = |U|: the chains of
     length n+i whose plus-full-set labels are exactly U number N_i(n-t), and those
     whose labels contain U number #C_i(n-t).  The label sets come from the chain
     stream classified by :func:`plus_full_set_labels`, so the cases stay at n <= 7."""
-    name = "formulas/equal-representation"
     cases = [(0, 4), (0, 5), (1, 5), (1, 6)]
     cases = [(i, n) for i, n in cases if n <= limits.max_n + 1 and i <= limits.max_i]
     for i, n in cases:
@@ -740,21 +687,21 @@ def check_equal_representation(limits: VerifyLimits) -> CheckResult:
             labels = frozenset(plus_full_set_labels(tab))
             tallies[labels] = tallies.get(labels, 0) + 1
         for t in range(n):
-            expected = (sweep(n - t, n - t + i, is_plus_full_step).get(n - t + i, 0),
+            # N_i(n-t) is the clean block of the climb of order n-t
+            expected = (_nofull_and_all(n - t, n - t + i)[0].get(n - t + i, 0),
                         count_by_length(n - t).get(n - t + i))
             for subset in itertools.combinations(range(1, length + 1), t):
                 wanted = frozenset(subset)
                 exact = tallies.get(wanted, 0)
                 superset = sum(count for labels, count in tallies.items() if wanted <= labels)
                 if (exact, superset) != expected:
-                    return _fail(name, "subset counts break equal representation",
+                    return _fail("subset counts break equal representation",
                                  {"i": i, "n": n, "labels": list(subset),
                                   "exact": exact, "superset": superset})
-    return _ok(name, f"cases {cases}")
+    return _ok(f"cases {cases}")
 
 
-def check_mutual_inversion(limits: VerifyLimits) -> CheckResult:
-    name = "formulas/mutual-inversion"
+def check_mutual_inversion(limits: VerifyLimits) -> Verdict:
     from .fixtures import nofull_table
 
     fixture = nofull_table()
@@ -764,84 +711,96 @@ def check_mutual_inversion(limits: VerifyLimits) -> CheckResult:
         for n, back in inclusion_exclusion(i, counts).items():
             expected = fixture.get((i, n), 0) if n <= 2 * i + 3 else 0
             if back != expected:
-                return _fail(name, "inclusion-exclusion does not invert the recursion",
+                return _fail("inclusion-exclusion does not invert the recursion",
                              {"i": i, "n": n, "back": back, "expected": expected})
-    return _ok(name, f"published initial values, i <= {min(limits.max_i, 5)}, n <= 13")
+    return _ok(f"published initial values, i <= {min(limits.max_i, 5)}, n <= 13")
 
 
 # ---------------------------------------------------------------------------
 # conjecture suite
 
 
-def check_conjecture(limits: VerifyLimits) -> CheckResult:
-    name = "conjecture/products"
+def check_conjecture(limits: VerifyLimits) -> Verdict:
     top_i = min(limits.max_i, 2)
-    try:
-        table = initial_values(range(-1, top_i + 1), 2 * top_i + 3)
-    except RouteMismatch as exc:
-        return _routes_disagree(name, exc)
+    table = initial_values(range(-1, top_i + 1), 2 * top_i + 3)
     for i in range(-1, top_i + 1):
         for n, product in zip((2 * i + 3, 2 * i + 2), conjecture_values(i)):
             if product is None:
                 continue
             brute = table[i][n]
             if product != brute:
-                return _fail(name, "product disagrees with the classified count",
+                return _fail("product disagrees with the classified count",
                              {"i": i, "n": n, "product": product, "brute": brute})
-    return _ok(name, f"i <= {top_i}")
+    return _ok(f"i <= {top_i}")
 
 
-SUITES: dict[str, list[Check]] = {
-    "covers": [
-        check_path_roundtrip,
-        check_cover_equivalence,
-        check_prime_trichotomy,
-        check_monotone_heights,
-        check_strip_translation,
-        check_poset_extremes,
-    ],
-    "psi": [
-        check_encoding_roundtrip,
-        check_characterization,
-        check_outer_diagonal_distinct,
-        check_equal_rows,
-        check_pfs_bound,
-    ],
-    "phi": [
-        check_repeat_row_roundtrip,
-        check_repeat_row_characterization,
-        check_append_bijection,
-        check_growth_roundtrip,
-        check_label_shift,
-        check_growth_image_counts,
-        check_decomposition,
-        check_witness,
-    ],
-    "formulas": [
-        check_recursion_vs_walk,
-        check_walk_vs_enumeration,
-        check_initial_values_vs_brute,
-        check_degree,
-        check_longest,
-        check_vanishing,
-        check_equal_representation,
-        check_mutual_inversion,
-    ],
-    "conjecture": [
-        check_conjecture,
-    ],
+SUITES: dict[str, dict[str, Check]] = {
+    "covers": {
+        "path-roundtrip": check_path_roundtrip,
+        "path-vs-diagram": check_cover_equivalence,
+        "prime-trichotomy": check_prime_trichotomy,
+        "monotone-heights": check_monotone_heights,
+        "strip-translation": check_strip_translation,
+        "poset-extremes": check_poset_extremes,
+    },
+    "psi": {
+        "roundtrip": check_encoding_roundtrip,
+        "characterization": check_characterization,
+        "outer-diagonal-distinct": check_outer_diagonal_distinct,
+        "equal-length-rows-identical": check_equal_rows,
+        "plus-full-set-bound": check_pfs_bound,
+    },
+    "phi": {
+        "repeat-row-roundtrip": check_repeat_row_roundtrip,
+        "repeat-row-characterization": check_repeat_row_characterization,
+        "grow-step-bijection": check_append_bijection,
+        "roundtrip": check_growth_roundtrip,
+        "label-shift": check_label_shift,
+        "image-counts": check_growth_image_counts,
+        "decomposition": check_decomposition,
+        "no-plus-full-set-witness": check_witness,
+    },
+    "formulas": {
+        "recursion-vs-walk": check_recursion_vs_walk,
+        "walk-vs-enumeration": check_walk_vs_enumeration,
+        "initial-values-vs-brute": check_initial_values_vs_brute,
+        "polynomial-degree": check_degree,
+        "longest-chains": check_longest,
+        "vanishing": check_vanishing,
+        "equal-representation": check_equal_representation,
+        "mutual-inversion": check_mutual_inversion,
+    },
+    "conjecture": {
+        "products": check_conjecture,
+    },
 }
+
+
+def run_check(name: str, limits: VerifyLimits) -> CheckResult:
+    """The result of the check ``name`` (``suite/check``, as keyed in :data:`SUITES`),
+    the one place where a check's fault is caught.
+
+    Whatever the check raises (an ``Exception``, not an interrupt) is its FAIL,
+    with the detail ``"{type}: {message}"`` and the counterexample the exception
+    carries, if any: a :class:`~tamari.counting.RouteMismatch` gives ``{i, t, ie,
+    brute}``, a :class:`~tamari.tableaux.NotChainTableauError` the ``{n, rows}``
+    of the tableau that encodes no chain.
+    """
+    suite, _, short = name.partition("/")
+    check = SUITES[suite][short]
+    try:
+        passed, detail, example = check(limits)
+    except Exception as exc:
+        return CheckResult(name, False, f"{type(exc).__name__}: {exc}",
+                           getattr(exc, "counterexample", None))
+    return CheckResult(name, passed, detail, example)
 
 
 def run_suite(suite: str, limits: VerifyLimits) -> list[CheckResult]:
     if suite == "all":
-        names = list(SUITES)
+        chosen = list(SUITES)
     elif suite in SUITES:
-        names = [suite]
+        chosen = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
-    results = []
-    for name in names:
-        for check in SUITES[name]:
-            results.append(check(limits))
-    return results
+    return [run_check(f"{name}/{short}", limits) for name in chosen for short in SUITES[name]]

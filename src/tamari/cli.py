@@ -8,7 +8,8 @@ Commands
 * ``nofull``: counts of chains with no plus-full-sets, each computed twice, by
   skipping the plus-full cover steps and by inclusion-exclusion; maintains
   the cache file.
-* ``count``: one chain count, by the recursion and/or the brute sweep.
+* ``count``: one chain count, by the recursion and/or brute force: the histogram
+  climb of that one order, bounded at the chain length.
 * ``grow`` / ``decompose`` / ``recompose``: apply the chain surgery maps to a
   tableau read from stdin or a file; growth-level tuples are comma-separated.
 * ``verify``: the property suites of :mod:`tamari.checks`, which only this
@@ -26,7 +27,7 @@ raises on a refused input; :func:`main` alone turns what it raises into exit
 1 or 2 and a one-line ``error:``.  Each subcommand declares only the options
 it reads.  Effort is gated on ``enumerate``, ``table``, ``nofull`` and
 ``count``: the enumeration ceiling is order 7 (~3.4e5 chains), and
-``--allow-large`` admits order 8 (~2.2e8 chains); every sweep of ``nofull``
+``--allow-large`` admits order 8 (~2.2e8 chains); every climb of ``nofull``
 and ``count`` follows the histogram ceiling, order 9, or 11 with
 ``--allow-large``.  ``--allow-huge`` removes both ceilings; ``nofull --max-i``
 stays at most :data:`MAX_I`.
@@ -58,7 +59,6 @@ from .counting import (
     enumerate_maximal_chains,
     initial_values,
     length_histograms,
-    sweep,
 )
 from .fixtures import length_table, nofull_table
 from .tableaux import Tableau, TableauError, _require_maximal, tableau_to_chain
@@ -342,7 +342,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         if args.n > _ceiling(args, DP_LIMIT, DP_LIMIT_LARGE):
             raise ValueError(f"the brute sweep at n={args.n} exceeds the ceiling; "
                              f"pass --allow-large or --allow-huge")
-        results["brute"] = sweep(args.n, args.n + args.i).get(args.n + args.i, 0)
+        length = args.n + args.i
+        results["brute"] = length_histograms([args.n], length)[args.n].get(length)
     if args.method == "both" and results["recursion"] != results["brute"]:
         print(f"DISAGREE recursion={results['recursion']} brute={results['brute']}",
               file=sys.stderr)

@@ -8,9 +8,8 @@ Two independent routes are kept side by side on purpose:
   field overflows); each cover step comes from the kernel ``shapes._steps`` as its
   cover and the rows ``top+1 .. d`` of its strip, so no strip's boxes are built.
   A command climbs as few times as its counts allow: :func:`length_histograms`
-  climbs once for every order, seeded at each staircase; :func:`sweep` counts one
-  order up to a length bound, skipping the steps an edge filter rejects;
-  :func:`census` also tallies the minimal plus-full-set labels.
+  climbs once for every order, seeded at each staircase, optionally up to a length
+  bound; :func:`census` also tallies the minimal plus-full-set labels.
   :func:`enumerate_maximal_chains` streams the chain tableaux up the same kernel
   (the random draw :func:`tamari.checks.random_chain` takes one step of it per vertex);
   classified by :func:`tamari.tableaux.plus_full_set_labels`, they are the brute
@@ -161,36 +160,11 @@ def _climb(seeds: Mapping[Partition, int],
     return levels[0].get((), 0)
 
 
-def sweep(n: int, max_length: int | None = None,
-          skip_edge: Callable[..., bool] | None = None) -> dict[int, int]:
-    """Maximal chains of the n-th lattice by length, up to ``max_length`` (default
-    None: all), with no cover step for which ``skip_edge(shape, top, d, n)`` holds,
-    where the step removes the last boxes of rows ``top+1 .. d`` of ``shape``.
-
-    Pushes chain counts from the staircase up the reachable vertices (:func:`_climb`);
-    a vertex's state packs the count of its chains of depth d into field d, so a
-    step is one shift by the field width.  A step removes at most one box of row 1,
-    so a chain at depth d of a vertex with k boxes in row 1 is dropped once
-    d + k > ``max_length``: one mask per vertex, built only when it drops something.
-    """
-    seed = _staircase_of(n)
-    width, top = _field_width(n), comb(n, 2)
-
-    def advance(shape: Partition, reach: int) -> tuple[int, int] | None:
-        keep = top if max_length is None else max_length - shape[0]
-        if keep < 0:
-            return None
-        if keep < top:
-            reach &= (1 << width * (keep + 1)) - 1
-        return (reach << width, 0) if reach else None
-
-    skipped = None if skip_edge is None else lambda shape, top, d: skip_edge(shape, top, d, n)
-    return _unpack(_climb({seed: 1}, advance, skipped), width)
-
-
-def length_histograms(orders: Iterable[int]) -> dict[int, LengthHistogram]:
+def length_histograms(orders: Iterable[int],
+                      max_length: int | None = None) -> dict[int, LengthHistogram]:
     """``{n: histogram of the maximal chains of order n by length}`` for each order,
-    ascending, from one climb seeded at every order's staircase.
+    ascending, up to ``max_length`` (default None: all), from one climb seeded at
+    every order's staircase.
 
     Order n's chains fill their own block of C(n,2)+1 fields, the largest order
     lowest, so the states near the bottom stay short.  A chain of order n reaches
@@ -199,19 +173,46 @@ def length_histograms(orders: Iterable[int]) -> dict[int, LengthHistogram]:
     n < m with b boxes has at most min(n-1, k(b)) <= min(m-1, k(b)) covers and its
     chains start at C(n,2) < C(m,2) boxes, so the product of :func:`_field_width`
     at m bounds them too.
+
+    With a bound L, a block holds min(L, C(n,2))+1 fields of :func:`_bounded_width`
+    bits at m, which bounds each smaller order too.  A step removes at most one box
+    of row 1, so a chain at depth d of a vertex with k boxes in row 1 is dropped
+    once d + k > L: each block keeps its fields 0 .. L-k, under one mask per value
+    of L-k.  A kept field is below L, so no step shifts it out of its block.
     """
+    if max_length is not None and max_length < 0:
+        raise ValueError(f"length bound must be >= 0, got {max_length}")
     orders = sorted(set(orders), reverse=True)
     if not orders:
         return {}
-    width = _field_width(orders[0])
+    if max_length is None:
+        width, fields = _field_width(orders[0]), {n: comb(n, 2) + 1 for n in orders}
+    else:
+        width = _bounded_width(orders[0], max_length)
+        fields = {n: min(max_length, comb(n, 2)) + 1 for n in orders}
     seeds, offsets, offset = {}, {}, 0
     for n in orders:
         seeds[_staircase_of(n)] = 1 << offset
         offsets[n] = offset
-        offset += width * (comb(n, 2) + 1)
-    packed = _climb(seeds, lambda shape, reach: (reach << width, 0))
+        offset += width * fields[n]
+    if max_length is None:
+        advance = lambda shape, reach: (reach << width, 0)
+    else:
+        @lru_cache(maxsize=None)
+        def kept(keep: int) -> int:
+            # the fields are capped before the shift, so a huge bound builds no huge mask
+            return sum(((1 << width * min(keep + 1, fields[n])) - 1) << offsets[n]
+                       for n in orders)
+
+        def advance(shape: Partition, reach: int) -> tuple[int, int] | None:
+            if (keep := max_length - shape[0]) < 0:
+                return None
+            reach &= kept(keep)
+            return (reach << width, 0) if reach else None
+
+    packed = _climb(seeds, advance)
     return {n: LengthHistogram(n, _unpack((packed >> offsets[n])
-                                          & ((1 << width * (comb(n, 2) + 1)) - 1), width))
+                                          & ((1 << width * fields[n]) - 1), width))
             for n in reversed(orders)}
 
 
@@ -318,8 +319,9 @@ def is_plus_full_step(shape: Partition, top: int, d: int, n: int) -> bool:
 def census(n: int) -> ChainCensus:
     """Classify every maximal chain of the n-th lattice by its plus-full-sets.
 
-    The engine of :func:`sweep`, but each vertex counts the chains reaching it by
-    (length, steps taken since the last plus-full step, or -1 before the first).
+    The climb of :func:`length_histograms`, but each vertex counts the chains
+    reaching it by (length, steps taken since the last plus-full step, or -1 before
+    the first).
     The packed state holds one block of C(n,2)+1 length fields per ``since``, the
     clean block (-1) lowest.  A plain step shifts each field one length up and each
     block but the clean one a block up; a plus-full step folds every block into the
@@ -352,12 +354,17 @@ def census(n: int) -> ChainCensus:
 
 
 class RouteMismatch(ValueError):
-    """The two routes to an initial value N_i(t) disagree."""
+    """The two routes to an initial value N_i(t) disagree; ``counterexample`` is
+    ``{i, t, ie, brute}``."""
 
     def __init__(self, i: int, t: int, ie: int, brute: int) -> None:
         super().__init__(f"routes disagree at i={i}, t={t}: brute {brute} vs "
                          f"inclusion-exclusion {ie}")
         self.i, self.t, self.ie, self.brute = i, t, ie, brute
+
+    @property
+    def counterexample(self) -> dict[str, int]:
+        return {"i": self.i, "t": self.t, "ie": self.ie, "brute": self.brute}
 
 
 def _nofull_and_all(t: int, max_length: int) -> tuple[dict[int, int], dict[int, int]]:
@@ -366,8 +373,10 @@ def _nofull_and_all(t: int, max_length: int) -> tuple[dict[int, int], dict[int, 
 
     One climb carries both in two blocks of min(``max_length``, C(t,2))+1 fields of
     :func:`_bounded_width` bits, the clean block lowest.  A step shifts both one field
-    up, under the mask of :func:`sweep`; a step :func:`is_plus_full_step` marks folds
-    the clean block into the rest.
+    up, under the length mask of :func:`length_histograms`; a step
+    :func:`is_plus_full_step` marks folds the clean block into the rest.  The clean
+    block alone counts the chains with no plus-full-set, so ``[0]`` at bound t+i
+    holds N_i(t) at length t+i.
     """
     fields = min(max_length, comb(t, 2)) + 1
     width = _bounded_width(t, max_length)

@@ -60,7 +60,8 @@ class ChainError(ValueError):
 
 
 class NotChainTableauError(TableauError):
-    """The tableau does not encode any saturated chain."""
+    """The tableau does not encode any saturated chain; raised by
+    :func:`tableau_to_chain`, ``counterexample`` is the tableau's ``{n, rows}``."""
 
 
 class _once:
@@ -326,8 +327,10 @@ def tableau_to_chain(tab: Tableau) -> tuple[Partition, ...]:
     shapes = _truncation_shapes(tab)
     for r in range(1, len(shapes)):
         if shapes[r - 1] not in (cover for cover, _ in covers_with_strips(shapes[r], tab.n)):
-            raise NotChainTableauError(
+            error = NotChainTableauError(
                 f"labels <= {r} do not describe a cover step in {tab.rows!r}")
+            error.counterexample = {"n": tab.n, "rows": [list(row) for row in tab.rows]}
+            raise error
     return tuple(shapes)
 
 

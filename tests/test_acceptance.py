@@ -7,14 +7,7 @@ the cover-graph DP runs here because it completes in well under a second.
 from math import comb
 
 from tamari import cli
-from tamari.checks import (
-    VerifyLimits,
-    check_decomposition,
-    check_equal_representation,
-    check_growth_roundtrip,
-    check_label_shift,
-    check_vanishing,
-)
+from tamari.checks import VerifyLimits, run_check
 from tamari.counting import (
     chains_count,
     conjecture_values,
@@ -92,7 +85,7 @@ def test_criterion_5_longest_chain_formula():
 
 
 def test_criterion_6_vanishing_of_plus_full_free_chains():
-    result = check_vanishing(VerifyLimits(max_n=7))
+    result = run_check("formulas/vanishing", VerifyLimits(max_n=7))
     assert result.passed, result
     _passed("criterion 6: past the threshold order every chain has a "
             "plus-full-set and the minimal labels fill 1..3i+4, orders <= 7")
@@ -101,8 +94,8 @@ def test_criterion_6_vanishing_of_plus_full_free_chains():
 def test_criterion_7_bijection_property_suite():
     # the random cases draw from Random(seed + 4) = Random(424242): the chain, then r
     limits = VerifyLimits(max_n=6, samples=10_000, seed=424238)
-    results = [check(limits) for check in
-               (check_growth_roundtrip, check_decomposition, check_label_shift)]
+    results = [run_check(name, limits)
+               for name in ("phi/roundtrip", "phi/decomposition", "phi/label-shift")]
     assert all(result.passed for result in results), results
     _passed("criterion 7: growth/extraction round-trip, increment, label shift and "
             "unique decomposition, zero failures: "
@@ -143,6 +136,6 @@ def test_criterion_9_large_orders_gated(capsys):
 
 
 def test_equal_representation_extension():
-    result = check_equal_representation(VerifyLimits(max_n=5, max_i=1))
+    result = run_check("formulas/equal-representation", VerifyLimits(max_n=5, max_i=1))
     assert result.passed, result
     _passed(f"equal representation over label subsets holds: {result.detail}")

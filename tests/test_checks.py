@@ -3,7 +3,7 @@ from itertools import islice
 import pytest
 
 from tamari import checks, cli, counting
-from tamari.checks import VerifyLimits, run_suite
+from tamari.checks import VerifyLimits, run_check, run_suite
 from tamari.tableaux import RSetClass
 
 
@@ -51,7 +51,7 @@ def test_initial_values_check_stops_at_the_longest_chains(monkeypatch):
         return original(requested, max_t)
 
     monkeypatch.setattr(checks, "initial_values", counted)
-    result = checks.check_initial_values_vs_brute(VerifyLimits(max_n=7, max_i=20000))
+    result = run_check("formulas/initial-values-vs-brute", VerifyLimits(max_n=7, max_i=20000))
     assert result.passed, result
     assert len(offsets) == 16  # offsets -1..14; C(7,2) - 7 = 14
     assert result.detail == "i <= 14, t <= 7"
@@ -73,7 +73,7 @@ def one_route_off(monkeypatch):
 
 
 def test_initial_values_check_fails_where_the_routes_disagree(one_route_off):
-    result = checks.check_initial_values_vs_brute(VerifyLimits(max_n=7, max_i=2))
+    result = run_check("formulas/initial-values-vs-brute", VerifyLimits(max_n=7, max_i=2))
     assert not result.passed
     assert result.counterexample == {"i": 1, "t": 5, "ie": 10, "brute": 11}
 
@@ -87,7 +87,7 @@ def test_nofull_initial_values_raises_where_the_routes_disagree(one_route_off):
 
 def test_plus_full_set_bound_can_fail(monkeypatch):
     monkeypatch.setattr(checks, "classify_r_set", lambda tab, r: RSetClass.PLUS_FULL)
-    result = checks.check_pfs_bound(VerifyLimits(max_n=4))
+    result = run_check("psi/plus-full-set-bound", VerifyLimits(max_n=4))
     assert not result.passed
     assert result.detail == "more than n-1 plus-full-sets"
 
@@ -100,7 +100,7 @@ def test_growth_roundtrip_checks_the_plus_full_set_increment(monkeypatch):
         return (*labels, 10**6) if tab.n == 4 and labels else labels
 
     monkeypatch.setattr(checks, "plus_full_set_labels", one_spurious_label)
-    result = checks.check_growth_roundtrip(VerifyLimits(max_n=5, samples=0))
+    result = run_check("phi/roundtrip", VerifyLimits(max_n=5, samples=0))
     assert not result.passed
     assert result.detail == "image does not gain exactly one plus-full-set"
 
@@ -108,14 +108,15 @@ def test_growth_roundtrip_checks_the_plus_full_set_increment(monkeypatch):
 def test_a_route_mismatch_fails_each_check_that_builds_initial_values(one_route_off, capsys):
     example = {"i": 1, "t": 5, "ie": 10, "brute": 11}
     # the checks that build initial values fail; equal representation passes, since
-    # ``checks`` bound its own name ``sweep`` before the fixture patched ``counting``
+    # ``checks`` bound its own name ``_nofull_and_all`` before the fixture patched
+    # ``counting``, and it reads only the clean block, not the second route
     results = run_suite("formulas", VerifyLimits(max_n=7, max_i=2))
     assert len(results) == 8
     failed = {r.name: r.counterexample for r in results if not r.passed}
     assert failed == dict.fromkeys(["formulas/recursion-vs-walk",
                                     "formulas/initial-values-vs-brute",
                                     "formulas/polynomial-degree"], example)
-    conjecture = checks.check_conjecture(VerifyLimits(max_i=2))
+    conjecture = run_check("conjecture/products", VerifyLimits(max_i=2))
     assert not conjecture.passed and conjecture.counterexample == example
     assert cli.main(["verify", "--suite", "formulas", "--max-n", "7"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -144,13 +145,30 @@ def broken_stream(monkeypatch):
 def test_a_stream_of_tableaux_that_encode_no_chain_fails_the_checks(broken_stream, capsys):
     assert cli.main(["verify", "--suite", "covers", "--max-n", "5", "--samples", "40"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL covers/monotone-heights: a random draw encodes no chain\n" \
+    assert "FAIL covers/monotone-heights: NotChainTableauError: labels <= 2 do not " \
+        "describe a cover step in ((1,), (2,), (3,))\n" \
         '  counterexample: {"n": 4, "rows": [[1], [2], [3]]}\n' in out
     assert cli.main(["verify", "--suite", "psi", "--max-n", "5", "--samples", "40"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL psi/roundtrip: a streamed tableau encodes no chain\n" \
+    assert "FAIL psi/roundtrip: NotChainTableauError: labels <= 2 do not describe a " \
+        "cover step in ((1, 2), (2,))\n" \
         '  counterexample: {"n": 3, "rows": [[1, 2], [2]]}\n' in out
     # past the exhaustive orders, where every tableau is still a chain, the draws
-    drawn = checks.check_encoding_roundtrip(VerifyLimits(max_n=2, samples=20))
-    assert not drawn.passed and drawn.detail == "a random draw encodes no chain"
+    drawn = run_check("psi/roundtrip", VerifyLimits(max_n=2, samples=20))
+    assert not drawn.passed and drawn.detail == \
+        "NotChainTableauError: labels <= 2 do not describe a cover step in ((1,), (2,))"
     assert drawn.counterexample["n"] == 3
+
+
+def test_whatever_a_check_raises_is_its_fail_line(broken_stream, capsys):
+    # on these tableaux the surgery maps raise ``TableauError``; each check that
+    # calls them fails on its own line, and every other check still runs
+    assert cli.main(["verify", "--suite", "all", "--max-n", "3", "--max-i", "0",
+                     "--samples", "10"]) == 1
+    out = capsys.readouterr().out
+    checked = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
+    assert len(checked) == 28
+    assert "FAIL phi/roundtrip: TableauError: rows 1 and 2 differ, cannot collapse: " \
+        "((1, 2, 3), (2, 3), (3,))\n  counterexample: null\n" in out
+    assert "FAIL phi/decomposition: TableauError: rows 1 and 2 differ, cannot collapse: " \
+        "((1, 2), (2,))\n  counterexample: null\n" in out

@@ -279,7 +279,8 @@ def test_count_with_huge_offset_returns_at_once(capsys, monkeypatch):
 
 
 def test_brute_count_with_huge_offset_returns_at_once(capsys):
-    # the sweep's length bound is 100009, past every chain: no mask is built
+    # the bounded histogram's length bound is 100009, past every chain: each length
+    # mask stops at the C(9,2)+1 fields of the one block
     import time
 
     start = time.perf_counter()

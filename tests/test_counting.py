@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from tamari import counting, shapes
-from tamari.checks import VerifyLimits, check_mutual_inversion, stream_census
+from tamari.checks import VerifyLimits, run_check, stream_census
 from tamari.counting import (
     IncompleteTableError,
     census,
@@ -14,9 +14,9 @@ from tamari.counting import (
     enumerate_maximal_chains,
     initial_values,
     is_plus_full_step,
+    length_histograms,
     longest_chain_count,
     nofull_initial_values,
-    sweep,
 )
 from tamari.fixtures import length_table, nofull_table
 from tamari.tableaux import RSetClass, classify_r_set, plus_full_set_labels, tableau_to_chain
@@ -92,11 +92,27 @@ def test_census_agrees_with_histogram(censuses):
         assert censuses[n].by_length == dict(count_by_length(n).counts)
 
 
+def bounded(n, bound, marked=None):
+    """The chains of order n up to length ``bound``, by length: all of them, from the
+    bounded histogram, or with ``marked`` (``is_plus_full_step``) given, those with no
+    plus-full step, from the clean block of the initial-values climb."""
+    if marked is None:
+        return dict(length_histograms([n], bound)[n].counts)
+    return counting._nofull_and_all(n, bound)[0]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_bounded_sweep_truncates_the_histogram(n):
+    with pytest.raises(ValueError):
+        length_histograms([n], -1)
     counts = count_by_length(n).counts
     for bound in range(n - 1, comb(n, 2) + 1):
-        assert sweep(n, bound) == {l: c for l, c in counts.items() if l <= bound}, bound
+        assert bounded(n, bound) == {l: c for l, c in counts.items() if l <= bound}, bound
+        # one climb for the orders 1..n: each block is masked and truncated alike
+        together = length_histograms(range(1, n + 1), bound)
+        assert [dict(together[m].counts) for m in range(1, n + 1)] == \
+            [{l: c for l, c in count_by_length(m).counts.items() if l <= bound}
+             for m in range(1, n + 1)], bound
 
 
 def largest_triangle_index(boxes):
@@ -126,10 +142,20 @@ def test_the_field_width_holds_every_count():
 def test_a_field_width_too_small_would_be_seen(monkeypatch):
     # order 9 needs 40 bits; at 20 the carries cross fields and the counts go wrong
     published = length_table()[9]
-    assert sweep(9) == published
-    assert sweep(9, 12) == {l: c for l, c in published.items() if l <= 12}
+    assert dict(length_histograms([9])[9].counts) == published
+    assert bounded(9, 12) == {l: c for l, c in published.items() if l <= 12}
     monkeypatch.setattr(counting, "_field_width", lambda n: 20)
-    assert sweep(9) != published
+    assert dict(length_histograms([9])[9].counts) != published
+
+
+def test_a_bounded_histogram_width_one_bit_too_narrow_would_be_seen(monkeypatch):
+    # order 9 up to length 12: the bounded width holds the largest count the climb
+    # ends with, and one bit less garbles it
+    counts = bounded(9, 12)
+    need = max(counts.values()).bit_length()
+    assert counting._field_width(9) > counting._bounded_width(9, 12) >= need
+    monkeypatch.setattr(counting, "_bounded_width", lambda n, max_length: need - 1)
+    assert bounded(9, 12) != counts
 
 
 def test_a_bounded_width_one_bit_too_narrow_would_be_seen(monkeypatch):
@@ -163,17 +189,19 @@ def peak_bytes(run):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("skip_edge", [None, is_plus_full_step])
-def test_a_huge_length_bound_allocates_nothing_big(skip_edge):
+@pytest.mark.parametrize("marked", [None, is_plus_full_step])
+def test_a_huge_length_bound_allocates_nothing_big(marked):
     # a length mask for such a bound would take megabytes at 10**6 (checked
-    # first) and gigabytes at 10**9; the unbounded sweep peaks near 0.2 MB
-    unbounded = sweep(8, skip_edge=skip_edge)
+    # first) and gigabytes at 10**9; the unbounded histogram peaks near 0.2 MB
+    unbounded = bounded(8, comb(8, 2), marked)
+    if marked is None:
+        assert unbounded == dict(count_by_length(8).counts)
     for bound in (10 ** 6, 10 ** 9):
-        result, peak = peak_bytes(lambda: sweep(8, bound, skip_edge))
+        result, peak = peak_bytes(lambda: bounded(8, bound, marked))
         assert result == unbounded
         assert peak < 2 ** 20, (bound, peak)
-    if skip_edge is is_plus_full_step:
-        # the initial-values climbs mark that filter's steps: at the largest offset
+    if marked is is_plus_full_step:
+        # the initial-values climbs mark those steps: at the largest offset
         # the CLI admits, every order ``nofull`` climbs is bounded at t + 10**4, yet
         # each block stops at C(t,2)+1 fields (sized by the bound, they take 80 MB)
         from tamari import cli
@@ -184,8 +212,8 @@ def test_a_huge_length_bound_allocates_nothing_big(skip_edge):
 
 
 def nofull(i, n):
-    """Chains of length n+i in order n with no plus-full-set, from the bounded sweep."""
-    return sweep(n, n + i, is_plus_full_step).get(n + i, 0)
+    """Chains of length n+i in order n with no plus-full-set, from the clean block."""
+    return bounded(n, n + i, is_plus_full_step).get(n + i, 0)
 
 
 def test_plus_full_free_sweep_examples():
@@ -199,9 +227,10 @@ def test_plus_full_free_sweep_examples():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_plus_full_free_sweep_matches_the_census(n, censuses):
     counts = censuses[n].nofull_by_length
-    assert sweep(n, skip_edge=is_plus_full_step) == counts
+    # a bound past every chain
+    assert bounded(n, comb(n, 2) + 1, is_plus_full_step) == counts
     for bound in range(n - 1, comb(n, 2) + 1):
-        assert sweep(n, bound, is_plus_full_step) == \
+        assert bounded(n, bound, is_plus_full_step) == \
             {l: c for l, c in counts.items() if l <= bound}, bound
 
 
@@ -350,6 +379,6 @@ def test_vanishing_partition_sizes(censuses):
 
 
 def test_mutual_inversion_on_committed_values():
-    result = check_mutual_inversion(VerifyLimits(max_i=5))
+    result = run_check("formulas/mutual-inversion", VerifyLimits(max_i=5))
     assert result.passed, result
 

@@ -260,25 +260,25 @@ def test_upper_covers_dyck_examples():
 
 
 def test_prime_trichotomy_at_full_scale():
-    from tamari.checks import VerifyLimits, check_prime_trichotomy
+    from tamari.checks import VerifyLimits, run_check
 
-    result = check_prime_trichotomy(VerifyLimits(max_n=8))
+    result = run_check("covers/prime-trichotomy", VerifyLimits(max_n=8))
     assert result.passed, result
 
 
 def test_monotone_heights_at_stated_scale():
-    from tamari.checks import VerifyLimits, check_monotone_heights
+    from tamari.checks import VerifyLimits, run_check
 
-    result = check_monotone_heights(VerifyLimits(max_n=7, samples=4000, seed=23))
+    result = run_check("covers/monotone-heights", VerifyLimits(max_n=7, samples=4000, seed=23))
     assert result.passed, result
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_cover_sets_agree_across_representations(n):
     # covers/path-vs-diagram at orders <= n (the check caps at 6)
-    from tamari.checks import VerifyLimits, check_cover_equivalence
+    from tamari.checks import VerifyLimits, run_check
 
-    result = check_cover_equivalence(VerifyLimits(max_n=n))
+    result = run_check("covers/path-vs-diagram", VerifyLimits(max_n=n))
     assert result.passed, result
 
 
@@ -286,11 +286,11 @@ def test_strip_translation_and_poset_extremes_at_stated_scale():
     # the covers checks without a test of their own: 1,000 strip pairs at orders <= 8,
     # extremes (the bottom's n-1 covers, one shortest chain) at orders 2..8
     # (path round trip: test_path_roundtrip_exhaustive)
-    from tamari.checks import VerifyLimits, check_poset_extremes, check_strip_translation
+    from tamari.checks import VerifyLimits, run_check
 
     limits = VerifyLimits(max_n=8, samples=4000, seed=23)
-    for check in (check_strip_translation, check_poset_extremes):
-        result = check(limits)
+    for name in ("covers/strip-translation", "covers/poset-extremes"):
+        result = run_check(name, limits)
         assert result.passed, result
 
 

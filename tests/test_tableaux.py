@@ -176,8 +176,8 @@ def test_a_draw_from_a_shape_outside_the_lattice_names_it():
 
 def test_roundtrip_at_stated_scale():
     # orders <= 6, 10,000 random chains at 7
-    result = checks.check_encoding_roundtrip(
-        checks.VerifyLimits(max_n=6, samples=10_000, seed=17))
+    result = checks.run_check("psi/roundtrip",
+                              checks.VerifyLimits(max_n=6, samples=10_000, seed=17))
     assert result.passed, result
 
 
@@ -228,7 +228,7 @@ def test_is_chain_tableau_examples():
 
 
 def test_characterization_agrees_with_decoding():
-    result = checks.check_characterization(checks.VerifyLimits(max_n=4))
+    result = checks.run_check("psi/characterization", checks.VerifyLimits(max_n=4))
     assert result.passed, result
 
 
@@ -253,18 +253,19 @@ def test_plus_full_set_labels_examples(chains_by_order):
 
 def test_plus_full_set_count_bound():
     # every maximal chain at orders <= 6 has at most n-1 plus-full-sets
-    result = checks.check_pfs_bound(checks.VerifyLimits(max_n=6))
+    result = checks.run_check("psi/plus-full-set-bound", checks.VerifyLimits(max_n=6))
     assert result.passed, result
 
 
 def test_outer_diagonal_labels_distinct():
-    result = checks.check_outer_diagonal_distinct(checks.VerifyLimits(max_n=6))
+    result = checks.run_check("psi/outer-diagonal-distinct", checks.VerifyLimits(max_n=6))
     assert result.passed, result
 
 
 def test_equal_length_rows_are_identical():
     # all chains to the top at order 5, the maximal chains at 6
-    result = checks.check_equal_rows(checks.VerifyLimits(max_n=6))
+    result = checks.run_check("psi/equal-length-rows-identical",
+                              checks.VerifyLimits(max_n=6))
     assert result.passed, result
 
 

@@ -45,15 +45,17 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     # the counting engine's packed state: the initial-values climb's mask, the
-    # bounded sweep's cut-off, the one climb of `table` and its seeds' blocks
+    # bounded histogram's cut-off and per-block mask, the one climb of `table` and
+    # its seeds' blocks
     Mutant("mask-keep", "counting.py", "mask = (1 << width * (keep + 1)) - 1",
            "mask = (1 << width * keep) - 1"),
-    Mutant("keep-negative", "counting.py", "else max_length - shape[0]\n        if keep < 0:",
-           "else max_length - shape[0]\n        if keep <= 0:"),
+    Mutant("keep-negative", "counting.py", "(keep := max_length - shape[0]) < 0",
+           "(keep := max_length - shape[0]) <= 0"),
+    Mutant("block-mask-keep", "counting.py", "min(keep + 1, fields[n])", "min(keep, fields[n])"),
     Mutant("step-shift", "counting.py", "lambda shape, reach: (reach << width, 0)",
            "lambda shape, reach: (reach << 0, 0)"),
-    Mutant("table-block-offset", "counting.py", "offset += width * (comb(n, 2) + 1)",
-           "offset += width * comb(n, 2)"),
+    Mutant("table-block-offset", "counting.py", "{n: comb(n, 2) + 1 for n in orders}",
+           "{n: comb(n, 2) for n in orders}"),
     # the fold of the initial-values climb: a plus-full step leaves the clean block as it is
     Mutant("fold-unmoved", "counting.py",
            "return reach << width, ((reach & clean_mask) + (reach >> span)) << (span + width)",
@@ -80,7 +82,7 @@ MUTANTS = (
     Mutant("vanishing-classes", "checks.py", "3 * i + 5", "3 * i + 4"),
     Mutant("equal-rep-superset", "checks.py", "wanted <= labels", "wanted < labels"),
     # older hand-made mutants: counting, cli, checks, tableaux
-    Mutant("sweep-prune", "counting.py", "keep = max_length - shape[0]",
+    Mutant("nofull-prune", "counting.py", "keep = max_length - shape[0]",
            "keep = max_length - shape[0] - 1"),
     Mutant("plus-full-step", "counting.py", "shape[d] >= shape[d - 1] - 1",
            "shape[d] >= shape[d - 1]"),
@@ -92,6 +94,9 @@ MUTANTS = (
            "missing += max(top - dp_limit, 0)"),
     Mutant("roundtrip-increment", "checks.py", "if len(labels) != len(pfs) + 1:",
            "if False:"),
+    # the one place where what a check raises becomes its FAIL
+    Mutant("boundary-reraise", "checks.py", "except Exception as exc:",
+           "except ArithmeticError as exc:"),
     Mutant("census-noop", "counting.py",
            "result.by_length.get(length, 0) + count", "count + result.by_length.get(length, 0)",
            "integer addition commutes"),
