@@ -38,6 +38,9 @@ class GrowthDomainError(ValueError):
         super().__init__(f"chain has a plus-full-set with label {label}")
         self.label = label
 
+    def __reduce__(self):
+        return GrowthDomainError, (self.label,)
+
 
 class NoPlusFullSetError(ValueError):
     """The chain has no plus-full-set, so it is not in the image of any growth map."""

@@ -489,7 +489,7 @@ def _add_options(parser: argparse.ArgumentParser, formats: tuple[str, ...] | Non
     if ceilings:
         parser.add_argument("--allow-large", action="store_true",
                             help=f"raise the enumeration ceiling from order {ENUM_LIMIT} "
-                                 f"to {ENUM_LIMIT_LARGE} and the sweep ceiling from "
+                                 f"to {ENUM_LIMIT_LARGE} and the histogram ceiling from "
                                  f"order {DP_LIMIT} to {DP_LIMIT_LARGE}")
         parser.add_argument("--allow-huge", action="store_true",
                             help="remove both ceilings")
@@ -525,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p, TABLE_FORMATS, ceilings=True, cache=True)
     p.set_defaults(func=cmd_nofull)
 
-    p = sub.add_parser("count", help="one chain count, by the recursion and/or the brute sweep")
+    p = sub.add_parser("count", help="one chain count, by the recursion and/or the brute climb")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("recursion", "brute", "both"),

@@ -2,18 +2,20 @@
 
 Two independent routes are kept side by side on purpose:
 
-* the *lattice sweeps*, one engine (:func:`_climb`) up the vertices reachable
+* the *lattice climbs*, one engine (:func:`_climb`) up the vertices reachable
   from one or more seeds, each vertex holding one int that packs its chain counts
   into fixed-width fields (:func:`_field_width` and :func:`_bounded_width` prove no
-  field overflows); each cover step comes from the kernel ``shapes._steps`` as its
-  cover and the rows ``top+1 .. d`` of its strip, so no strip's boxes are built.
-  A command climbs as few times as its counts allow: :func:`length_histograms`
-  climbs once for every order, seeded at each staircase, optionally up to a length
-  bound; :func:`census` also tallies the minimal plus-full-set labels.
-  :func:`enumerate_maximal_chains` streams the chain tableaux up the same kernel
-  (the random draw :func:`tamari.checks.random_chain` takes one step of it per vertex);
-  classified by :func:`tamari.tableaux.plus_full_set_labels`, they are the brute
-  oracle the sweeps are tested against; and
+  field overflows), optionally cut at a length bound by one table of masks
+  (:func:`_length_masks`); each cover step comes from the kernel ``shapes._steps``
+  as its cover and the rows ``top+1 .. d`` of its strip, so no strip's boxes are
+  built.  A command climbs as few times as its counts allow:
+  :func:`length_histograms` climbs once for every order, seeded at each staircase,
+  optionally up to a length bound; :func:`census` also tallies the minimal
+  plus-full-set labels.  :func:`enumerate_maximal_chains` streams the chain
+  tableaux up the same kernel (the random draw :func:`tamari.checks.random_chain`
+  takes one step of it per vertex); classified by
+  :func:`tamari.tableaux.plus_full_set_labels`, they are the brute oracle the
+  climbs are tested against; and
 * the *recursion*: the count of maximal chains of length n+i is
   ``sum_{t=1}^{2i+3} C(n+i, t+i) * N_i(t)`` where ``N_i(t)`` counts chains of
   length t+i with no plus-full-sets.  :func:`initial_values` computes each from one
@@ -32,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .shapes import Partition, ShapeError, _steps, _Value, staircase
 from .tableaux import Tableau
@@ -127,9 +129,26 @@ def _staircase_of(n: int) -> Partition:
     return staircase(n - 1)
 
 
+def _length_masks(max_length: int, rows: int, width: int,
+                  blocks: Collection[tuple[int, int]]) -> tuple[int, ...]:
+    """The length masks of a climb bounded at L = ``max_length``, indexed by the
+    length k < ``rows`` of a vertex's row 1: each keeps the fields 0 .. L-k of every
+    block ``(offset, fields)`` of ``width``-bit fields, and nothing when k > L.
+
+    A step removes at most one box of row 1, so a chain at depth d of a vertex with
+    k boxes in row 1 is at least d + k long at the top, and is dropped once d + k > L.
+    A kept field is below L, so no step shifts it out of its block.
+    """
+    # the fields are capped before the shift, so a huge bound builds no huge mask
+    return tuple(sum(((1 << width * min(max_length - k + 1, fields)) - 1) << offset
+                     for offset, fields in blocks) if k <= max_length else 0
+                 for k in range(rows))
+
+
 def _climb(seeds: Mapping[Partition, int],
-           advance: Callable[[Partition, int], tuple[int, int] | None],
-           marked: Callable[[Partition, int, int], bool] | None = None) -> int:
+           advance: Callable[[Partition, int], tuple[int, int]],
+           marked: Callable[[Partition, int, int], bool] | None = None,
+           masks: tuple[int, ...] | None = None) -> int:
     """The state that reaches the null diagram from the states ``seeds`` (``{vertex:
     packed state}``).  A state is one int packing chain counts into fields
     (:func:`_field_width`).
@@ -137,10 +156,11 @@ def _climb(seeds: Mapping[Partition, int],
     The levels are a list indexed by box count, each mapping its reachable vertices
     to their states and freed once pushed; a seed starts in its own level.  A step
     removing a strip goes that many boxes up, and states merge by addition.  Once per
-    vertex, ``advance(shape, state)`` returns the states moved across a step,
-    ``(plain, special)``, or None if nothing survives (covers are then skipped); the
-    step that removes the last boxes of rows ``top+1 .. d`` takes ``special`` where
-    ``marked(shape, top, d)`` holds.
+    vertex, the state is cut to ``masks[k]`` (:func:`_length_masks`, k the length of
+    the vertex's row 1), if masks are given, and a vertex left with nothing is
+    skipped; ``advance(shape, state)`` returns the states moved across a step,
+    ``(plain, special)``; the step that removes the last boxes of rows ``top+1 .. d``
+    takes ``special`` where ``marked(shape, top, d)`` holds.
     """
     levels: list = [{} for _ in range(max(map(sum, seeds), default=0) + 1)]
     for seed, state in seeds.items():
@@ -148,10 +168,9 @@ def _climb(seeds: Mapping[Partition, int],
     for boxes in range(len(levels) - 1, 0, -1):
         level, levels[boxes] = levels[boxes], None
         for shape, state in level.items():
-            steps = advance(shape, state)
-            if steps is None:
+            if masks is not None and not (state := state & masks[shape[0]]):
                 continue
-            plain, special = steps
+            plain, special = advance(shape, state)
             for cover, top, d in _steps(shape):
                 moved = special if marked and marked(shape, top, d) else plain
                 if moved:
@@ -166,54 +185,33 @@ def length_histograms(orders: Iterable[int],
     ascending, up to ``max_length`` (default None: all), from one climb seeded at
     every order's staircase.
 
-    Order n's chains fill their own block of C(n,2)+1 fields, the largest order
-    lowest, so the states near the bottom stay short.  A chain of order n reaches
-    length C(n,2) only at the null diagram, so no step shifts a field into the next
-    block.  All blocks take the width of the largest order m: a vertex of order
-    n < m with b boxes has at most min(n-1, k(b)) <= min(m-1, k(b)) covers and its
-    chains start at C(n,2) < C(m,2) boxes, so the product of :func:`_field_width`
-    at m bounds them too.
-
-    With a bound L, a block holds min(L, C(n,2))+1 fields of :func:`_bounded_width`
-    bits at m, which bounds each smaller order too.  A step removes at most one box
-    of row 1, so a chain at depth d of a vertex with k boxes in row 1 is dropped
-    once d + k > L: each block keeps its fields 0 .. L-k, under one mask per value
-    of L-k.  A kept field is below L, so no step shifts it out of its block.
+    Order n's chains fill their own block of min(L, C(n,2))+1 fields, the largest
+    order lowest, so the states near the bottom stay short; L is the bound, or C(m,2)
+    for the largest order m.  A chain of order n reaches length C(n,2) only at the
+    null diagram, so no step shifts a field into the next block.  All blocks take
+    the :func:`_bounded_width` of m: a vertex of order n < m with b boxes has at most
+    min(n-1, k(b)) <= min(m-1, k(b)) covers and its chains start at C(n,2) < C(m,2)
+    boxes, so the bounds at m hold for them too.  With a bound, the climb keeps each
+    block under :func:`_length_masks`.
     """
     if max_length is not None and max_length < 0:
         raise ValueError(f"length bound must be >= 0, got {max_length}")
     orders = sorted(set(orders), reverse=True)
     if not orders:
         return {}
-    if max_length is None:
-        width, fields = _field_width(orders[0]), {n: comb(n, 2) + 1 for n in orders}
-    else:
-        width = _bounded_width(orders[0], max_length)
-        fields = {n: min(max_length, comb(n, 2)) + 1 for n in orders}
-    seeds, offsets, offset = {}, {}, 0
+    bound = comb(orders[0], 2) if max_length is None else max_length
+    width = _bounded_width(orders[0], bound)
+    seeds, blocks, offset = {}, {}, 0
     for n in orders:
         seeds[_staircase_of(n)] = 1 << offset
-        offsets[n] = offset
-        offset += width * fields[n]
-    if max_length is None:
-        advance = lambda shape, reach: (reach << width, 0)
-    else:
-        @lru_cache(maxsize=None)
-        def kept(keep: int) -> int:
-            # the fields are capped before the shift, so a huge bound builds no huge mask
-            return sum(((1 << width * min(keep + 1, fields[n])) - 1) << offsets[n]
-                       for n in orders)
-
-        def advance(shape: Partition, reach: int) -> tuple[int, int] | None:
-            if (keep := max_length - shape[0]) < 0:
-                return None
-            reach &= kept(keep)
-            return (reach << width, 0) if reach else None
-
-    packed = _climb(seeds, advance)
-    return {n: LengthHistogram(n, _unpack((packed >> offsets[n])
-                                          & ((1 << width * fields[n]) - 1), width))
-            for n in reversed(orders)}
+        blocks[n] = offset, min(bound, comb(n, 2)) + 1
+        offset += width * blocks[n][1]
+    masks = None if max_length is None else _length_masks(max_length, orders[0], width,
+                                                          blocks.values())
+    packed = _climb(seeds, lambda shape, reach: (reach << width, 0), masks=masks)
+    return {n: LengthHistogram(n, _unpack((packed >> offset) & ((1 << width * fields) - 1),
+                                          width))
+            for n, (offset, fields) in reversed(blocks.items())}
 
 
 @lru_cache(maxsize=32)
@@ -362,6 +360,9 @@ class RouteMismatch(ValueError):
                          f"inclusion-exclusion {ie}")
         self.i, self.t, self.ie, self.brute = i, t, ie, brute
 
+    def __reduce__(self):
+        return RouteMismatch, (self.i, self.t, self.ie, self.brute)
+
     @property
     def counterexample(self) -> dict[str, int]:
         return {"i": self.i, "t": self.t, "ie": self.ie, "brute": self.brute}
@@ -372,31 +373,22 @@ def _nofull_and_all(t: int, max_length: int) -> tuple[dict[int, int], dict[int, 
     plus-full step, and all of them.
 
     One climb carries both in two blocks of min(``max_length``, C(t,2))+1 fields of
-    :func:`_bounded_width` bits, the clean block lowest.  A step shifts both one field
-    up, under the length mask of :func:`length_histograms`; a step
-    :func:`is_plus_full_step` marks folds the clean block into the rest.  The clean
-    block alone counts the chains with no plus-full-set, so ``[0]`` at bound t+i
-    holds N_i(t) at length t+i.
+    :func:`_bounded_width` bits, the clean block lowest, under :func:`_length_masks`.
+    A step shifts both one field up; a step :func:`is_plus_full_step` marks folds the
+    clean block into the rest.  The clean block alone counts the chains with no
+    plus-full-set, so ``[0]`` at bound t+i holds N_i(t) at length t+i.
     """
     fields = min(max_length, comb(t, 2)) + 1
     width = _bounded_width(t, max_length)
     span = width * fields
     clean_mask = (1 << span) - 1
-    top = comb(t, 2)
 
-    def advance(shape: Partition, reach: int) -> tuple[int, int] | None:
-        keep = max_length - shape[0]
-        if keep < 0:
-            return None
-        if keep < top:
-            mask = (1 << width * (keep + 1)) - 1
-            reach &= mask | (mask << span)
-        if not reach:
-            return None
+    def advance(shape: Partition, reach: int) -> tuple[int, int]:
         return reach << width, ((reach & clean_mask) + (reach >> span)) << (span + width)
 
     packed = _climb({_staircase_of(t): 1}, advance,
-                    lambda shape, top, d: is_plus_full_step(shape, top, d, t))
+                    lambda shape, top, d: is_plus_full_step(shape, top, d, t),
+                    _length_masks(max_length, t, width, [(0, fields), (span, fields)]))
     clean = packed & clean_mask
     return _unpack(clean, width), _unpack(clean + (packed >> span), width)
 

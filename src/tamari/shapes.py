@@ -130,25 +130,6 @@ def _require_vertex(parts: Sequence[int], n: int) -> Partition:
     return shape
 
 
-def format_partition(parts: Sequence[int]) -> str:
-    """Text form: comma-separated parts, '-' for the null diagram."""
-    shape = as_partition(parts)
-    return ",".join(str(p) for p in shape) if shape else "-"
-
-
-def parse_partition(text: str) -> Partition:
-    """Inverse of :func:`format_partition`."""
-    text = text.strip()
-    if text in ("-", ""):
-        return ()
-    try:
-        return as_partition(int(chunk) for chunk in text.split(","))
-    except ShapeError:
-        raise
-    except ValueError as exc:
-        raise ShapeError(f"cannot parse partition from {text!r}") from exc
-
-
 def validate_dyck_path(path: str) -> None:
     """Raise ShapeError unless ``path`` is a balanced N/E path staying above the diagonal."""
     if not path or len(path) % 2:

@@ -1,4 +1,5 @@
 from itertools import islice
+from math import comb
 
 import pytest
 
@@ -11,7 +12,7 @@ def test_all_suites_pass_at_default_limits():
     results = run_suite("all", VerifyLimits(max_n=5, max_i=2, samples=400, seed=3))
     failures = [r for r in results if not r.passed]
     assert not failures, failures
-    assert len(results) == 28
+    assert len(results) == 27
 
 
 def test_unknown_suite_rejected():
@@ -28,7 +29,7 @@ def test_verify_formulas_cli(capsys):
     assert cli.main(["verify", "--suite", "formulas", "--max-n", "7",
                      "--samples", "200"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 7
 
 
 def test_verify_growth_cli(capsys):
@@ -40,21 +41,24 @@ def test_verify_growth_cli(capsys):
 
 
 def test_initial_values_check_stops_at_the_longest_chains(monkeypatch):
-    offsets = []
+    # ``formulas/recursion-vs-walk`` builds the initial values of each order n, for
+    # every offset up to C(n,2) - n, whatever ``--max-i`` says
+    offsets = {}
     original = checks.initial_values
 
     def counted(requested, max_t):
         requested = list(islice(requested, 101))
-        offsets.extend(requested)
-        if len(offsets) > 100:
+        offsets[max_t] = requested
+        if len(requested) > 100:
             raise AssertionError("the offset loop is not bounded by the chain lengths")
         return original(requested, max_t)
 
     monkeypatch.setattr(checks, "initial_values", counted)
-    result = run_check("formulas/initial-values-vs-brute", VerifyLimits(max_n=7, max_i=20000))
+    result = run_check("formulas/recursion-vs-walk", VerifyLimits(max_n=7, max_i=20000))
     assert result.passed, result
-    assert len(offsets) == 16  # offsets -1..14; C(7,2) - 7 = 14
-    assert result.detail == "i <= 14, t <= 7"
+    assert len(offsets[7]) == 16  # offsets -1..14; C(7,2) - 7 = 14
+    assert offsets == {n: list(range(-1, comb(n, 2) - n + 1)) for n in range(1, 8)}
+    assert result.detail == "every offset for n <= 7"
 
 
 @pytest.fixture
@@ -73,8 +77,10 @@ def one_route_off(monkeypatch):
 
 
 def test_initial_values_check_fails_where_the_routes_disagree(one_route_off):
-    result = run_check("formulas/initial-values-vs-brute", VerifyLimits(max_n=7, max_i=2))
+    result = run_check("formulas/recursion-vs-walk", VerifyLimits(max_n=7, max_i=2))
     assert not result.passed
+    assert result.detail == "RouteMismatch: routes disagree at i=1, t=5: brute 11 vs " \
+        "inclusion-exclusion 10"
     assert result.counterexample == {"i": 1, "t": 5, "ie": 10, "brute": 11}
 
 
@@ -111,18 +117,17 @@ def test_a_route_mismatch_fails_each_check_that_builds_initial_values(one_route_
     # ``checks`` bound its own name ``_nofull_and_all`` before the fixture patched
     # ``counting``, and it reads only the clean block, not the second route
     results = run_suite("formulas", VerifyLimits(max_n=7, max_i=2))
-    assert len(results) == 8
+    assert len(results) == 7
     failed = {r.name: r.counterexample for r in results if not r.passed}
     assert failed == dict.fromkeys(["formulas/recursion-vs-walk",
-                                    "formulas/initial-values-vs-brute",
                                     "formulas/polynomial-degree"], example)
     conjecture = run_check("conjecture/products", VerifyLimits(max_i=2))
     assert not conjecture.passed and conjecture.counterexample == example
     assert cli.main(["verify", "--suite", "formulas", "--max-n", "7"]) == 1
     lines = capsys.readouterr().out.splitlines()
     checked = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
-    assert len(checked) == 8
-    assert sum(line.startswith("FAIL ") for line in checked) == 3
+    assert len(checked) == 7
+    assert sum(line.startswith("FAIL ") for line in checked) == 2
 
 
 @pytest.fixture
@@ -167,7 +172,7 @@ def test_whatever_a_check_raises_is_its_fail_line(broken_stream, capsys):
                      "--samples", "10"]) == 1
     out = capsys.readouterr().out
     checked = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
-    assert len(checked) == 28
+    assert len(checked) == 27
     assert "FAIL phi/roundtrip: TableauError: rows 1 and 2 differ, cannot collapse: " \
         "((1, 2, 3), (2, 3), (3,))\n  counterexample: null\n" in out
     assert "FAIL phi/decomposition: TableauError: rows 1 and 2 differ, cannot collapse: " \

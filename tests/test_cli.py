@@ -39,15 +39,19 @@ def test_table_csv_and_json(capsys):
     assert payload["totals"]["4"] == "9"
 
 
-def test_table_gating(capsys):
+def test_table_gating(capsys, climbs):
     code, _, err = run(capsys, "table", "--max-n", "8")
     assert code == 2
     assert "ceiling" in err
     code, out, _ = run(capsys, "table", "--max-n", "8", "--allow-large", "--check")
     assert code == 0
+    climbs.clear()
     code, out, _ = run(capsys, "table", "--max-n", "9", "--allow-huge", "--check")
     assert code == 0
     assert "passed for n <= 9" in out
+    # the path the benchmark's ``tables`` workload times: one climb for every
+    # order, unbounded, so it masks no vertex
+    assert climbs == [(tuple(staircase(n - 1) for n in range(9, 0, -1)), False, False)]
 
 
 def test_enumerate_streams_tableaux(capsys):
@@ -119,13 +123,14 @@ def test_nofull_skips_cells_beyond_ceilings(capsys):
 @pytest.fixture
 def climbs(monkeypatch):
     """The seeds of each climb of the counting engine the CLI makes, in call order,
-    and whether the climb marks some steps (the plus-full ones, for ``nofull``)."""
+    whether the climb marks some steps (the plus-full ones, for ``nofull``), and
+    whether it is cut by length masks (bounded at a length)."""
     calls = []
     original = counting._climb
 
-    def counted_climb(seeds, advance, marked=None):
-        calls.append((tuple(seeds), marked is not None))
-        return original(seeds, advance, marked)
+    def counted_climb(seeds, advance, marked=None, masks=None):
+        calls.append((tuple(seeds), marked is not None, masks is not None))
+        return original(seeds, advance, marked, masks)
 
     monkeypatch.setattr(counting, "_climb", counted_climb)
     return calls
@@ -133,14 +138,14 @@ def climbs(monkeypatch):
 
 def once_per_order(top):
     """One climb from each staircase of orders 1..top, marking the plus-full steps
-    to carry both routes."""
-    return [((staircase(n - 1),), True) for n in range(1, top + 1)]
+    to carry both routes, bounded at the longest chain the offsets need."""
+    return [((staircase(n - 1),), True, True) for n in range(1, top + 1)]
 
 
 def test_nofull_climbs_each_order_once(capsys, climbs):
     code, _, _ = run(capsys, "nofull", "--max-i", "3")
     assert code == 0
-    assert climbs == once_per_order(9)  # 2i+3 = 9, for every offset at once
+    assert climbs == once_per_order(9)  # 2i+3 = 9, for every offset at once, all masked
 
 
 def test_nofull_skipped_report_stays_short(capsys, climbs):

@@ -17,7 +17,6 @@ from tamari.bijections import (
     recompose,
 )
 from tamari.counting import enumerate_maximal_chains
-from tamari.shapes import ShapeError, parse_partition
 from tamari.tableaux import Tableau, TableauError, plus_full_set_labels
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -70,17 +69,6 @@ def test_from_json_dict_parses_or_raises_tableau_error(data):
     except TableauError:
         return
     assert Tableau.from_json_dict(json.loads(tab.to_json())) == tab
-
-
-@FUZZ
-@given(st.one_of(st.text(alphabet="0123456789,- ", max_size=20), st.text(),
-                 st.lists(labels, max_size=6).map(lambda parts: ",".join(map(str, parts)))))
-def test_parse_partition_parses_or_raises_shape_error(text):
-    try:
-        parts = parse_partition(text)
-    except ShapeError:
-        return
-    assert all(a >= b > 0 for a, b in zip(parts, parts[1:] + (1,)))
 
 
 CHAINS = [tab for n in range(1, 6) for tab in enumerate_maximal_chains(n)]

@@ -9,9 +9,7 @@ from tamari.shapes import (
     corner_boxes,
     covers_with_strips,
     enclosure,
-    format_partition,
     from_dyck_path,
-    parse_partition,
     partitions_in_staircase,
     prime_path_of_row,
     prime_subpath_heights,
@@ -58,15 +56,6 @@ def test_partition_normalization_and_errors():
         as_partition([1, 2])
     with pytest.raises(ShapeError):
         as_partition([2, -1])
-
-
-def test_partition_text_forms():
-    assert format_partition(()) == "-"
-    assert format_partition((3, 1)) == "3,1"
-    assert parse_partition("-") == ()
-    assert parse_partition("3,1") == (3, 1)
-    with pytest.raises(ShapeError):
-        parse_partition("1,2")
 
 
 def test_path_conversion_pinned_orientation():

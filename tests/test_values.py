@@ -2,7 +2,8 @@
 
 The records are plain classes on ``shapes._Value`` (``ChainCensus`` borrows its
 equality and repr); these tests pin the behaviour they had as dataclasses, and
-that a histogram now also survives ``pickle`` and ``copy.deepcopy``.
+that a histogram now also survives ``pickle`` and ``copy.deepcopy``, as do the
+two errors that carry fields.
 """
 
 import copy
@@ -15,8 +16,8 @@ from types import MappingProxyType
 import pytest
 
 import tamari
-from tamari.bijections import ChainDecomposition
-from tamari.counting import ChainCensus, LengthHistogram
+from tamari.bijections import ChainDecomposition, GrowthDomainError
+from tamari.counting import ChainCensus, LengthHistogram, RouteMismatch
 from tamari.shapes import Enclosure, PrimePathInfo
 from tamari.tableaux import Tableau, TableauError
 
@@ -90,6 +91,18 @@ def test_pickle_and_copies_round_trip(cls, args, text):
     value = cls(*args)
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(twin) is cls and twin == value and repr(twin) == text
+
+
+@pytest.mark.parametrize("error, fields", [
+    (RouteMismatch(1, 5, 10, 11), ("i", "t", "ie", "brute")),
+    (GrowthDomainError(3), ("label",)),
+], ids=["RouteMismatch", "GrowthDomainError"])
+def test_errors_with_fields_round_trip(error, fields):
+    # rebuilt from their fields, not from the message in ``args``
+    for twin in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+        assert type(twin) is type(error) and str(twin) == str(error)
+        assert [getattr(twin, f) for f in fields] == [getattr(error, f) for f in fields]
+        assert getattr(twin, "counterexample", None) == getattr(error, "counterexample", None)
 
 
 def test_census_is_mutable_and_fills_its_tallies():

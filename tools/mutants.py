@@ -3,7 +3,7 @@
 Run from the root of a checkout:
 
     python3 tools/mutants.py                          # every mutant, then the kill table
-    python3 tools/mutants.py --only mask-keep,census-swap
+    python3 tools/mutants.py --only mask-fields,census-swap
     python3 tools/mutants.py --list
 
 Each mutant replaces one snippet of one file under ``src`` (the snippet must
@@ -44,18 +44,18 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the counting engine's packed state: the initial-values climb's mask, the
-    # bounded histogram's cut-off and per-block mask, the one climb of `table` and
-    # its seeds' blocks
-    Mutant("mask-keep", "counting.py", "mask = (1 << width * (keep + 1)) - 1",
-           "mask = (1 << width * keep) - 1"),
-    Mutant("keep-negative", "counting.py", "(keep := max_length - shape[0]) < 0",
-           "(keep := max_length - shape[0]) <= 0"),
-    Mutant("block-mask-keep", "counting.py", "min(keep + 1, fields[n])", "min(keep, fields[n])"),
+    # the counting engine's packed state: the one table of length masks (a
+    # field's cut-off, a vertex's cut-off, the index a vertex takes), the one
+    # climb of `table` and its seeds' blocks
+    Mutant("mask-fields", "counting.py", "min(max_length - k + 1, fields)",
+           "min(max_length - k, fields)"),
+    Mutant("mask-cutoff", "counting.py", "if k <= max_length else 0",
+           "if k < max_length else 0"),
+    Mutant("mask-index", "counting.py", "masks[shape[0]]", "masks[shape[0] - 1]"),
     Mutant("step-shift", "counting.py", "lambda shape, reach: (reach << width, 0)",
            "lambda shape, reach: (reach << 0, 0)"),
-    Mutant("table-block-offset", "counting.py", "{n: comb(n, 2) + 1 for n in orders}",
-           "{n: comb(n, 2) for n in orders}"),
+    Mutant("table-block-offset", "counting.py", "min(bound, comb(n, 2)) + 1",
+           "min(bound, comb(n, 2))"),
     # the fold of the initial-values climb: a plus-full step leaves the clean block as it is
     Mutant("fold-unmoved", "counting.py",
            "return reach << width, ((reach & clean_mask) + (reach >> span)) << (span + width)",
@@ -82,8 +82,6 @@ MUTANTS = (
     Mutant("vanishing-classes", "checks.py", "3 * i + 5", "3 * i + 4"),
     Mutant("equal-rep-superset", "checks.py", "wanted <= labels", "wanted < labels"),
     # older hand-made mutants: counting, cli, checks, tableaux
-    Mutant("nofull-prune", "counting.py", "keep = max_length - shape[0]",
-           "keep = max_length - shape[0] - 1"),
     Mutant("plus-full-step", "counting.py", "shape[d] >= shape[d - 1] - 1",
            "shape[d] >= shape[d - 1]"),
     Mutant("ie-sign", "counting.py", "(-1) ** (t - s)", "(-1) ** (t - s + 1)"),
