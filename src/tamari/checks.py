@@ -21,6 +21,7 @@ from typing import Callable, Iterator
 from .shapes import (
     Box,
     Partition,
+    _prime_spans,
     _require_vertex,
     enclosure,
     from_dyck_path,
@@ -211,18 +212,8 @@ def check_prime_trichotomy(limits: VerifyLimits) -> Verdict:
     top = min(limits.max_n, 8)
     for n in range(1, top + 1):
         for path in (to_dyck_path(vertex, n) for vertex in partitions_in_staircase(n)):
-            spans = []
-            level = 0
-            starts = {}
-            for idx, step in enumerate(path):
-                if step == "N":
-                    starts[level] = idx
-                    level += 1
-                else:
-                    level -= 1
-                    spans.append((starts.pop(level), idx + 1))
             # a span (a, b) covers the path vertices a..b inclusive
-            for (a1, b1), (a2, b2) in itertools.combinations(spans, 2):
+            for (a1, b1), (a2, b2) in itertools.combinations(_prime_spans(path), 2):
                 disjoint = b1 < a2 or b2 < a1
                 single_point = b1 == a2 or b2 == a1
                 equal = (a1, b1) == (a2, b2)
@@ -312,8 +303,7 @@ def check_encoding_roundtrip(limits: VerifyLimits) -> Verdict:
     for n in range(1, top + 1):
         for tab in enumerate_maximal_chains(n):
             if chain_to_tableau(tableau_to_chain(tab), n) != tab:
-                return _fail("exhaustive round-trip failed",
-                             {"n": n, "rows": [list(r) for r in tab.rows]})
+                return _fail("exhaustive round-trip failed", tab.to_json_dict())
     rng = random.Random(limits.seed + 2)
     big = min(limits.max_n + 1, 7)
     for _ in range(limits.samples):
@@ -337,8 +327,8 @@ def check_characterization(limits: VerifyLimits) -> Verdict:
             cover_route = False
         if strip_route != cover_route:
             return _fail("strip and cover characterizations disagree",
-                         {"rows": [list(r) for r in tab.rows],
-                          "strips": strip_route, "covers": cover_route})
+                         {**tab.to_json_dict(), "strips": strip_route,
+                          "covers": cover_route})
         checked += 1
     return _ok(f"{checked} candidate tableaux inside the staircase of order {top - 1}")
 
@@ -349,8 +339,7 @@ def check_outer_diagonal_distinct(limits: VerifyLimits) -> Verdict:
         for tab in enumerate_maximal_chains(n):
             labels = [tab.label(x, y) for x, y in outer_diagonal(tab)]
             if len(labels) != len(set(labels)):
-                return _fail("repeated label on the outer diagonal",
-                             {"n": n, "rows": [list(r) for r in tab.rows]})
+                return _fail("repeated label on the outer diagonal", tab.to_json_dict())
     return _ok(f"all maximal chains for n <= {top}")
 
 
@@ -362,7 +351,7 @@ def check_equal_rows(limits: VerifyLimits) -> Verdict:
         for d in range(len(rows) - 1):
             if len(rows[d]) == len(rows[d + 1]) and rows[d] != rows[d + 1]:
                 return _fail("equal-length rows differ",
-                             {"rows": [list(r) for r in rows], "d": d + 1})
+                             {**tab.to_json_dict(), "d": d + 1})
     return _ok(f"all chains ending at the top for n <= {top}, maximal chains at n = {big}")
 
 
@@ -373,8 +362,7 @@ def check_pfs_bound(limits: VerifyLimits) -> Verdict:
             plus_full = sum(1 for r in range(1, tab.length + 1)
                             if classify_r_set(tab, r) is RSetClass.PLUS_FULL)
             if plus_full > n - 1:
-                return _fail("more than n-1 plus-full-sets",
-                             {"n": n, "rows": [list(r) for r in tab.rows]})
+                return _fail("more than n-1 plus-full-sets", tab.to_json_dict())
     return _ok(f"all maximal chains for n <= {top}")
 
 
@@ -390,7 +378,7 @@ def check_repeat_row_roundtrip(limits: VerifyLimits) -> Verdict:
         d = rng.randint(1, big)
         if unrepeat_row(repeat_row(tab, d), d) != tab:
             return _fail("row duplication does not round-trip",
-                         {"rows": [list(r) for r in tab.rows], "d": d})
+                         {**tab.to_json_dict(), "d": d})
     return _ok(f"{limits.samples} random chains at n = {big}")
 
 
@@ -405,7 +393,7 @@ def check_repeat_row_characterization(limits: VerifyLimits) -> Verdict:
             if prime_path_of_row(tab.shape, tab.n, d).height == d:
                 if not is_chain_tableau(repeat_row(tab, d)):
                     return _fail("duplication left the chain-tableau class",
-                                 {"rows": [list(r) for r in tab.rows], "d": d})
+                                 {**tab.to_json_dict(), "d": d})
     for tab in all_chain_tableaux(top + 1):
         rows = tab.rows
         for d in range(1, tab.n):
@@ -414,7 +402,7 @@ def check_repeat_row_characterization(limits: VerifyLimits) -> Verdict:
             if row_d == row_d1 and prime_path_of_row(tab.shape, tab.n, d).height == d:
                 if not is_chain_tableau(unrepeat_row(tab, d)):
                     return _fail("collapse left the chain-tableau class",
-                                 {"rows": [list(r) for r in rows], "d": d})
+                                 {**tab.to_json_dict(), "d": d})
     return _ok(f"exhaustive both directions for n <= {top}, "
                      f"{trials} random tableaux up to n = {big}")
 
@@ -497,8 +485,7 @@ def check_growth_roundtrip(limits: VerifyLimits) -> Verdict:
             bound = min(pfs) - 1 if pfs else tab.length
             for r in range(0, bound + 1):
                 if failure := _growth_failure(tab, pfs, r, insert_plus_full_set(tab, r)):
-                    return _fail(failure,
-                                 {"n": n, "r": r, "rows": [list(x) for x in tab.rows]})
+                    return _fail(failure, {**tab.to_json_dict(), "r": r})
                 cases += 1
     # the random cases also check the label shift and the decomposition
     rng = random.Random(limits.seed + 4)
@@ -509,7 +496,7 @@ def check_growth_roundtrip(limits: VerifyLimits) -> Verdict:
         bound = min(pfs) - 1 if pfs else tab.length
         r = rng.randint(0, bound)
         grown = insert_plus_full_set(tab, r)
-        example = {"n": big, "r": r, "rows": [list(x) for x in tab.rows]}
+        example = {**tab.to_json_dict(), "r": r}
         if failure := _growth_failure(tab, pfs, r, grown):
             return _fail(f"random case: {failure}", example)
         if (j := _misshifted_label(_full_labels(tab), set(pfs), r, grown)) is not None:
@@ -531,8 +518,7 @@ def check_label_shift(limits: VerifyLimits) -> Verdict:
                 j = _misshifted_label(full, plus, r, expand_chain(tab, r))
                 if j is not None:
                     return _fail("full/plus statuses do not shift as required",
-                                 {"n": n, "r": r, "j": j,
-                                  "rows": [list(x) for x in tab.rows]})
+                                 {**tab.to_json_dict(), "r": r, "j": j})
     return _ok(f"exhaustive for n <= {top}")
 
 
@@ -561,8 +547,7 @@ def check_decomposition(limits: VerifyLimits) -> Verdict:
         for tab in enumerate_maximal_chains(n):
             dec = decompose(tab)
             if plus_full_set_labels(dec.base):
-                return _fail("base chain still has plus-full-sets",
-                             {"n": n, "rows": [list(x) for x in tab.rows]})
+                return _fail("base chain still has plus-full-sets", tab.to_json_dict())
             if any(a > b for a, b in zip(dec.params, dec.params[1:])):
                 return _fail("growth levels are not weakly increasing",
                              {"n": n, "params": list(dec.params)})
@@ -572,8 +557,7 @@ def check_decomposition(limits: VerifyLimits) -> Verdict:
                 return _fail("plus-full-set labels disagree with the levels",
                              {"n": n, "params": list(dec.params), "labels": list(labels)})
             if recompose(dec) != tab:
-                return _fail("recompose does not invert decompose",
-                             {"n": n, "rows": [list(x) for x in tab.rows]})
+                return _fail("recompose does not invert decompose", tab.to_json_dict())
     return _ok(f"exhaustive for n <= {top}")
 
 
@@ -616,7 +600,7 @@ def check_walk_vs_enumeration(limits: VerifyLimits) -> Verdict:
     for n in range(1, top + 1):
         streamed = stream_census(n)
         if census(n) != streamed or dict(count_by_length(n).counts) != streamed.by_length:
-            return _fail("the sweeps disagree with the chain stream", {"n": n})
+            return _fail("the climbs disagree with the chain stream", {"n": n})
     return _ok(f"n <= {top}")
 
 
@@ -715,7 +699,7 @@ def check_mutual_inversion(limits: VerifyLimits) -> Verdict:
 
 
 def check_conjecture(limits: VerifyLimits) -> Verdict:
-    top_i = min(limits.max_i, 2)
+    top_i = min(limits.max_i, 5)
     table = initial_values(range(-1, top_i + 1), 2 * top_i + 3)
     for i in range(-1, top_i + 1):
         for n, product in zip((2 * i + 3, 2 * i + 2), conjecture_values(i)):

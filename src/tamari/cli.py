@@ -85,10 +85,6 @@ class CacheMismatch(ValueError):
     """A freshly computed value contradicts the value the cache holds."""
 
 
-def _fmt(value: int, style: str) -> str:
-    return f"{value:,}" if style == "ascii" else str(value)
-
-
 def _offset_label(i: int) -> str:
     if i == -1:
         return "n - 1"
@@ -97,12 +93,38 @@ def _offset_label(i: int) -> str:
     return f"n + {i}"
 
 
-def _render_table(col_names: list[str], rows: list[tuple[str, list[str]]]) -> str:
-    headers = [""] + col_names
-    grid = [headers] + [[label] + cells for label, cells in rows]
-    widths = [max(len(row[j]) for row in grid) for j in range(len(headers))]
-    return "\n".join("  ".join(cell.rjust(widths[j]) for j, cell in enumerate(row))
-                     for row in grid)
+def _print_counts(counts: dict[int, dict[int, int]], style: str, header: str,
+                  by_order: bool, totals: dict[int, int] | None = None) -> None:
+    """Print ``{outer: {inner: count}}``, keys ascending: as json (decimal strings,
+    with a ``totals`` object when given) or as csv under ``header``; in ascii as
+    the grid of length offsets (rows) by orders (columns), zero cells blank, with
+    a ``totals`` row when given.  ``by_order``: the outer keys are orders n and
+    the inner ones chain lengths, else the outer keys are offsets and the inner
+    ones orders."""
+    if style == "json":
+        payload = {str(outer): {str(inner): str(count) for inner, count in sorted(row.items())}
+                   for outer, row in sorted(counts.items())}
+        if totals is not None:
+            payload["totals"] = {str(n): str(total) for n, total in sorted(totals.items())}
+        print(json.dumps(payload, indent=1))
+    elif style == "csv":
+        print(header)
+        for outer, row in sorted(counts.items()):
+            for inner, count in sorted(row.items()):
+                print(f"{outer},{inner},{count}")
+    else:
+        cells = {(inner - outer, outer) if by_order else (outer, inner): count
+                 for outer, row in counts.items() for inner, count in row.items()}
+        orders = sorted({n for _, n in cells})
+        grid = [[""] + [f"T_{n}" for n in orders]]
+        for i in sorted({i for i, _ in cells}):
+            grid.append([_offset_label(i)] + [f"{c:,}" if c else ""
+                                              for c in (cells.get((i, n), 0) for n in orders)])
+        if totals is not None:
+            grid.append(["totals"] + [f"{totals[n]:,}" for n in orders])
+        widths = [max(map(len, column)) for column in zip(*grid)]
+        print("\n".join("  ".join(cell.rjust(width) for cell, width in zip(row, widths))
+                        for row in grid))
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +283,9 @@ def cmd_table(args: argparse.Namespace) -> int:
             print(f"fixture mismatch in columns {bad}", file=sys.stderr)
             return 1
         print(f"table check passed for n <= {args.max_n}")
-    if args.format == "json":
-        payload = {str(n): {str(l): str(c) for l, c in sorted(hist.counts.items())}
-                   for n, hist in histograms.items()}
-        payload["totals"] = {str(n): str(h.total) for n, h in histograms.items()}
-        print(json.dumps(payload, indent=1))
-    elif args.format == "csv":
-        print("n,length,count")
-        for n, hist in sorted(histograms.items()):
-            for length in sorted(hist.counts):
-                print(f"{n},{length},{hist.get(length)}")
-    else:
-        orders = sorted(histograms)
-        max_offset = max(l - n for n, h in histograms.items() for l in h.counts)
-        rows = []
-        for i in range(-1, max_offset + 1):
-            cells = ["" if histograms[n].get(n + i) == 0 else
-                     _fmt(histograms[n].get(n + i), "ascii") for n in orders]
-            rows.append((_offset_label(i), cells))
-        rows.append(("totals", [_fmt(histograms[n].total, "ascii") for n in orders]))
-        print(_render_table([f"T_{n}" for n in orders], rows))
+    _print_counts({n: hist.counts for n, hist in histograms.items()}, args.format,
+                  "n,length,count", by_order=True,
+                  totals={n: hist.total for n, hist in histograms.items()})
     return 0
 
 
@@ -304,22 +309,7 @@ def cmd_nofull(args: argparse.Namespace) -> int:
     if missing:
         print(f"skipped (beyond ceilings, no cache entry): {missing} cells, "
               f"first: {shown}", file=sys.stderr)
-    if args.format == "json":
-        print(json.dumps({str(i): {str(t): str(v) for t, v in sorted(row.items())}
-                          for i, row in values.items()}, indent=1))
-    elif args.format == "csv":
-        print("i,n,count")
-        for i, row in sorted(values.items()):
-            for t, value in sorted(row.items()):
-                print(f"{i},{t},{value}")
-    else:
-        orders = sorted({t for row in values.values() for t in row})
-        rows = []
-        for i in sorted(values):
-            cells = ["" if values[i].get(t, 0) == 0 else _fmt(values[i][t], "ascii")
-                     for t in orders]
-            rows.append((_offset_label(i), cells))
-        print(_render_table([f"T_{t}" for t in orders], rows))
+    _print_counts(values, args.format, "i,n,count", by_order=False)
     return 0
 
 
@@ -340,7 +330,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             save_cache(cache_path, cache)
     if args.method in ("brute", "both"):
         if args.n > _ceiling(args, DP_LIMIT, DP_LIMIT_LARGE):
-            raise ValueError(f"the brute sweep at n={args.n} exceeds the ceiling; "
+            raise ValueError(f"the brute climb at n={args.n} exceeds the ceiling; "
                              f"pass --allow-large or --allow-huge")
         length = args.n + args.i
         results["brute"] = length_histograms([args.n], length)[args.n].get(length)

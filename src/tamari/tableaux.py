@@ -329,7 +329,7 @@ def tableau_to_chain(tab: Tableau) -> tuple[Partition, ...]:
         if shapes[r - 1] not in (cover for cover, _ in covers_with_strips(shapes[r], tab.n)):
             error = NotChainTableauError(
                 f"labels <= {r} do not describe a cover step in {tab.rows!r}")
-            error.counterexample = {"n": tab.n, "rows": [list(row) for row in tab.rows]}
+            error.counterexample = tab.to_json_dict()
             raise error
     return tuple(shapes)
 

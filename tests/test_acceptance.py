@@ -4,7 +4,9 @@ The reproduction of the order-8/9 columns and the offset-3 products through
 the cover-graph DP runs here because it completes in well under a second.
 """
 
+import re
 from math import comb
+from pathlib import Path
 
 from tamari import cli
 from tamari.checks import VerifyLimits, run_check
@@ -139,3 +141,11 @@ def test_equal_representation_extension():
     result = run_check("formulas/equal-representation", VerifyLimits(max_n=5, max_i=1))
     assert result.passed, result
     _passed(f"equal representation over label subsets holds: {result.detail}")
+
+
+def test_readme_quick_tour_runs():
+    # the one python block of README.md, run as a reader would paste it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -28,6 +28,13 @@ def test_table_two_columns(capsys):
     assert lines[1].split() == ["n", "-", "1", "1", "1"]
 
 
+def test_table_leaves_zero_cells_blank(capsys):
+    # T_1 and T_2 have no chain of length n, so only the cell of T_3 is printed
+    code, out, _ = run(capsys, "table", "--max-n", "3")
+    assert code == 0
+    assert out.splitlines()[2].split() == ["n", "1"]
+
+
 def test_table_csv_and_json(capsys):
     code, out, _ = run(capsys, "table", "--max-n", "4", "--format", "csv")
     assert code == 0

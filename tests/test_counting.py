@@ -351,6 +351,27 @@ def test_census_matches_the_classified_stream_order_seven():
     assert census(7) == stream_census(7)
 
 
+def test_census_minimal_labels_follow_from_the_counts_by_length(censuses):
+    # a second route to the census past the stream's orders: by equal representation
+    # and inclusion-exclusion over the labels below m, the chains of length L = n+i
+    # whose minimal plus-full-set label is m number
+    # sum_{k<m} (-1)^k C(m-1, k) #C_i(n-1-k), with #C_i(s) = 0 for s < 1, for
+    # m = 1..L (past L the sum need not vanish, though no label is that large)
+    histograms = length_histograms(range(1, 10))
+
+    def chains(i, s):
+        return histograms[s].get(s + i) if s >= 1 else 0
+
+    for n in range(1, 10):
+        tally = censuses[n].min_plus_full
+        for length in range(n - 1, comb(n, 2) + 1):
+            i = length - n
+            for m in range(1, length + 1):
+                expected = sum((-1) ** k * comb(m - 1, k) * chains(i, n - 1 - k)
+                               for k in range(m))
+                assert tally.get(length, {}).get(m, 0) == expected, (n, length, m)
+
+
 @pytest.mark.slow
 def test_initial_values_compute_the_committed_offset_five_row():
     # both routes at orders 12 and 13 too: every cell of the row, none read back
@@ -376,6 +397,14 @@ def test_plus_full_step_matches_classification(chains_by_order):
 def test_vanishing_partition_sizes(censuses):
     tally = censuses[4].min_plus_full[4]
     assert tally == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+@pytest.mark.slow
+def test_conjecture_products_computed_up_to_offset_five():
+    # both products at i <= 5 against cells computed by both routes, orders up to 13
+    result = run_check("conjecture/products", VerifyLimits(max_i=5))
+    assert result.passed, result
+    assert result.detail == "i <= 5"
 
 
 def test_mutual_inversion_on_committed_values():

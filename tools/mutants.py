@@ -90,6 +90,8 @@ MUTANTS = (
            "min(2 * i + 4, n) + 1"),
     Mutant("skipped-count", "cli.py", "missing += max(top - dp_limit, 0) - len(beyond)",
            "missing += max(top - dp_limit, 0)"),
+    # the one count report of `table` and `nofull`: zero cells print blank
+    Mutant("zero-blank", "cli.py", 'f"{c:,}" if c else ""', 'f"{c:,}"'),
     Mutant("roundtrip-increment", "checks.py", "if len(labels) != len(pfs) + 1:",
            "if False:"),
     # the one place where what a check raises becomes its FAIL
