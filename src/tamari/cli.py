@@ -188,13 +188,14 @@ def load_cache(path: str) -> dict:
 
 
 def save_cache(path: str, cache: dict) -> None:
-    """Write ``cache`` to ``path``, merged (under a lock on ``PATH.lock``) with
-    what another writer stored there since; a contradiction raises
-    :class:`CacheMismatch`, a corrupted file is overwritten."""
+    """Write ``cache`` to ``path``, merged (under a lock on its directory) with what
+    another writer stored there since; a contradiction raises :class:`CacheMismatch`,
+    a corrupted file is overwritten."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    with open(path + ".lock", "a") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the lock file closes
+    lock = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the descriptor closes
         try:
             stored = _read_cache(path)
         except (ValueError, KeyError):
@@ -214,6 +215,8 @@ def save_cache(path: str, cache: dict) -> None:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+    finally:
+        os.close(lock)
 
 
 def cache_update(cache: dict, i: int, t: int, value: int, provenance: str) -> None:
@@ -316,10 +319,10 @@ def cmd_nofull(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     if args.i < -1 or args.n < 1:
         raise ValueError("need --i >= -1 and --n >= 1")
-    cache_path = args.cache or os.environ.get(CACHE_ENV)
-    cache = load_cache(cache_path) if cache_path else None
     results: dict[str, int] = {}
-    if args.method in ("recursion", "both"):
+    if args.method in ("recursion", "both"):  # the brute climb reads no cache
+        cache_path = args.cache or os.environ.get(CACHE_ENV)
+        cache = load_cache(cache_path) if cache_path else None
         table, (missing, shown) = _initial_values([args.i], args.n, args, cache)
         if missing:
             raise ValueError(f"initial values for t in {[t for _, t in shown]} (i={args.i}) "

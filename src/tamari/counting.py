@@ -4,16 +4,16 @@ Two independent routes are kept side by side on purpose:
 
 * the *lattice climbs*, one engine (:func:`_climb`) up the vertices reachable
   from one or more seeds, each vertex holding one int that packs its chain counts
-  into fixed-width fields (:func:`_field_width` and :func:`_bounded_width` prove no
-  field overflows), optionally cut at a length bound by one table of masks
-  (:func:`_length_masks`); each cover step comes from the kernel ``shapes._steps``
-  as its cover and the rows ``top+1 .. d`` of its strip, so no strip's boxes are
-  built.  A command climbs as few times as its counts allow:
-  :func:`length_histograms` climbs once for every order, seeded at each staircase,
-  optionally up to a length bound; :func:`census` also tallies the minimal
-  plus-full-set labels.  :func:`enumerate_maximal_chains` streams the chain
-  tableaux up the same kernel (the random draw :func:`tamari.checks.random_chain`
-  takes one step of it per vertex); classified by
+  into fixed-width fields (:func:`_field_width` proves no field overflows),
+  optionally cut at a length bound by one table of masks (:func:`_length_masks`)
+  and folding its blocks at each :func:`is_plus_full_step` of a given order; each
+  cover step comes from the kernel ``shapes._steps`` as its cover and the rows
+  ``top+1 .. d`` of its strip, so no strip's boxes are built.  A command climbs as
+  few times as its counts allow: :func:`length_histograms` climbs once for every
+  order, seeded at each staircase, optionally up to a length bound; :func:`census`
+  also tallies the minimal plus-full-set labels.  :func:`enumerate_maximal_chains`
+  streams the chain tableaux up the same kernel (the random draw
+  :func:`tamari.checks.random_chain` takes one step of it per vertex); classified by
   :func:`tamari.tableaux.plus_full_set_labels`, they are the brute oracle the
   climbs are tested against; and
 * the *recursion*: the count of maximal chains of length n+i is
@@ -32,7 +32,7 @@ Everything is exact integer arithmetic; there is no floating point here.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
@@ -72,25 +72,24 @@ class LengthHistogram(_Value):
         return sum(self.counts.values())
 
 
-def _field_width(n: int) -> int:
-    """Bits per length field in the packed states of order n: the bit length of
-    ``prod_{b=1}^{C(n,2)} min(n-1, k(b))``, where k(b) is the largest k with
-    k(k+1)/2 <= b.
+def _field_width(n: int, max_length: int | None = None) -> int:
+    """Bits per length field in the packed states of order n up to length
+    ``max_length`` (default None: no bound): the bit length of
+    ``prod_{j<D} min(n-1, k(C(n,2)-j))``, D = min(``max_length``, C(n,2)), with k(b)
+    the largest k with k(k+1)/2 <= b.
 
-    A vertex's covers are its corners, one each.  A partition with k corners has
-    at least 1 + 2 + ... + k = k(k+1)/2 boxes, and at most n-1 rows, so a vertex
-    with b boxes has at most min(n-1, k(b)) covers.  Box counts fall strictly along
-    a chain, so all the chains that reach a vertex, at all lengths together, number
-    at most that product.  No field reaches 2^width, and no carry can cross a
-    field.  The width is 77 bits at order 9, where real counts need at most 40,
-    and 136 bits at order 11, where they need at most 74 (the looser bound
-    ``(n-1)^C(n,2)`` would give 183).
+    A partition with k corners (its covers, one each) has at least k(k+1)/2 boxes
+    and at most n-1 rows.  The j-th step of a chain leaves at most C(n,2)-j boxes,
+    so at most the product of the first d factors reach a vertex at depth d; every
+    vertex expanded has a box in row 1, so :func:`_length_masks` keeps no field past
+    depth D; and the blocks a fold sums count disjoint chains of the same depth.  No
+    field reaches 2^width, and no carry can cross a field.  The width is 77 bits at
+    order 9 (counts need 40), 136 at order 11 (they need 74) and 34 at order 9 up to
+    length 12; orders 1 and 2 multiply only ones and keep 1 bit, not 0.
     """
-    product, k = 1, 0
-    for boxes in range(1, comb(n, 2) + 1):
-        if (k + 1) * (k + 2) // 2 <= boxes:
-            k += 1
-        product *= min(n - 1, k)
+    top, product = comb(n, 2), 1
+    for j in range(top if max_length is None else min(max_length, top)):
+        product *= min(n - 1, (isqrt(8 * (top - j) + 1) - 1) // 2)
     return product.bit_length()
 
 
@@ -105,21 +104,6 @@ def _unpack(packed: int, width: int) -> dict[int, int]:
         packed >>= width
         index += 1
     return fields
-
-
-def _bounded_width(n: int, max_length: int) -> int:
-    """Bits per length field for the chains of order n up to length ``max_length``:
-    ``min(_field_width(n), (max(n-1, 1) ** (L+1)).bit_length())``, L = min(max_length,
-    C(n,2)).
-
-    A vertex has at most n-1 rows, so at most n-1 covers, and at most (n-1)^d chains
-    reach it at depth d <= L: a field, of one block or of two summed, stays below
-    (n-1)^(L+1).  Orders 1 and 2 have at most one chain per depth, and ``max(n-1, 1)``
-    keeps their width at 1 bit, not 0 (with 0, no shift would move a field).  Past
-    C(n,2) no chain grows, so the cap keeps the power small for any bound.
-    """
-    top = min(max_length, comb(n, 2))
-    return min(_field_width(n), (max(n - 1, 1) ** (top + 1)).bit_length())
 
 
 def _staircase_of(n: int) -> Partition:
@@ -145,10 +129,8 @@ def _length_masks(max_length: int, rows: int, width: int,
                  for k in range(rows))
 
 
-def _climb(seeds: Mapping[Partition, int],
-           advance: Callable[[Partition, int], tuple[int, int]],
-           marked: Callable[[Partition, int, int], bool] | None = None,
-           masks: tuple[int, ...] | None = None) -> int:
+def _climb(seeds: Mapping[Partition, int], advance: Callable[[int], tuple[int, int]],
+           order: int | None = None, masks: tuple[int, ...] | None = None) -> int:
     """The state that reaches the null diagram from the states ``seeds`` (``{vertex:
     packed state}``).  A state is one int packing chain counts into fields
     (:func:`_field_width`).
@@ -158,9 +140,10 @@ def _climb(seeds: Mapping[Partition, int],
     removing a strip goes that many boxes up, and states merge by addition.  Once per
     vertex, the state is cut to ``masks[k]`` (:func:`_length_masks`, k the length of
     the vertex's row 1), if masks are given, and a vertex left with nothing is
-    skipped; ``advance(shape, state)`` returns the states moved across a step,
-    ``(plain, special)``; the step that removes the last boxes of rows ``top+1 .. d``
-    takes ``special`` where ``marked(shape, top, d)`` holds.
+    skipped; ``advance(state)`` returns the states moved across a step, ``(plain,
+    special)``: the step removing the last boxes of rows ``top+1 .. d`` of ``shape``
+    takes ``special`` where an ``order`` is given and
+    ``is_plus_full_step(shape, top, d, order)`` holds.
     """
     levels: list = [{} for _ in range(max(map(sum, seeds), default=0) + 1)]
     for seed, state in seeds.items():
@@ -170,9 +153,9 @@ def _climb(seeds: Mapping[Partition, int],
         for shape, state in level.items():
             if masks is not None and not (state := state & masks[shape[0]]):
                 continue
-            plain, special = advance(shape, state)
+            plain, special = advance(state)
             for cover, top, d in _steps(shape):
-                moved = special if marked and marked(shape, top, d) else plain
+                moved = special if order and is_plus_full_step(shape, top, d, order) else plain
                 if moved:
                     into = levels[boxes - (d - top)]
                     into[cover] = into.get(cover, 0) + moved
@@ -189,10 +172,10 @@ def length_histograms(orders: Iterable[int],
     order lowest, so the states near the bottom stay short; L is the bound, or C(m,2)
     for the largest order m.  A chain of order n reaches length C(n,2) only at the
     null diagram, so no step shifts a field into the next block.  All blocks take
-    the :func:`_bounded_width` of m: a vertex of order n < m with b boxes has at most
-    min(n-1, k(b)) <= min(m-1, k(b)) covers and its chains start at C(n,2) < C(m,2)
-    boxes, so the bounds at m hold for them too.  With a bound, the climb keeps each
-    block under :func:`_length_masks`.
+    the :func:`_field_width` of m up to the bound: the j-th step of a chain of order
+    n < m leaves at most C(n,2)-j < C(m,2)-j boxes, and its vertices have at most
+    n-1 < m-1 rows, so the bounds at m hold for them too.  With a bound, the climb
+    keeps each block under :func:`_length_masks`.
     """
     if max_length is not None and max_length < 0:
         raise ValueError(f"length bound must be >= 0, got {max_length}")
@@ -200,7 +183,7 @@ def length_histograms(orders: Iterable[int],
     if not orders:
         return {}
     bound = comb(orders[0], 2) if max_length is None else max_length
-    width = _bounded_width(orders[0], bound)
+    width = _field_width(orders[0], max_length)
     seeds, blocks, offset = {}, {}, 0
     for n in orders:
         seeds[_staircase_of(n)] = 1 << offset
@@ -208,7 +191,7 @@ def length_histograms(orders: Iterable[int],
         offset += width * blocks[n][1]
     masks = None if max_length is None else _length_masks(max_length, orders[0], width,
                                                           blocks.values())
-    packed = _climb(seeds, lambda shape, reach: (reach << width, 0), masks=masks)
+    packed = _climb(seeds, lambda reach: (reach << width, 0), masks=masks)
     return {n: LengthHistogram(n, _unpack((packed >> offset) & ((1 << width * fields) - 1),
                                           width))
             for n, (offset, fields) in reversed(blocks.items())}
@@ -330,7 +313,7 @@ def census(n: int) -> ChainCensus:
     span = width * block
     clean_mask = (1 << span) - 1
 
-    def advance(shape: Partition, reach: int) -> tuple[int, int]:
+    def advance(reach: int) -> tuple[int, int]:
         clean = reach & clean_mask
         folded, rest = 0, reach
         while rest:
@@ -339,8 +322,7 @@ def census(n: int) -> ChainCensus:
         return (clean << width) | ((reach - clean) << (span + width)), folded << (span + width)
 
     result = ChainCensus(n)
-    packed = _unpack(_climb({_staircase_of(n): 1}, advance,
-                            lambda shape, top, d: is_plus_full_step(shape, top, d, n)), width)
+    packed = _unpack(_climb({_staircase_of(n): 1}, advance, n), width)
     for (length, since), count in sorted(((k % block, k // block - 1), c)
                                          for k, c in packed.items()):
         result.by_length[length] = result.by_length.get(length, 0) + count
@@ -373,21 +355,20 @@ def _nofull_and_all(t: int, max_length: int) -> tuple[dict[int, int], dict[int, 
     plus-full step, and all of them.
 
     One climb carries both in two blocks of min(``max_length``, C(t,2))+1 fields of
-    :func:`_bounded_width` bits, the clean block lowest, under :func:`_length_masks`.
-    A step shifts both one field up; a step :func:`is_plus_full_step` marks folds the
-    clean block into the rest.  The clean block alone counts the chains with no
+    :func:`_field_width` bits, the clean block lowest, under :func:`_length_masks`.
+    A step shifts both one field up; a plus-full step of order t folds the clean
+    block into the rest.  The clean block alone counts the chains with no
     plus-full-set, so ``[0]`` at bound t+i holds N_i(t) at length t+i.
     """
     fields = min(max_length, comb(t, 2)) + 1
-    width = _bounded_width(t, max_length)
+    width = _field_width(t, max_length)
     span = width * fields
     clean_mask = (1 << span) - 1
 
-    def advance(shape: Partition, reach: int) -> tuple[int, int]:
+    def advance(reach: int) -> tuple[int, int]:
         return reach << width, ((reach & clean_mask) + (reach >> span)) << (span + width)
 
-    packed = _climb({_staircase_of(t): 1}, advance,
-                    lambda shape, top, d: is_plus_full_step(shape, top, d, t),
+    packed = _climb({_staircase_of(t): 1}, advance, t,
                     _length_masks(max_length, t, width, [(0, fields), (span, fields)]))
     clean = packed & clean_mask
     return _unpack(clean, width), _unpack(clean + (packed >> span), width)

@@ -130,22 +130,22 @@ def test_nofull_skips_cells_beyond_ceilings(capsys):
 @pytest.fixture
 def climbs(monkeypatch):
     """The seeds of each climb of the counting engine the CLI makes, in call order,
-    whether the climb marks some steps (the plus-full ones, for ``nofull``), and
-    whether it is cut by length masks (bounded at a length)."""
+    whether the climb has an order whose plus-full steps it folds at (for
+    ``nofull``), and whether it is cut by length masks (bounded at a length)."""
     calls = []
     original = counting._climb
 
-    def counted_climb(seeds, advance, marked=None, masks=None):
-        calls.append((tuple(seeds), marked is not None, masks is not None))
-        return original(seeds, advance, marked, masks)
+    def counted_climb(seeds, advance, order=None, masks=None):
+        calls.append((tuple(seeds), order is not None, masks is not None))
+        return original(seeds, advance, order, masks)
 
     monkeypatch.setattr(counting, "_climb", counted_climb)
     return calls
 
 
 def once_per_order(top):
-    """One climb from each staircase of orders 1..top, marking the plus-full steps
-    to carry both routes, bounded at the longest chain the offsets need."""
+    """One climb from each staircase of orders 1..top, folding at the plus-full
+    steps to carry both routes, bounded at the longest chain the offsets need."""
     return [((staircase(n - 1),), True, True) for n in range(1, top + 1)]
 
 
@@ -391,17 +391,30 @@ def test_cache_writer_waits_for_the_lock(tmp_path):
     rival = cli.empty_cache()
     cli.cache_update(rival, 1, 4, 2, "brute")
     cli.save_cache(str(tmp_path / "rival.json"), rival)
-    with open(path + ".lock", "a") as lock:
+    lock = os.open(tmp_path, os.O_RDONLY)  # the lock is on the cache's directory
+    try:
         fcntl.flock(lock, fcntl.LOCK_EX)
         writer = threading.Thread(target=cli.save_cache, args=(path, mine), daemon=True)
         writer.start()
         writer.join(0.2)
         assert writer.is_alive()  # waiting for the lock
         os.replace(tmp_path / "rival.json", path)  # another writer's store
+    finally:
+        os.close(lock)
     writer.join(10)
+    assert not writer.is_alive()
     merged = cli.load_cache(path)
     assert cli.cache_get(merged, 0, 3) == 5
     assert cli.cache_get(merged, 1, 4) == 2
+
+
+def test_a_cache_save_leaves_only_the_cache(tmp_path):
+    path = tmp_path / "cache.json"
+    cache = cli.empty_cache()
+    cli.cache_update(cache, 0, 3, 1, "brute")
+    cli.save_cache(str(path), cache)
+    cli.save_cache(str(path), cache)
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
 
 def test_concurrent_cache_writer_conflict_fails(tmp_path, capsys, monkeypatch):
@@ -495,6 +508,19 @@ def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, argv, source):
 
 def test_cache_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
     _one_line_error(*run(capsys, "nofull", "--max-i", "1", "--cache", str(tmp_path)))
+
+
+@pytest.mark.parametrize("cache", ["corrupted", "directory"])
+def test_brute_count_reads_no_cache(tmp_path, capsys, cache):
+    # only the recursion reads initial values, so only it loads the cache file
+    path = tmp_path / "cache.json"
+    if cache == "corrupted":
+        path.write_text("{not json")
+    else:
+        path.mkdir()
+    code, out, err = run(capsys, "count", "--i", "0", "--n", "5", "--method", "brute",
+                         "--cache", str(path))
+    assert (code, out, err) == (0, "10\n", "")
 
 
 def test_deeply_nested_json_is_a_usage_error(capsys, monkeypatch):

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from tamari import counting, shapes
+from tamari import counting, fixtures, shapes
 from tamari.checks import VerifyLimits, run_check, stream_census
 from tamari.counting import (
     IncompleteTableError,
@@ -92,11 +92,11 @@ def test_census_agrees_with_histogram(censuses):
         assert censuses[n].by_length == dict(count_by_length(n).counts)
 
 
-def bounded(n, bound, marked=None):
+def bounded(n, bound, rule=None):
     """The chains of order n up to length ``bound``, by length: all of them, from the
-    bounded histogram, or with ``marked`` (``is_plus_full_step``) given, those with no
-    plus-full step, from the clean block of the initial-values climb."""
-    if marked is None:
+    bounded histogram, or with ``rule`` (``is_plus_full_step``) given, those that take
+    no step the rule holds for, from the clean block of the initial-values climb."""
+    if rule is None:
         return dict(length_histograms([n], bound)[n].counts)
     return counting._nofull_and_all(n, bound)[0]
 
@@ -134,6 +134,13 @@ def test_a_vertex_has_few_corners_for_its_boxes(n):
 
 def test_the_field_width_holds_every_count():
     assert [counting._field_width(n) for n in (9, 11)] == [77, 136]
+    assert counting._field_width(9, 12) == 34  # the nofull --max-i 3 climb at order 9
+    for n in range(1, 12):
+        # a length bound never widens a field, and one past every chain changes nothing
+        unbounded = counting._field_width(n)
+        assert all(counting._field_width(n, bound) <= unbounded
+                   for bound in (*range(comb(n, 2)), 10 ** 9)), n
+        assert counting._field_width(n, comb(n, 2)) == unbounded, n
     for n in range(1, 11):
         # the chains of every length together fit one field
         assert count_by_length(n).total < 2 ** counting._field_width(n), n
@@ -144,7 +151,7 @@ def test_a_field_width_too_small_would_be_seen(monkeypatch):
     published = length_table()[9]
     assert dict(length_histograms([9])[9].counts) == published
     assert bounded(9, 12) == {l: c for l, c in published.items() if l <= 12}
-    monkeypatch.setattr(counting, "_field_width", lambda n: 20)
+    monkeypatch.setattr(counting, "_field_width", lambda n, max_length=None: 20)
     assert dict(length_histograms([9])[9].counts) != published
 
 
@@ -153,8 +160,8 @@ def test_a_bounded_histogram_width_one_bit_too_narrow_would_be_seen(monkeypatch)
     # ends with, and one bit less garbles it
     counts = bounded(9, 12)
     need = max(counts.values()).bit_length()
-    assert counting._field_width(9) > counting._bounded_width(9, 12) >= need
-    monkeypatch.setattr(counting, "_bounded_width", lambda n, max_length: need - 1)
+    assert counting._field_width(9) > counting._field_width(9, 12) >= need
+    monkeypatch.setattr(counting, "_field_width", lambda n, max_length=None: need - 1)
     assert bounded(9, 12) != counts
 
 
@@ -165,15 +172,15 @@ def test_a_bounded_width_one_bit_too_narrow_would_be_seen(monkeypatch):
     clean, every = routes
     largest = max(*clean.values(), *(every[l] - clean.get(l, 0) for l in every))
     need = largest.bit_length()
-    assert counting._field_width(9) > counting._bounded_width(9, 12) >= need
-    monkeypatch.setattr(counting, "_bounded_width", lambda n, max_length: need - 1)
+    assert counting._field_width(9) > counting._field_width(9, 12) >= need
+    monkeypatch.setattr(counting, "_field_width", lambda n, max_length=None: need - 1)
     assert counting._nofull_and_all(9, 12) != routes
 
 
 def test_orders_one_and_two_have_a_one_bit_width_and_terminate():
-    # (t-1)^(L+1) is 0 or 1 there; a width of 0 bits would never leave ``_unpack``
+    # their width multiplies only ones; a width of 0 bits would never leave ``_unpack``
     for bound in (0, 1, 2, 10 ** 9):
-        assert counting._bounded_width(1, bound) == counting._bounded_width(2, bound) == 1
+        assert counting._field_width(1, bound) == counting._field_width(2, bound) == 1
         assert counting._nofull_and_all(1, bound) == ({0: 1}, {0: 1})
         # the one chain of order 2 takes a plus-full step
         assert counting._nofull_and_all(2, bound) == ({}, {1: 1} if bound else {})
@@ -189,19 +196,19 @@ def peak_bytes(run):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("marked", [None, is_plus_full_step])
-def test_a_huge_length_bound_allocates_nothing_big(marked):
+@pytest.mark.parametrize("rule", [None, is_plus_full_step])
+def test_a_huge_length_bound_allocates_nothing_big(rule):
     # a length mask for such a bound would take megabytes at 10**6 (checked
     # first) and gigabytes at 10**9; the unbounded histogram peaks near 0.2 MB
-    unbounded = bounded(8, comb(8, 2), marked)
-    if marked is None:
+    unbounded = bounded(8, comb(8, 2), rule)
+    if rule is None:
         assert unbounded == dict(count_by_length(8).counts)
     for bound in (10 ** 6, 10 ** 9):
-        result, peak = peak_bytes(lambda: bounded(8, bound, marked))
+        result, peak = peak_bytes(lambda: bounded(8, bound, rule))
         assert result == unbounded
         assert peak < 2 ** 20, (bound, peak)
-    if marked is is_plus_full_step:
-        # the initial-values climbs mark those steps: at the largest offset
+    if rule is is_plus_full_step:
+        # the initial-values climbs fold at those steps: at the largest offset
         # the CLI admits, every order ``nofull`` climbs is bounded at t + 10**4, yet
         # each block stops at C(t,2)+1 fields (sized by the bound, they take 80 MB)
         from tamari import cli
@@ -351,18 +358,19 @@ def test_census_matches_the_classified_stream_order_seven():
     assert census(7) == stream_census(7)
 
 
-def test_census_minimal_labels_follow_from_the_counts_by_length(censuses):
+def test_census_minimal_labels_follow_from_the_counts_by_length(censuses, top=9):
     # a second route to the census past the stream's orders: by equal representation
     # and inclusion-exclusion over the labels below m, the chains of length L = n+i
     # whose minimal plus-full-set label is m number
     # sum_{k<m} (-1)^k C(m-1, k) #C_i(n-1-k), with #C_i(s) = 0 for s < 1, for
-    # m = 1..L (past L the sum need not vanish, though no label is that large)
-    histograms = length_histograms(range(1, 10))
+    # m = 1..L (past L the sum need not vanish, though no label is that large);
+    # every order up to ``top``
+    histograms = length_histograms(range(1, top + 1))
 
     def chains(i, s):
         return histograms[s].get(s + i) if s >= 1 else 0
 
-    for n in range(1, 10):
+    for n in range(1, top + 1):
         tally = censuses[n].min_plus_full
         for length in range(n - 1, comb(n, 2) + 1):
             i = length - n
@@ -370,6 +378,24 @@ def test_census_minimal_labels_follow_from_the_counts_by_length(censuses):
                 expected = sum((-1) ** k * comb(m - 1, k) * chains(i, n - 1 - k)
                                for k in range(m))
                 assert tally.get(length, {}).get(m, 0) == expected, (n, length, m)
+
+
+@pytest.mark.slow
+def test_census_minimal_labels_follow_from_the_counts_by_length_to_order_eleven(censuses):
+    # census(11) takes a few seconds and about 130 MiB
+    test_census_minimal_labels_follow_from_the_counts_by_length(censuses, top=11)
+
+
+@pytest.mark.slow
+def test_initial_values_compute_the_committed_offset_six_row():
+    # row 6 is computed here, not published: initial_values raises where its two
+    # routes disagree, and the top two cells are the conjectured products
+    row = initial_values([6], 15)[6]
+    fixture = {(int(r["i"]), int(r["n"])): int(r["count"])
+               for r in fixtures._rows("nofull_row_6.csv")}
+    assert sorted(row) == list(range(1, 16))
+    assert fixture == {(6, t): value for t, value in row.items() if value}
+    assert (row[15], row[14]) == conjecture_values(6)
 
 
 @pytest.mark.slow

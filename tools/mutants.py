@@ -44,16 +44,17 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the counting engine's packed state: the one table of length masks (a
-    # field's cut-off, a vertex's cut-off, the index a vertex takes), the one
-    # climb of `table` and its seeds' blocks
+    # the counting engine's packed state: the one field width (its depth), the one
+    # table of length masks (a field's cut-off, a vertex's cut-off, the index a
+    # vertex takes), the one climb of `table` and its seeds' blocks
+    Mutant("width-depth", "counting.py", "min(max_length, top)", "min(max_length - 1, top)"),
     Mutant("mask-fields", "counting.py", "min(max_length - k + 1, fields)",
            "min(max_length - k, fields)"),
     Mutant("mask-cutoff", "counting.py", "if k <= max_length else 0",
            "if k < max_length else 0"),
     Mutant("mask-index", "counting.py", "masks[shape[0]]", "masks[shape[0] - 1]"),
-    Mutant("step-shift", "counting.py", "lambda shape, reach: (reach << width, 0)",
-           "lambda shape, reach: (reach << 0, 0)"),
+    Mutant("step-shift", "counting.py", "lambda reach: (reach << width, 0)",
+           "lambda reach: (reach << 0, 0)"),
     Mutant("table-block-offset", "counting.py", "min(bound, comb(n, 2)) + 1",
            "min(bound, comb(n, 2))"),
     # the fold of the initial-values climb: a plus-full step leaves the clean block as it is
@@ -105,7 +106,7 @@ MUTANTS = (
     Mutant("labels-strict", "tableaux.py", "rows[k][-1] >= r:", "rows[k][-1] > r:"),
     Mutant("labels-scan-from", "tableaux.py", "for row in rows[k + 1:]:", "for row in rows[k:]:",
            "the first test already keeps r out of row k+1, so the scan may start there or at it"),
-    # chain surgery and the cache merge
+    # chain surgery, and the cache's merge and lock
     Mutant("expand-pivot", "bijections.py", "(up,) * (x <= d)", "(up,) * (x < d)"),
     Mutant("expand-shift-shortcut", "bijections.py", "if cut < len(row):", "if cut <= len(row):",
            "a row with no label above r shifts an empty tail, so it is left as it is either way"),
@@ -116,6 +117,7 @@ MUTANTS = (
            "params.append(labels[-1] - 1)"),
     Mutant("cache-merge", "cli.py", 'for i, row in stored["nofull"].items():',
            "for i, row in ():"),
+    Mutant("lock-skip", "cli.py", "fcntl.flock(lock, fcntl.LOCK_EX)", "pass"),
     # the value types: a tableau's equality and the immutability of the records
     Mutant("tableau-eq-rows", "tableaux.py", "return (self.n, self.rows) == (other.n, other.rows)",
            "return self.rows == other.rows"),
