@@ -1,67 +1,22 @@
-"""Maximal chains in the Tamari lattices: exact enumeration, bijections, counting."""
+"""Maximal chains in the Tamari lattices: exact enumeration, bijections, counting.
 
-from .shapes import (
-    Box,
-    Enclosure,
-    Partition,
-    PrimePathInfo,
-    ShapeError,
-    contained_in_staircase,
-    corner_boxes,
-    covers_with_strips,
-    enclosure,
-    from_dyck_path,
-    partitions_in_staircase,
-    prime_path_of_row,
-    prime_subpath_heights,
-    staircase,
-    strip_of_box,
-    to_dyck_path,
-    upper_covers,
-    upper_covers_dyck,
-)
-from .tableaux import (
-    ChainError,
-    NotChainTableauError,
-    RSetClass,
-    Tableau,
-    TableauError,
-    chain_to_tableau,
-    classify_r_set,
-    is_chain_tableau,
-    outer_diagonal,
-    plus_full_set_labels,
-    tableau_to_chain,
-    validate_tableau,
-)
-from .bijections import (
-    ChainDecomposition,
-    GrowthDomainError,
-    NoPlusFullSetError,
-    append_next_label,
-    chain_without_plus_full_sets,
-    decompose,
-    expand_chain,
-    extract_plus_full_set,
-    insert_plus_full_set,
-    pivot_row,
-    recompose,
-    repeat_row,
-    unrepeat_row,
-)
-from .counting import (
-    ChainCensus,
-    IncompleteTableError,
-    LengthHistogram,
-    RouteMismatch,
-    census,
-    chains_count,
-    conjecture_values,
-    count_by_length,
-    enumerate_maximal_chains,
-    initial_values,
-    longest_chain_count,
-    nofull_initial_values,
-)
+Each name has one home, its module; importing the package loads none of them:
+
+* :mod:`tamari.shapes`: Young-diagram vertices inside the staircase, Dyck paths,
+  prime subpaths, strips and enclosures, and the covering relation (its kernel
+  ``_steps``);
+* :mod:`tamari.tableaux`: chain tableaux (:class:`~tamari.tableaux.Tableau`), the
+  encoding of chains and its inverse, and the full-set and plus-full-set
+  classification of label sets;
+* :mod:`tamari.bijections`: chain surgery, the growth map that inserts a
+  plus-full-set, its inverse, and the decomposition into a plus-full-set-free base
+  and growth levels;
+* :mod:`tamari.counting`: the chain stream, the climbs that count chains by length
+  and take the plus-full-set census, the initial values N_i(t) by two routes, and
+  the recursion for #C_i(n);
+* :mod:`tamari.fixtures`: the committed count tables;
+* :mod:`tamari.cli`: the ``tamari`` command, which loads the five modules above;
+* :mod:`tamari.checks`: the property suites of ``tamari verify``.
+"""
 
 __version__ = "0.1.0"

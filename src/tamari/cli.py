@@ -48,7 +48,6 @@ from math import comb
 from .bijections import (
     ChainDecomposition,
     GrowthDomainError,
-    NoPlusFullSetError,
     decompose,
     insert_plus_full_set,
     recompose,
@@ -566,7 +565,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     # A computed value contradicts the cache or the other route, or an input
     # chain lies outside a map's domain.  These subclass ValueError: first.
-    except (CacheMismatch, RouteMismatch, GrowthDomainError, NoPlusFullSetError) as exc:
+    except (CacheMismatch, RouteMismatch, GrowthDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # A refused input: malformed (TableauError, json and unicode decode errors,

@@ -20,11 +20,11 @@ Two independent routes are kept side by side on purpose:
   ``sum_{t=1}^{2i+3} C(n+i, t+i) * N_i(t)`` where ``N_i(t)`` counts chains of
   length t+i with no plus-full-sets.  :func:`initial_values` computes each from one
   climb of order t with two blocks: the chains with no plus-full step yet (the clean
-  block), and the rest, into which a step :func:`is_plus_full_step` marks folds the
-  clean block.  One route is the clean block, the other
+  block), which a step :func:`is_plus_full_step` marks drops, and all chains, which
+  every step moves alike.  One route is the clean block, the other
   ``N_i(n) = sum_{t=1}^{n} (-1)^(n-t) C(n+i, t+i) * #C_i(t)`` (inclusion-exclusion)
-  over the sum of both blocks; a fold that loses chains, or moves them wrongly,
-  changes the routes differently and shows up as a :class:`RouteMismatch`.
+  over the block of all chains, which no step rule touches; a wrong rule changes
+  only the clean block, and shows up as a :class:`RouteMismatch`.
 
 Everything is exact integer arithmetic; there is no floating point here.
 """
@@ -82,10 +82,11 @@ def _field_width(n: int, max_length: int | None = None) -> int:
     and at most n-1 rows.  The j-th step of a chain leaves at most C(n,2)-j boxes,
     so at most the product of the first d factors reach a vertex at depth d; every
     vertex expanded has a box in row 1, so :func:`_length_masks` keeps no field past
-    depth D; and the blocks a fold sums count disjoint chains of the same depth.  No
-    field reaches 2^width, and no carry can cross a field.  The width is 77 bits at
-    order 9 (counts need 40), 136 at order 11 (they need 74) and 34 at order 9 up to
-    length 12; orders 1 and 2 multiply only ones and keep 1 bit, not 0.
+    depth D; and the blocks a fold of :func:`census` sums count disjoint chains of
+    the same depth.  No field reaches 2^width, and no carry can cross a field.  The
+    width is 77 bits at order 9 (counts need 40), 136 at order 11 (they need 74) and
+    34 at order 9 up to length 12; orders 1 and 2 multiply only ones and keep 1 bit,
+    not 0.
     """
     top, product = comb(n, 2), 1
     for j in range(top if max_length is None else min(max_length, top)):
@@ -355,23 +356,20 @@ def _nofull_and_all(t: int, max_length: int) -> tuple[dict[int, int], dict[int, 
     plus-full step, and all of them.
 
     One climb carries both in two blocks of min(``max_length``, C(t,2))+1 fields of
-    :func:`_field_width` bits, the clean block lowest, under :func:`_length_masks`.
-    A step shifts both one field up; a plus-full step of order t folds the clean
-    block into the rest.  The clean block alone counts the chains with no
-    plus-full-set, so ``[0]`` at bound t+i holds N_i(t) at length t+i.
+    :func:`_field_width` bits, the clean block lowest, under :func:`_length_masks`;
+    each block starts with the staircase's one chain.  A step shifts both one field
+    up; a plus-full step of order t drops the clean block and shifts the other like
+    any step.  So the clean block counts the chains with no plus-full-set (``[0]`` at
+    bound t+i holds N_i(t) at length t+i), and the other block, which no step rule
+    touches, counts them all.
     """
     fields = min(max_length, comb(t, 2)) + 1
     width = _field_width(t, max_length)
     span = width * fields
-    clean_mask = (1 << span) - 1
-
-    def advance(reach: int) -> tuple[int, int]:
-        return reach << width, ((reach & clean_mask) + (reach >> span)) << (span + width)
-
-    packed = _climb({_staircase_of(t): 1}, advance, t,
+    packed = _climb({_staircase_of(t): 1 | 1 << span},
+                    lambda reach: (reach << width, (reach >> span) << (span + width)), t,
                     _length_masks(max_length, t, width, [(0, fields), (span, fields)]))
-    clean = packed & clean_mask
-    return _unpack(clean, width), _unpack(clean + (packed >> span), width)
+    return _unpack(packed & ((1 << span) - 1), width), _unpack(packed >> span, width)
 
 
 def initial_values(offsets: Iterable[int], max_t: int) -> dict[int, dict[int, int]]:
@@ -379,9 +377,9 @@ def initial_values(offsets: Iterable[int], max_t: int) -> dict[int, dict[int, in
 
     Each order t gets one climb (:func:`_nofull_and_all`), bounded at the longest
     chain any offset needs.  Its clean block is the first route; inclusion-exclusion
-    (:func:`inclusion_exclusion`) over the sum of its two blocks, all chains, is the
-    second.  Raises :class:`RouteMismatch` where they disagree.  Terms past ``max_t``
-    have zero weight in :func:`chains_count` at n <= max_t.
+    (:func:`inclusion_exclusion`) over its block of all chains is the second.  Raises
+    :class:`RouteMismatch` where they disagree.  Terms past ``max_t`` have zero
+    weight in :func:`chains_count` at n <= max_t.
     """
     tops = {i: min(max_t, 2 * i + 3) for i in offsets}
     if min(tops, default=-1) < -1:

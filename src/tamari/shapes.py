@@ -11,12 +11,14 @@ Every public function validates its shapes, once (``_dyck_path`` serves them
 after that).  The one unchecked entry used elsewhere is ``_steps``, the cover
 kernel: it names each cover step by its cover and the rows ``top+1 .. d`` of
 its strip, and builds no boxes.  It runs only on a validated vertex or on
-shapes it produced from one.  Its callers are :func:`covers_with_strips`,
-which validates its vertex; the counting engine
-:func:`tamari.counting._climb`, which starts from staircases; and the chain
+shapes it produced from one.  Its callers are :func:`covers_with_strips` and
+:func:`upper_covers`, which validate their vertex; the counting engine
+:func:`tamari.counting._climb`, which starts from staircases; the chain
 stream :func:`tamari.counting._chains_up`, which starts from a validated
 vertex (the one random draw, :func:`tamari.checks.random_chain`, is the stream
-taking one random step per vertex up from a start it validates).
+taking one random step per vertex up from a start it validates); and the
+decoder :func:`tamari.tableaux.tableau_to_chain`, whose truncation shapes of a
+validated tableau are vertices.
 
 Conventions (pinned once, used repo-wide):
 
@@ -279,9 +281,9 @@ def _steps(shape: Partition) -> list[tuple[Partition, int, int]]:
     the step removes the last boxes of rows ``top+1 .. d`` (see
     :func:`covers_with_strips`).  Nothing is checked and no box is built, so
     ``shape`` must be a validated vertex or a cover this kernel produced from one.
-    The callers: :func:`covers_with_strips`, ``counting._climb`` and
-    ``counting._chains_up`` (the stream, and through it the one random draw
-    ``checks.random_chain``)."""
+    The callers: :func:`covers_with_strips`, :func:`upper_covers`,
+    ``counting._climb``, ``counting._chains_up`` (the stream, and through it the one
+    random draw ``checks.random_chain``) and ``tableaux.tableau_to_chain``."""
     rows = len(shape)
     result = []
     for d in range(1, rows + 1):
@@ -303,7 +305,7 @@ def _steps(shape: Partition) -> list[tuple[Partition, int, int]]:
 
 def upper_covers(parts: Sequence[int], n: int) -> list[Partition]:
     """Diagrams covering ``parts`` in the Tamari order (one per corner box, row ascending)."""
-    return [cover for cover, _ in covers_with_strips(as_partition(parts), n)]
+    return [cover for cover, _, _ in _steps(_require_vertex(parts, n))]
 
 
 def upper_covers_dyck(path: str) -> list[str]:

@@ -42,6 +42,7 @@ from typing import Sequence
 from .shapes import (
     Box,
     Partition,
+    _steps,
     _Value,
     as_partition,
     contained_in_staircase,
@@ -321,12 +322,16 @@ def _truncation_shapes(tab: Tableau) -> list[Partition]:
 def tableau_to_chain(tab: Tableau) -> tuple[Partition, ...]:
     """Decode a chain tableau back to its chain (null diagram first).
 
+    The truncation shapes of a validated tableau are vertices (each row keeps a
+    prefix, and the column-weak labels keep the row lengths weakly decreasing), so
+    their covers come from the unchecked kernel ``shapes._steps``.
+
     Raises:
         NotChainTableauError: if consecutive truncation shapes are not covers.
     """
     shapes = _truncation_shapes(tab)
     for r in range(1, len(shapes)):
-        if shapes[r - 1] not in (cover for cover, _ in covers_with_strips(shapes[r], tab.n)):
+        if shapes[r - 1] not in (cover for cover, _, _ in _steps(shapes[r])):
             error = NotChainTableauError(
                 f"labels <= {r} do not describe a cover step in {tab.rows!r}")
             error.counterexample = tab.to_json_dict()
@@ -343,11 +348,8 @@ def is_chain_tableau(tab: Tableau) -> bool:
     shapes = _truncation_shapes(tab)
     for k in range(1, tab.length + 1):
         kset = tab.r_set(k)
-        end_row, end_col = kset[-1]
-        shape = shapes[k]
-        if end_row > len(shape) or shape[end_row - 1] != end_col:
-            return False
-        if set(kset) != set(strip_of_box(shape, tab.n, (end_row, end_col))):
+        # rows increase strictly, so the end box, labelled k, ends its row in shapes[k]
+        if set(kset) != set(strip_of_box(shapes[k], tab.n, kset[-1])):
             return False
     return True
 

@@ -38,6 +38,8 @@ def test_repeat_row():
     assert repeat_row(BASE, 1).rows == ((1, 2), (1, 2), (3,))
     assert repeat_row(BASE, 3).rows == BASE.rows  # row 3 is empty
     assert repeat_row(BASE, 3).n == BASE.n + 1
+    with pytest.raises(TableauError):
+        repeat_row(BASE, 0)
 
 
 def test_unrepeat_row():
@@ -46,6 +48,8 @@ def test_unrepeat_row():
     assert unrepeat_row(Tableau(3, ()), 2) == Tableau(2, ())
     with pytest.raises(TableauError):
         unrepeat_row(widened, 2)  # rows 2 and 3 differ
+    with pytest.raises(TableauError):
+        unrepeat_row(widened, 0)
 
 
 def test_append_next_label():
@@ -56,6 +60,8 @@ def test_append_next_label():
         ((1, 2, 3), (1, 3), (3,))
     with pytest.raises(TableauError):
         append_next_label(Tableau(2, ((1,),)), 1)  # would overflow the ambient
+    with pytest.raises(TableauError):
+        append_next_label(BASE, 0)
 
 
 def test_pivot_row_on_base_chain():

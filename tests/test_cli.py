@@ -13,11 +13,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_table_check_small(capsys):
+def test_table_check_small(capsys, monkeypatch):
     code, out, _ = run(capsys, "table", "--max-n", "5", "--check")
     assert code == 0
     assert "table check passed" in out
     assert "98" in out
+    fixture = cli.length_table()
+    monkeypatch.setattr(cli, "length_table", lambda: {**fixture, 4: {**fixture[4], 6: 3}})
+    code, out, err = run(capsys, "table", "--max-n", "5", "--check")
+    assert (code, out, err) == (1, "", "fixture mismatch in columns [4]\n")
 
 
 def test_table_two_columns(capsys):
@@ -72,6 +76,9 @@ def test_enumerate_streams_tableaux(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", "3", "--length", "2")
     assert code == 0
     assert out.count("n=3") == 1
+    code, out, _ = run(capsys, "enumerate", "--n", "3", "--format", "csv")
+    assert code == 0
+    assert out == "index,n,length,rows\n1,3,2,1 2|1\n2,3,3,1 2|3\ntotal: 2\n"
 
 
 def test_enumerate_json_parses_back(capsys):
@@ -87,15 +94,21 @@ def test_enumerate_gating_and_bad_length(capsys):
     assert code == 2 and "ceiling" in err
     code, _, err = run(capsys, "enumerate", "--n", "4", "--length", "99")
     assert code == 2
+    code, out, err = run(capsys, "enumerate", "--n", "0")
+    assert (code, out, err) == (2, "", "error: --n must be >= 1\n")
 
 
-def test_nofull_check(capsys):
+def test_nofull_check(capsys, monkeypatch):
     code, out, _ = run(capsys, "nofull", "--max-i", "1", "--check")
     assert code == 0
     assert "check passed" in out
     code, out, _ = run(capsys, "nofull", "--max-i", "-1")
     assert code == 0
     assert out.split()[-1] == "1"
+    fixture = cli.nofull_table()
+    monkeypatch.setattr(cli, "nofull_table", lambda: {**fixture, (1, 5): 11})
+    code, out, err = run(capsys, "nofull", "--max-i", "1", "--check")
+    assert (code, out, err) == (1, "", "fixture mismatch at cells [(1, 5)]\n")
 
 
 def test_nofull_csv(capsys):
@@ -258,7 +271,7 @@ def test_nofull_offset_ceiling_is_checked_before_any_row(capsys, monkeypatch):
     assert err == f"error: --max-i must lie in -1..{cli.MAX_I}\n"
 
 
-def test_count_methods(capsys):
+def test_count_methods(capsys, monkeypatch):
     code, out, _ = run(capsys, "count", "--i", "0", "--n", "9")
     assert code == 0 and out.strip() == "84"
     code, out, _ = run(capsys, "count", "--i", "-1", "--n", "100")
@@ -273,6 +286,10 @@ def test_count_methods(capsys):
     assert code == 0 and out.strip() == "84"
     code, _, err = run(capsys, "count", "--i", "0", "--n", "10", "--method", "brute")
     assert code == 2 and "ceiling" in err
+    monkeypatch.setattr(cli, "chains_count",
+                        lambda i, n, table: counting.chains_count(i, n, table) + 1)
+    code, out, err = run(capsys, "count", "--i", "1", "--n", "6", "--method", "both")
+    assert (code, out, err) == (1, "", "DISAGREE recursion=113 brute=112\n")
 
 
 def test_count_with_huge_offset_returns_at_once(capsys, monkeypatch):
@@ -333,6 +350,10 @@ def test_corrupted_cache_is_ignored_with_warning(tmp_path, capsys):
     path.write_text(json.dumps(tampered))
     code, out, err = run(capsys, "count", "--i", "0", "--n", "5", "--cache", str(path))
     assert code == 0 and "checksum" in err
+    path.write_text(json.dumps(dict(cli.empty_cache(), version=2)))
+    code, out, err = run(capsys, "nofull", "--max-i", "-1", "--cache", str(path))
+    assert code == 0 and out.split()[-1] == "1"
+    assert err == f"warning: ignoring corrupted cache {path}: unsupported cache version 2\n"
 
 
 def test_cache_that_is_not_an_object_is_ignored_with_warning(tmp_path, capsys):

@@ -239,6 +239,8 @@ def test_plus_full_free_sweep_matches_the_census(n, censuses):
     for bound in range(n - 1, comb(n, 2) + 1):
         assert bounded(n, bound, is_plus_full_step) == \
             {l: c for l, c in counts.items() if l <= bound}, bound
+        # the block of all chains, the second route's input, is the bounded histogram
+        assert counting._nofull_and_all(n, bound)[1] == bounded(n, bound), bound
 
 
 def test_nofull_matches_committed_table(censuses):

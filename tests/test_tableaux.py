@@ -136,9 +136,9 @@ def test_encode_rejects_non_cover_steps():
 def test_decode_chains():
     assert tableau_to_chain(PENTAGON_LONG) == ((), (1,), (2,), (2, 1))
     assert tableau_to_chain(Tableau(4, ())) == ((),)
-    bad = Tableau(4, ((1, 2), (2,)))
-    with pytest.raises(NotChainTableauError):
-        tableau_to_chain(bad)
+    for bad in (Tableau(4, ((1, 2), (2,))), Tableau(3, ((1, 2), (2,)))):
+        with pytest.raises(NotChainTableauError):
+            tableau_to_chain(bad)
 
 
 def test_roundtrip_random_walks():
@@ -225,6 +225,8 @@ def test_is_chain_tableau_examples():
     assert is_chain_tableau(PENTAGON_SHORT)
     assert is_chain_tableau(Tableau(1, ()))
     assert not is_chain_tableau(Tableau(4, ((1, 2), (2,))))
+    # its 2-set ends at the last box (2, 1), but the strip of that box is ((2, 1),)
+    assert not is_chain_tableau(Tableau(3, ((1, 2), (2,))))
 
 
 def test_characterization_agrees_with_decoding():

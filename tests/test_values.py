@@ -163,8 +163,13 @@ def _modules_after(statement):
 
 
 def test_import_path_loads_no_dataclasses():
+    # the package re-exports nothing, so importing it loads no layer
+    added, _ = _modules_after("import tamari")
+    assert {name for name in added if name.startswith("tamari")} == {"tamari"}
     added, _ = _modules_after("import tamari, tamari.cli")
-    assert {"tamari.shapes", "tamari.counting", "tamari.cli"} <= added
+    assert {name for name in added if name.startswith("tamari")} == {
+        "tamari", "tamari.shapes", "tamari.tableaux", "tamari.bijections",
+        "tamari.counting", "tamari.fixtures", "tamari.cli"}
     assert not added & {"dataclasses", "inspect"}
     # only ``verify`` loads the property suites, which still use dataclasses
     added, loaded = _modules_after("import tamari.checks")

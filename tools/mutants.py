@@ -57,10 +57,10 @@ MUTANTS = (
            "lambda reach: (reach << 0, 0)"),
     Mutant("table-block-offset", "counting.py", "min(bound, comb(n, 2)) + 1",
            "min(bound, comb(n, 2))"),
-    # the fold of the initial-values climb: a plus-full step leaves the clean block as it is
-    Mutant("fold-unmoved", "counting.py",
-           "return reach << width, ((reach & clean_mask) + (reach >> span)) << (span + width)",
-           "return reach << width, reach << width"),
+    # the initial-values climb: a plus-full step keeps the clean block like a plain step
+    Mutant("drop-kept", "counting.py",
+           "lambda reach: (reach << width, (reach >> span) << (span + width))",
+           "lambda reach: (reach << width, reach << width)"),
     Mutant("census-swap", "counting.py",
            "return (clean << width) | ((reach - clean) << (span + width)), "
            "folded << (span + width)",
@@ -93,6 +93,12 @@ MUTANTS = (
            "missing += max(top - dp_limit, 0)"),
     # the one count report of `table` and `nofull`: zero cells print blank
     Mutant("zero-blank", "cli.py", 'f"{c:,}" if c else ""', 'f"{c:,}"'),
+    # the failures a command reports with exit 1: a fixture mismatch, routes that disagree
+    Mutant("check-exit", "cli.py", "bad = [n for n, hist in histograms.items()",
+           "bad = [n for n, hist in {}.items()"),
+    Mutant("disagree-exit", "cli.py",
+           'if args.method == "both" and results["recursion"] != results["brute"]:',
+           'if args.method == "both" and False:'),
     Mutant("roundtrip-increment", "checks.py", "if len(labels) != len(pfs) + 1:",
            "if False:"),
     # the one place where what a check raises becomes its FAIL
