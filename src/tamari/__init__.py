@@ -4,7 +4,7 @@ Each name has one home, its module; importing the package loads none of them:
 
 * :mod:`tamari.shapes`: Young-diagram vertices inside the staircase, Dyck paths,
   prime subpaths, strips and enclosures, and the covering relation (its kernel
-  ``_steps``);
+  ``_steps``, on vertex codes);
 * :mod:`tamari.tableaux`: chain tableaux (:class:`~tamari.tableaux.Tableau`), the
   encoding of chains and its inverse, and the full-set and plus-full-set
   classification of label sets;

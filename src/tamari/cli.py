@@ -126,6 +126,11 @@ def _print_counts(counts: dict[int, dict[int, int]], style: str, header: str,
                         for row in grid))
 
 
+def _not_compared(what: str, keys: list[int]) -> str:
+    """The tail of a ``--check`` line naming the ``keys`` its fixture does not hold."""
+    return f"; {what} {keys} are not in the fixture and were not compared" if keys else ""
+
+
 # ---------------------------------------------------------------------------
 # cache file
 
@@ -277,14 +282,15 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-n {args.max_n} exceeds the ceiling; "
                          f"pass --allow-large (order 8) or --allow-huge")
     histograms = length_histograms(range(1, args.max_n + 1))
-    if args.check:
+    if args.check:  # the fixture's orders only
         fixture = length_table()
         bad = [n for n, hist in histograms.items()
-               if dict(hist.counts) != fixture.get(n, {})]
+               if n in fixture and dict(hist.counts) != fixture[n]]
         if bad:
             print(f"fixture mismatch in columns {bad}", file=sys.stderr)
             return 1
-        print(f"table check passed for n <= {args.max_n}")
+        print(f"table check passed for n <= {args.max_n}"
+              + _not_compared("orders", [n for n in histograms if n not in fixture]))
     _print_counts({n: hist.counts for n, hist in histograms.items()}, args.format,
                   "n,length,count", by_order=True,
                   totals={n: hist.total for n, hist in histograms.items()})
@@ -298,14 +304,16 @@ def cmd_nofull(args: argparse.Namespace) -> int:
     cache = load_cache(cache_path) if cache_path else None
     values, (missing, shown) = _initial_values(range(-1, args.max_i + 1),
                                                2 * args.max_i + 3, args, cache)
-    if args.check:
+    if args.check:  # the fixture's rows only; each is complete, its zeros unlisted
         fixture = nofull_table()
-        bad = [(i, t) for i, row in values.items() for t, v in row.items()
+        rows = {i for i, _ in fixture}
+        bad = [(i, t) for i, row in values.items() if i in rows for t, v in row.items()
                if v != fixture.get((i, t), 0)]
         if bad:
             print(f"fixture mismatch at cells {bad}", file=sys.stderr)
             return 1
-        print(f"no-plus-full table check passed for i <= {args.max_i}")
+        print(f"no-plus-full table check passed for i <= {args.max_i}"
+              + _not_compared("rows", [i for i in values if i not in rows]))
     elif cache_path:
         save_cache(cache_path, cache)
     if missing:

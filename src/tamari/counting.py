@@ -6,9 +6,11 @@ Two independent routes are kept side by side on purpose:
   from one or more seeds, each vertex holding one int that packs its chain counts
   into fixed-width fields (:func:`_field_width` proves no field overflows),
   optionally cut at a length bound by one table of masks (:func:`_length_masks`)
-  and folding its blocks at each :func:`is_plus_full_step` of a given order; each
-  cover step comes from the kernel ``shapes._steps`` as its cover and the rows
-  ``top+1 .. d`` of its strip, so no strip's boxes are built.  A command climbs as
+  and folding its blocks at each :func:`is_plus_full_step` of a given order; the
+  climb keys its vertices by their codes (``shapes._code``, row j's length in byte
+  j-1), and each cover step comes from the kernel ``shapes._steps`` as its cover's
+  code and the rows ``top+1 .. d`` of its strip, so a step is one subtraction and
+  no strip's boxes are built.  A command climbs as
   few times as its counts allow: :func:`length_histograms` climbs once for every
   order, seeded at each staircase, optionally up to a length bound; :func:`census`
   also tallies the minimal plus-full-set labels.  :func:`enumerate_maximal_chains`
@@ -36,7 +38,7 @@ from math import comb, factorial, isqrt
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
-from .shapes import Partition, ShapeError, _steps, _Value, staircase
+from .shapes import Partition, ShapeError, _code, _shape, _steps, _Value, staircase
 from .tableaux import Tableau
 
 # bound at import, so that rebinding the name ``Tableau`` here (the benchmark's
@@ -136,31 +138,33 @@ def _climb(seeds: Mapping[Partition, int], advance: Callable[[int], tuple[int, i
     packed state}``).  A state is one int packing chain counts into fields
     (:func:`_field_width`).
 
-    The levels are a list indexed by box count, each mapping its reachable vertices
-    to their states and freed once pushed; a seed starts in its own level.  A step
-    removing a strip goes that many boxes up, and states merge by addition.  Once per
-    vertex, the state is cut to ``masks[k]`` (:func:`_length_masks`, k the length of
-    the vertex's row 1), if masks are given, and a vertex left with nothing is
-    skipped; ``advance(state)`` returns the states moved across a step, ``(plain,
-    special)``: the step removing the last boxes of rows ``top+1 .. d`` of ``shape``
-    takes ``special`` where an ``order`` is given and
-    ``is_plus_full_step(shape, top, d, order)`` holds.
+    The levels are a list indexed by box count, each mapping the codes
+    (``shapes._code``) of its reachable vertices to their states and freed once
+    pushed; a seed starts in its own level.  A step removing a strip goes that many
+    boxes up, and states merge by addition.  Once per vertex, the state is cut to
+    ``masks[k]`` (:func:`_length_masks`, k the length of the vertex's row 1, the
+    code's low byte), if masks are given, and a vertex left with nothing is skipped;
+    ``advance(state)`` returns the states moved across a step, ``(plain, special)``:
+    the step removing the last boxes of rows ``top+1 .. d`` of ``shape`` takes
+    ``special`` where an ``order`` is given and ``is_plus_full_step(shape, top, d,
+    order)`` holds, so only then is a vertex's shape decoded.
     """
     levels: list = [{} for _ in range(max(map(sum, seeds), default=0) + 1)]
     for seed, state in seeds.items():
-        levels[sum(seed)][seed] = state
+        levels[sum(seed)][_code(seed)] = state
     for boxes in range(len(levels) - 1, 0, -1):
         level, levels[boxes] = levels[boxes], None
-        for shape, state in level.items():
-            if masks is not None and not (state := state & masks[shape[0]]):
+        for code, state in level.items():
+            if masks is not None and not (state := state & masks[code & 255]):
                 continue
             plain, special = advance(state)
-            for cover, top, d in _steps(shape):
+            shape = _shape(code) if order else None
+            for cover, top, d in _steps(code):
                 moved = special if order and is_plus_full_step(shape, top, d, order) else plain
                 if moved:
                     into = levels[boxes - (d - top)]
                     into[cover] = into.get(cover, 0) + moved
-    return levels[0].get((), 0)
+    return levels[0].get(0, 0)
 
 
 def length_histograms(orders: Iterable[int],
@@ -221,7 +225,7 @@ def _chains_up(n: int, start: Partition, length: int | None = None,
     shape; with ``length`` given, only the chains of that length, and with
     ``choose`` given, only the chain that takes the step ``choose(steps)`` at
     each vertex.  ``start`` must be a validated vertex: the steps come from the
-    unchecked kernel ``_steps``.
+    unchecked kernel ``_steps``, on the vertices' codes (``shapes._code``).
 
     Each box records the depth of the step that removes it; at the top, a step
     at depth d of a chain of length l carries label l - d.  Every step removes
@@ -233,11 +237,12 @@ def _chains_up(n: int, start: Partition, length: int | None = None,
     grid = [[0] * (n + 1) for _ in range(n + 1)]
     cells = [(grid[x], size + 1) for x, size in enumerate(start, 1)]
     maximal = start == staircase(n - 1)
-    # a shape lies on many chains: list its steps once per stream
-    memo: dict[Partition, list[tuple[Partition, int, int]]] = {}
+    # a vertex lies on many chains: list its steps, each with the grid cells it
+    # marks (the end of rows top+1 .. d), once per stream, by code
+    memo: dict[int, list[tuple[int, list[tuple[list[int], int]]]]] = {}
 
-    def walk(shape: Partition, depth: int) -> Iterator[Tableau]:
-        if not shape:
+    def walk(code: int, depth: int) -> Iterator[Tableau]:
+        if not code:
             if length is None or depth == length:
                 tab = _trusted_tableau(n, tuple([tuple([depth - label for label in row[1:end]])
                                                  for row, end in cells]))
@@ -245,17 +250,20 @@ def _chains_up(n: int, start: Partition, length: int | None = None,
                 known["shape"], known["length"], known["is_staircase"] = start, depth, maximal
                 yield tab
             return
-        steps = memo.get(shape)
+        steps = memo.get(code)
         if steps is None:
-            steps = memo[shape] = _steps(shape)
+            shape = _shape(code)
+            steps = memo[code] = [(cover, [(grid[row], shape[row - 1])
+                                           for row in range(top + 1, d + 1)])
+                                  for cover, top, d in _steps(code)]
         if choose is not None:
             steps = [choose(steps)]
-        for cover, top, d in steps:
-            for row in range(top + 1, d + 1):
-                grid[row][shape[row - 1]] = depth
+        for cover, marks in steps:
+            for row, column in marks:
+                row[column] = depth
             yield from walk(cover, depth + 1)
 
-    return walk(start, 0)
+    return walk(_code(start), 0)
 
 
 class ChainCensus:

@@ -1,6 +1,6 @@
-"""Committed CSV fixtures: chain counts by length and the no-plus-full column.
+"""Committed CSV fixtures: chain counts by length and the no-plus-full counts.
 
-Both files live under ``tamari/data`` and use decimal strings so that the
+The files live under ``tamari/data`` and use decimal strings so that the
 counts survive any tool that mangles large integers.
 """
 
@@ -27,9 +27,12 @@ def length_table() -> dict[int, dict[int, int]]:
 
 @lru_cache(maxsize=None)
 def nofull_table() -> dict[tuple[int, int], int]:
-    """Published counts with no plus-full-sets: (offset i, lattice order n) -> count.
+    """Committed counts with no plus-full-sets: (offset i, lattice order n) -> count.
 
-    Cells absent from the published table are zero and are not listed.
+    Rows -1..5 are the published table (``table_5_1.csv``); row 6 is computed by
+    two routes, not published (``nofull_row_6.csv``).  Each row is complete; its
+    zero cells are not listed.
     """
     return {(int(row["i"]), int(row["n"])): int(row["count"])
-            for row in _rows("table_5_1.csv")}
+            for filename in ("table_5_1.csv", "nofull_row_6.csv")
+            for row in _rows(filename)}

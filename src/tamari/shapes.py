@@ -9,15 +9,21 @@ in both pictures; this module provides both plus the conversions.
 
 Every public function validates its shapes, once (``_dyck_path`` serves them
 after that).  The one unchecked entry used elsewhere is ``_steps``, the cover
-kernel: it names each cover step by its cover and the rows ``top+1 .. d`` of
-its strip, and builds no boxes.  It runs only on a validated vertex or on
-shapes it produced from one.  Its callers are :func:`covers_with_strips` and
-:func:`upper_covers`, which validate their vertex; the counting engine
-:func:`tamari.counting._climb`, which starts from staircases; the chain
-stream :func:`tamari.counting._chains_up`, which starts from a validated
-vertex (the one random draw, :func:`tamari.checks.random_chain`, is the stream
-taking one random step per vertex up from a start it validates); and the
-decoder :func:`tamari.tableaux.tableau_to_chain`, whose truncation shapes of a
+kernel.  It works on a vertex's *code* (:func:`_code`), one int holding the
+length of row j in byte j-1, and names each cover step by the cover's code and
+the rows ``top+1 .. d`` of its strip: the step takes one box off each of those
+rows, so the cover's code is ``code - _ONES[d] + _ONES[top]`` and no box or
+tuple is built.  A row of :data:`MAX_ORDER` boxes or more fits in no byte, so
+the kernel serves the orders up to :data:`MAX_ORDER`, and :func:`_code` refuses
+a longer row.  The kernel runs only on the code of a validated vertex or on
+codes it produced from one.  Its callers are :func:`covers_with_strips` and
+:func:`upper_covers`, which validate their vertex and convert at the boundary;
+the counting engine :func:`tamari.counting._climb`, which starts from
+staircases; the chain stream :func:`tamari.counting._chains_up`, which starts
+from a validated vertex (the one random draw,
+:func:`tamari.checks.random_chain`, is the stream taking one random step per
+vertex up from a start it validates); and the decoder
+:func:`tamari.tableaux.tableau_to_chain`, whose truncation shapes of a
 validated tableau are vertices.
 
 Conventions (pinned once, used repo-wide):
@@ -272,18 +278,40 @@ def covers_with_strips(parts: Partition, n: int) -> tuple[tuple[Partition, tuple
     rows.  :func:`strip_of_box` is the definitional route to the same strips.
     """
     shape = _require_vertex(parts, n)
-    return tuple([(cover, tuple(zip(range(top + 1, d + 1), shape[top:d])))
-                  for cover, top, d in _steps(shape)])
+    return tuple([(_shape(cover), tuple(zip(range(top + 1, d + 1), shape[top:d])))
+                  for cover, top, d in _steps(_code(shape))])
 
 
-def _steps(shape: Partition) -> list[tuple[Partition, int, int]]:
-    """``(cover, top, d)`` for each corner of ``shape``, by corner row ``d`` ascending:
-    the step removes the last boxes of rows ``top+1 .. d`` (see
-    :func:`covers_with_strips`).  Nothing is checked and no box is built, so
-    ``shape`` must be a validated vertex or a cover this kernel produced from one.
+MAX_ORDER = 256  # a vertex's code holds each row's length, below MAX_ORDER, in one byte
+# _ONES[k]: the code with one box in each of the rows 1..k (k < MAX_ORDER)
+_ONES = tuple(((1 << 8 * k) - 1) // 255 for k in range(MAX_ORDER))
+
+
+def _code(shape: Partition) -> int:
+    """The code of a vertex: row j's length in byte j-1 of one int, so the null
+    diagram is 0.  Raises :class:`ShapeError` for a row of :data:`MAX_ORDER` boxes
+    or more, which only an order above :data:`MAX_ORDER` has."""
+    if shape and shape[0] >= MAX_ORDER:
+        raise ShapeError(f"a row of {shape[0]} boxes is past the cover kernel, "
+                         f"which serves orders up to {MAX_ORDER}")
+    return int.from_bytes(bytes(shape), "little")
+
+
+def _shape(code: int) -> Partition:
+    """The vertex of a code, the inverse of :func:`_code`."""
+    return tuple(code.to_bytes((code.bit_length() + 7) >> 3, "little"))
+
+
+def _steps(code: int) -> list[tuple[int, int, int]]:
+    """``(cover, top, d)`` for each corner of the vertex of ``code`` (:func:`_code`),
+    by corner row ``d`` ascending: the step removes the last boxes of rows
+    ``top+1 .. d`` (see :func:`covers_with_strips`), and ``cover`` is the code of
+    the vertex it reaches.  Nothing is checked and no box is built, so ``code`` must
+    be that of a validated vertex or a cover this kernel produced from one.
     The callers: :func:`covers_with_strips`, :func:`upper_covers`,
     ``counting._climb``, ``counting._chains_up`` (the stream, and through it the one
     random draw ``checks.random_chain``) and ``tableaux.tableau_to_chain``."""
+    shape = code.to_bytes((code.bit_length() + 7) >> 3, "little")
     rows = len(shape)
     result = []
     for d in range(1, rows + 1):
@@ -294,18 +322,14 @@ def _steps(shape: Partition) -> list[tuple[Partition, int, int]]:
         top = d - 1
         while top and top + shape[top - 1] < level:
             top -= 1
-        cover = list(shape)
-        for row in range(top, d):  # only the strip's rows lose a box
-            cover[row] -= 1
-        if length == 1:  # rows of length 1 end the shape and empty
-            del cover[cover.index(0):]
-        result.append((tuple(cover), top, d))
+        # rows top+1 .. d lose a box; a row emptied is a leading zero byte, and goes
+        result.append((code - _ONES[d] + _ONES[top], top, d))
     return result
 
 
 def upper_covers(parts: Sequence[int], n: int) -> list[Partition]:
     """Diagrams covering ``parts`` in the Tamari order (one per corner box, row ascending)."""
-    return [cover for cover, _, _ in _steps(_require_vertex(parts, n))]
+    return [_shape(cover) for cover, _, _ in _steps(_code(_require_vertex(parts, n)))]
 
 
 def upper_covers_dyck(path: str) -> list[str]:

@@ -42,6 +42,7 @@ from typing import Sequence
 from .shapes import (
     Box,
     Partition,
+    _code,
     _steps,
     _Value,
     as_partition,
@@ -324,14 +325,18 @@ def tableau_to_chain(tab: Tableau) -> tuple[Partition, ...]:
 
     The truncation shapes of a validated tableau are vertices (each row keeps a
     prefix, and the column-weak labels keep the row lengths weakly decreasing), so
-    their covers come from the unchecked kernel ``shapes._steps``.
+    their covers come from the unchecked kernel ``shapes._steps``; the decoder
+    compares the vertices' codes (``shapes._code``).
 
     Raises:
         NotChainTableauError: if consecutive truncation shapes are not covers.
+        ShapeError: if a row has too many boxes for the kernel (an order above
+            ``shapes.MAX_ORDER``).
     """
     shapes = _truncation_shapes(tab)
+    codes = [_code(shape) for shape in shapes]
     for r in range(1, len(shapes)):
-        if shapes[r - 1] not in (cover for cover, _, _ in _steps(shapes[r])):
+        if codes[r - 1] not in (cover for cover, _, _ in _steps(codes[r])):
             error = NotChainTableauError(
                 f"labels <= {r} do not describe a cover step in {tab.rows!r}")
             error.counterexample = tab.to_json_dict()

@@ -24,6 +24,18 @@ def test_table_check_small(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "fixture mismatch in columns [4]\n")
 
 
+def test_table_check_compares_only_the_orders_the_fixture_holds(capsys, monkeypatch):
+    # order 10 is past the committed columns: named, not failed
+    code, out, err = run(capsys, "table", "--max-n", "10", "--allow-huge", "--check")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == ("table check passed for n <= 10; orders [10] are not "
+                                   "in the fixture and were not compared")
+    fixture = cli.length_table()
+    monkeypatch.setattr(cli, "length_table", lambda: {**fixture, 9: {**fixture[9], 36: 1}})
+    code, out, err = run(capsys, "table", "--max-n", "10", "--allow-huge", "--check")
+    assert (code, out, err) == (1, "", "fixture mismatch in columns [9]\n")
+
+
 def test_table_two_columns(capsys):
     code, out, _ = run(capsys, "table", "--max-n", "2")
     assert code == 0
@@ -109,6 +121,21 @@ def test_nofull_check(capsys, monkeypatch):
     monkeypatch.setattr(cli, "nofull_table", lambda: {**fixture, (1, 5): 11})
     code, out, err = run(capsys, "nofull", "--max-i", "1", "--check")
     assert (code, out, err) == (1, "", "fixture mismatch at cells [(1, 5)]\n")
+
+
+def test_nofull_check_compares_only_the_rows_the_fixture_holds(capsys, monkeypatch):
+    # the committed row 6 is compared up to the ceiling, order 9; row 7 is named
+    argv = ("nofull", "--max-i", "7", "--check", "--format", "csv")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "skipped" in err
+    lines = out.splitlines()
+    assert lines[0] == ("no-plus-full table check passed for i <= 7; rows [7] are not "
+                        "in the fixture and were not compared")
+    assert "6,9,5891782" in lines and "7,9,0" not in lines
+    fixture = cli.nofull_table()
+    monkeypatch.setattr(cli, "nofull_table", lambda: {**fixture, (6, 9): 1})
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.endswith("fixture mismatch at cells [(6, 9)]\n")
 
 
 def test_nofull_csv(capsys):

@@ -1,3 +1,6 @@
+from collections import Counter
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -209,14 +212,65 @@ def test_the_unchecked_kernel_is_the_validated_one(n):
     # the box-free kernel steps once per corner, and its rows top+1 .. d are the
     # rows of the strip that strip_of_box defines and covers_with_strips returns
     for vertex in partitions_in_staircase(n):
-        steps = shapes._steps(vertex)
+        steps = shapes._steps(shapes._code(vertex))
         assert [(d, vertex[d - 1]) for _, _, d in steps] == corner_boxes(vertex), vertex
         edges = []
         for cover, top, d in steps:
             strip = strip_of_box(vertex, n, (d, vertex[d - 1]))
             assert [row for row, _ in strip] == list(range(top + 1, d + 1)), vertex
-            edges.append((cover, strip))
+            edges.append((shapes._shape(cover), strip))
         assert tuple(edges) == covers_with_strips(vertex, n), vertex
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_a_vertex_code_decodes_to_its_vertex(n):
+    vertices = partitions_in_staircase(n)
+    codes = [shapes._code(vertex) for vertex in vertices]
+    assert [shapes._shape(code) for code in codes] == list(vertices)
+    assert len(set(codes)) == len(codes) and codes[-1] == 0  # the null diagram is 0
+
+
+def test_the_kernel_climbs_the_associahedron():
+    # the Hasse diagram of T_n is the graph of the (n-1)-dimensional associahedron,
+    # a simple polytope: climbed by the kernel alone from the staircase, it has
+    # Catalan(n) vertices, each with n-1 covers up and down in all, so
+    # (n-1)Catalan(n)/2 steps, and Narayana(n, k+1) vertices with k upper covers
+    for n in range(1, 11):
+        catalan = comb(2 * n, n) // (n + 1)
+        up, down = {}, {}
+        todo = [shapes._code(staircase(n - 1))]
+        while todo:
+            code = todo.pop()
+            if code in up:
+                continue
+            covers = [cover for cover, _, _ in shapes._steps(code)]
+            up[code] = len(covers)
+            for cover in covers:
+                down[cover] = down.get(cover, 0) + 1
+                todo.append(cover)
+        assert len(up) == catalan, n
+        assert {up[code] + down.get(code, 0) for code in up} == {n - 1}, n
+        assert 2 * sum(up.values()) == (n - 1) * catalan, n
+        assert Counter(up.values()) == {k: comb(n, k + 1) * comb(n, k) // n for k in range(n)}, n
+
+
+def test_the_kernel_serves_orders_up_to_256(capsys):
+    # a vertex's code holds a row's length in one byte; order 257 has a row of 256.
+    # Here, after the counting tests: a broken length mask makes order 256 climb long
+    from tamari import cli
+
+    for n in (255, 256):
+        vertex = staircase(n - 1)
+        assert shapes._shape(shapes._code(vertex)) == vertex
+        assert upper_covers(vertex, n)[0] == (n - 2,) + vertex[1:]
+    with pytest.raises(ShapeError, match="orders up to 256"):
+        upper_covers(staircase(256), 257)
+    brute = ["count", "--i", "-1", "--method", "brute", "--allow-huge", "--n"]
+    assert cli.main(brute + ["256"]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+    assert cli.main(brute + ["257"]) == 2
+    assert capsys.readouterr() == ("", "error: a row of 256 boxes is past the cover kernel, "
+                                       "which serves orders up to 256\n")
 
 
 def test_cover_kernel_keeps_validation():

@@ -46,13 +46,15 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the counting engine's packed state: the one field width (its depth), the one
     # table of length masks (a field's cut-off, a vertex's cut-off, the index a
-    # vertex takes), the one climb of `table` and its seeds' blocks
+    # vertex takes, the byte of its code that index is read from), the one climb of
+    # `table` and its seeds' blocks
     Mutant("width-depth", "counting.py", "min(max_length, top)", "min(max_length - 1, top)"),
     Mutant("mask-fields", "counting.py", "min(max_length - k + 1, fields)",
            "min(max_length - k, fields)"),
     Mutant("mask-cutoff", "counting.py", "if k <= max_length else 0",
            "if k < max_length else 0"),
-    Mutant("mask-index", "counting.py", "masks[shape[0]]", "masks[shape[0] - 1]"),
+    Mutant("mask-index", "counting.py", "masks[code & 255]", "masks[(code & 255) - 1]"),
+    Mutant("mask-row-byte", "counting.py", "masks[code & 255]", "masks[code >> 8 & 255]"),
     Mutant("step-shift", "counting.py", "lambda reach: (reach << width, 0)",
            "lambda reach: (reach << 0, 0)"),
     Mutant("table-block-offset", "counting.py", "min(bound, comb(n, 2)) + 1",
@@ -69,15 +71,18 @@ MUTANTS = (
     Mutant("fold-no-clean", "counting.py", "folded, rest = 0, reach",
            "folded, rest = 0, reach >> span"),
     Mutant("level-step", "counting.py", "boxes - (d - top)", "boxes - 1"),
-    # the box-free cover kernel and the edge filter on its rows
+    # the box-free cover kernel on a vertex's code (row j's length in byte j-1), its
+    # step by one subtraction, and the edge filter on its rows
     Mutant("steps-top-scan", "shapes.py", "top + shape[top - 1] < level",
            "top + shape[top - 1] <= level"),
+    Mutant("ones-index", "shapes.py", "(code - _ONES[d] + _ONES[top],",
+           "(code - _ONES[d - 1] + _ONES[top],"),
     Mutant("plus-full-top", "counting.py", "if top or d + shape[d - 1] != n:",
            "if d + shape[d - 1] != n:"),
     # the chain stream and the one random draw on the same kernel (the draw is
     # the stream's walker choosing one step per vertex)
-    Mutant("stream-strip-rows", "counting.py", "for row in range(top + 1, d + 1):",
-           "for row in range(top + 2, d + 1):"),
+    Mutant("stream-strip-rows", "counting.py", "for row in range(top + 1, d + 1)]",
+           "for row in range(top + 2, d + 1)]"),
     Mutant("draw-choose", "checks.py", "s[rng.randrange(len(s))]", "s[~rng.randrange(len(s))]"),
     # the two plus-full-set properties: vanishing and equal representation
     Mutant("vanishing-classes", "checks.py", "3 * i + 5", "3 * i + 4"),
