@@ -655,8 +655,11 @@ def check_equal_representation(limits: VerifyLimits) -> Verdict:
     """For every set U of at most n-1 labels of 1..n+i, with t = |U|: the chains of
     length n+i whose plus-full-set labels are exactly U number N_i(n-t), and those
     whose labels contain U number #C_i(n-t).  The label sets come from the chain
-    stream classified by :func:`plus_full_set_labels`, so the cases stay at n <= 7."""
+    stream at length n+i classified by :func:`plus_full_set_labels`; the stream
+    cuts by length, so past order 7 it walks only those chains (5,544 at (1, 10)),
+    and the cases (0, n) and (1, n) for 8 <= n <= ``max_n`` (at most 10) join."""
     cases = [(0, 4), (0, 5), (1, 5), (1, 6)]
+    cases += [(i, n) for n in range(8, min(limits.max_n, 10) + 1) for i in (0, 1)]
     cases = [(i, n) for i, n in cases if n <= limits.max_n + 1 and i <= limits.max_i]
     for i, n in cases:
         length = n + i

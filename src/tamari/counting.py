@@ -14,7 +14,8 @@ Two independent routes are kept side by side on purpose:
   few times as its counts allow: :func:`length_histograms` climbs once for every
   order, seeded at each staircase, optionally up to a length bound; :func:`census`
   also tallies the minimal plus-full-set labels.  :func:`enumerate_maximal_chains`
-  streams the chain tableaux up the same kernel (the random draw
+  streams the chain tableaux up the same kernel, on an explicit stack and cut by
+  length where a length is asked for (the random draw
   :func:`tamari.checks.random_chain` takes one step of it per vertex); classified by
   :func:`tamari.tableaux.plus_full_set_labels`, they are the brute oracle the
   climbs are tested against; and
@@ -34,6 +35,7 @@ Everything is exact integer arithmetic; there is no floating point here.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, isqrt
 from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Iterator, Mapping
@@ -147,7 +149,9 @@ def _climb(seeds: Mapping[Partition, int], advance: Callable[[int], tuple[int, i
     ``advance(state)`` returns the states moved across a step, ``(plain, special)``:
     the step removing the last boxes of rows ``top+1 .. d`` of ``shape`` takes
     ``special`` where an ``order`` is given and ``is_plus_full_step(shape, top, d,
-    order)`` holds, so only then is a vertex's shape decoded.
+    order)`` holds.  Only then is a vertex's shape decoded, once, for the rule and
+    the kernel both, and the rule is tested only where ``top`` is 0, the one case
+    it can hold.
     """
     levels: list = [{} for _ in range(max(map(sum, seeds), default=0) + 1)]
     for seed, state in seeds.items():
@@ -159,8 +163,9 @@ def _climb(seeds: Mapping[Partition, int], advance: Callable[[int], tuple[int, i
                 continue
             plain, special = advance(state)
             shape = _shape(code) if order else None
-            for cover, top, d in _steps(code):
-                moved = special if order and is_plus_full_step(shape, top, d, order) else plain
+            for cover, top, d in _steps(code, shape):
+                moved = special if (order and not top
+                                    and is_plus_full_step(shape, top, d, order)) else plain
                 if moved:
                     into = levels[boxes - (d - top)]
                     into[cover] = into.get(cover, 0) + moved
@@ -212,8 +217,8 @@ def enumerate_maximal_chains(n: int, length: int | None = None) -> Iterator[Tabl
     """Stream every maximal chain of the n-th lattice exactly once, as chain tableaux.
 
     Order is the depth-first order induced by the cover ordering (corner row
-    ascending); the optional filter emits only chains of the given length.
-    Lengths are only known at the top, so filtering happens at emission.
+    ascending); with ``length`` given, only the chains of that length, and the walk
+    cuts every branch that cannot end at it (:func:`_chains_up`).
     """
     yield from _chains_up(n, _staircase_of(n), length)
 
@@ -227,43 +232,67 @@ def _chains_up(n: int, start: Partition, length: int | None = None,
     each vertex.  ``start`` must be a validated vertex: the steps come from the
     unchecked kernel ``_steps``, on the vertices' codes (``shapes._code``).
 
+    The walk is one loop over an explicit stack of step iterators, one per vertex
+    of the chain so far, so a chain may be longer than the recursion limit.  With
+    ``length`` = L given, it cuts a branch at a vertex of depth d with k boxes in
+    row 1 (the code's low byte) and b boxes in all once L lies outside [d + k,
+    d + b]: a step removes at least one box and at most one box of row 1 (the
+    argument of :func:`_length_masks`).  At the null diagram k = b = 0, so the cut
+    is also the filter at emission.  With no length, every L from 0 to the start's
+    box count B is wanted, so the cut is d + k > B.  No step of the kernel meets
+    it, but it bounds the stack by B even where a faulty kernel steps in a cycle.
+
     Each box records the depth of the step that removes it; at the top, a step
     at depth d of a chain of length l carries label l - d.  Every step removes
     the last boxes of a strip's rows, so the labels grow along rows and weakly
-    down columns, and the tableaux are built without validation.  Each one arrives
-    with its ``shape``, ``length`` and ``is_staircase`` stored; its plus-full-sets
-    are classified from its rows.
+    down columns, and each tableau is built once, without validation, by
+    ``Tableau._trusted``.  Each one arrives with its ``shape``, ``length`` and
+    ``is_staircase`` stored; its plus-full-sets are classified from its rows.
     """
-    grid = [[0] * (n + 1) for _ in range(n + 1)]
-    cells = [(grid[x], size + 1) for x, size in enumerate(start, 1)]
+    # the boxes of ``start`` row by row, each holding the depth of the step that
+    # removes it; row x is the slice ``rows[x - 1]``
+    total = sum(start)
+    marked = [0] * total
+    ends = list(accumulate(start, initial=0))
+    rows = tuple(map(slice, ends, ends[1:]))
     maximal = start == staircase(n - 1)
-    # a vertex lies on many chains: list its steps, each with the grid cells it
-    # marks (the end of rows top+1 .. d), once per stream, by code
-    memo: dict[int, list[tuple[int, list[tuple[list[int], int]]]]] = {}
+    # a vertex lies on many chains: list its steps once per stream, by code, each
+    # with the boxes it marks (the end of rows top+1 .. d) and its cover's row 1 and
+    # box count, the bounds of the cut
+    memo: dict[int, list[tuple[int, list[int], int, int]]] = {}
 
-    def walk(code: int, depth: int) -> Iterator[Tableau]:
-        if not code:
-            if length is None or depth == length:
-                tab = _trusted_tableau(n, tuple([tuple([depth - label for label in row[1:end]])
-                                                 for row, end in cells]))
-                known = tab.__dict__
-                known["shape"], known["length"], known["is_staircase"] = start, depth, maximal
-                yield tab
-            return
-        steps = memo.get(code)
-        if steps is None:
-            shape = _shape(code)
-            steps = memo[code] = [(cover, [(grid[row], shape[row - 1])
-                                           for row in range(top + 1, d + 1)])
-                                  for cover, top, d in _steps(code)]
-        if choose is not None:
-            steps = [choose(steps)]
-        for cover, marks in steps:
-            for row, column in marks:
-                row[column] = depth
-            yield from walk(cover, depth + 1)
+    def steps_of(code: int) -> list[tuple[int, list[int], int, int]]:
+        shape = _shape(code)
+        boxes = sum(shape)
+        memo[code] = steps = [(cover, [ends[row - 1] + shape[row - 1] - 1
+                                       for row in range(top + 1, d + 1)],
+                               cover & 255, boxes - d + top)
+                              for cover, top, d in _steps(code, shape)]
+        return steps
 
-    return walk(_code(start), 0)
+    # the walk enters ``start`` (depth 0) by a step that marks nothing, so the cut
+    # tests the start too
+    code = _code(start)
+    shortest, longest = (0, total) if length is None else (length, length)
+    stack = [iter([(code, (), code & 255, total)])]
+    while stack:
+        depth = len(stack) - 1  # of the covers of the vertex on top
+        for cover, marks, first, boxes in stack[-1]:
+            if depth + first > longest or depth + boxes < shortest:
+                continue
+            for box in marks:
+                marked[box] = depth - 1
+            if cover:
+                steps = memo.get(cover) or steps_of(cover)
+                stack.append(iter(steps if choose is None else [choose(steps)]))
+                break
+            labels = tuple([depth - label for label in marked])
+            tab = _trusted_tableau(n, tuple(map(labels.__getitem__, rows)))
+            known = tab.__dict__
+            known["shape"], known["length"], known["is_staircase"] = start, depth, maximal
+            yield tab
+        else:
+            stack.pop()
 
 
 class ChainCensus:

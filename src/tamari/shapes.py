@@ -302,16 +302,19 @@ def _shape(code: int) -> Partition:
     return tuple(code.to_bytes((code.bit_length() + 7) >> 3, "little"))
 
 
-def _steps(code: int) -> list[tuple[int, int, int]]:
+def _steps(code: int, shape: Sequence[int] | None = None) -> list[tuple[int, int, int]]:
     """``(cover, top, d)`` for each corner of the vertex of ``code`` (:func:`_code`),
     by corner row ``d`` ascending: the step removes the last boxes of rows
     ``top+1 .. d`` (see :func:`covers_with_strips`), and ``cover`` is the code of
-    the vertex it reaches.  Nothing is checked and no box is built, so ``code`` must
-    be that of a validated vertex or a cover this kernel produced from one.
+    the vertex it reaches.  A caller that has decoded the vertex passes its
+    ``shape`` (:func:`_shape`), so the code is not decoded again.  Nothing is checked
+    and no box is built, so ``code`` must be that of a validated vertex or a cover
+    this kernel produced from one.
     The callers: :func:`covers_with_strips`, :func:`upper_covers`,
     ``counting._climb``, ``counting._chains_up`` (the stream, and through it the one
     random draw ``checks.random_chain``) and ``tableaux.tableau_to_chain``."""
-    shape = code.to_bytes((code.bit_length() + 7) >> 3, "little")
+    if shape is None:
+        shape = code.to_bytes((code.bit_length() + 7) >> 3, "little")
     rows = len(shape)
     result = []
     for d in range(1, rows + 1):

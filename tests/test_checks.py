@@ -32,6 +32,15 @@ def test_verify_formulas_cli(capsys):
     assert out.count("PASS") == 7
 
 
+@pytest.mark.slow
+def test_equal_representation_past_order_seven():
+    # the stream walks only the chains of length n+i, so the cases reach order 10
+    result = run_check("formulas/equal-representation", VerifyLimits(max_n=10, max_i=1))
+    assert result.passed, result
+    assert result.detail == ("cases [(0, 4), (0, 5), (1, 5), (1, 6), (0, 8), (1, 8), "
+                             "(0, 9), (1, 9), (0, 10), (1, 10)]")
+
+
 def test_verify_growth_cli(capsys):
     # plumbing only: criterion 7 and the all-suites test run these checks at scale
     assert cli.main(["verify", "--suite", "phi", "--max-n", "3",

@@ -30,6 +30,55 @@ def test_enumeration_counts():
     assert len(list(enumerate_maximal_chains(4, length=5))) == 2
 
 
+def digests_by_length(tabs):
+    """``{length: (count, digest)}``, the digest an order-sensitive hash of each
+    tableau's rows and stored fields, so no stream is held."""
+    out = {}
+    for tab in tabs:
+        count, digest = out.get(tab.length, (0, 0))
+        out[tab.length] = count + 1, hash((digest, tab.rows, tab.shape, tab.is_staircase))
+    return out
+
+
+def assert_the_cut_filters_at_emission(n):
+    # the walk that cuts by length yields what the whole stream yields at that
+    # length, in the same order, with the same stored fields; lengths 0 and
+    # C(n,2)+1 lie past both ends of every order's range
+    whole = digests_by_length(enumerate_maximal_chains(n))
+    assert sum(count for count, _ in whole.values()) == count_by_length(n).total
+    for length in range(comb(n, 2) + 2):
+        expected = {length: whole[length]} if length in whole else {}
+        assert digests_by_length(enumerate_maximal_chains(n, length)) == expected, (n, length)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_length_cut_keeps_every_chain_of_that_length(n):
+    assert_the_cut_filters_at_emission(n)
+
+
+@pytest.mark.slow
+def test_the_length_cut_keeps_every_chain_of_that_length_at_order_seven():
+    assert_the_cut_filters_at_emission(7)
+
+
+def test_a_walk_deeper_than_the_recursion_limit_completes():
+    # the last step at each vertex takes the box of the lowest corner, one box a
+    # step, so the chain is the longest, C(46,2) = 1035 steps: past the default
+    # recursion limit (1000), which a walk by recursion would reach
+    tab = next(counting._chains_up(46, shapes.staircase(45), choose=lambda s: s[-1]))
+    assert tab.length == comb(46, 2) == 1035 and tab.is_staircase
+    chain = tableau_to_chain(tab)  # null diagram first
+    assert len(chain) == 1036 and chain[-1] == shapes.staircase(45)
+
+
+def test_a_kernel_that_steps_in_a_cycle_cannot_make_the_walk_run_forever(monkeypatch):
+    # the cut bounds the stack by the start's box count, with or without a length;
+    # unbounded, the walk on this kernel would grow until memory runs out
+    monkeypatch.setattr(counting, "_steps", lambda code, shape=None: [(code, 0, 1)])
+    assert list(counting._chains_up(4, shapes.staircase(3))) == []
+    assert list(enumerate_maximal_chains(4, length=6)) == []
+
+
 def test_enumeration_is_complete():
     # every staircase tableau passing the chain characterization is enumerated
     from tamari.checks import candidate_tableaux

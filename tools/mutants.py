@@ -80,9 +80,12 @@ MUTANTS = (
     Mutant("plus-full-top", "counting.py", "if top or d + shape[d - 1] != n:",
            "if d + shape[d - 1] != n:"),
     # the chain stream and the one random draw on the same kernel (the draw is
-    # the stream's walker choosing one step per vertex)
+    # the stream's walker choosing one step per vertex), and the stream's cut by
+    # length at each end, one step too loose
     Mutant("stream-strip-rows", "counting.py", "for row in range(top + 1, d + 1)]",
            "for row in range(top + 2, d + 1)]"),
+    Mutant("cut-low", "counting.py", "depth + first > longest", "depth + first - 1 > longest"),
+    Mutant("cut-high", "counting.py", "depth + boxes < shortest", "depth + boxes + 1 < shortest"),
     Mutant("draw-choose", "checks.py", "s[rng.randrange(len(s))]", "s[~rng.randrange(len(s))]"),
     # the two plus-full-set properties: vanishing and equal representation
     Mutant("vanishing-classes", "checks.py", "3 * i + 5", "3 * i + 4"),
