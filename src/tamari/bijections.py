@@ -10,12 +10,38 @@ strips a chain down to a unique plus-full-set-free base plus a weakly
 increasing parameter tuple.  That unique decomposition is what turns chain
 counting into the recursion of :mod:`tamari.counting`.
 
-Both maps are one label rewrite.  Growth raises the labels above ``r`` by
-one, puts ``r+1`` after the labels <= r of rows 1..d and repeats row ``d``;
-extraction drops ``r+1``, lowers the labels above it and deletes the repeat.
-Applied to a validated maximal chain in their domain, each map's output is a
-maximal chain by construction, so both build it with the unvalidated
-``Tableau._trusted``.
+Both maps are one label rewrite on the rows, by the kernels ``_grow`` and
+``_cut``.  Growth raises the labels above ``r`` by one, puts ``r+1`` after the
+labels <= r of rows 1..d and repeats row ``d``; the cut drops ``r+1``, lowers
+the labels above it and deletes the repeat.  :func:`decompose` and
+:func:`recompose` loop the kernels on row tuples, so each map call builds one
+tableau, with the unvalidated ``Tableau._trusted``: applied to a validated
+maximal chain in its domain, each map's output is a maximal chain by
+construction.
+
+Growth hands on its plus-full-set labels.  Let T be a staircase tableau of
+order n whose plus-full-set labels L all exceed r, and G its growth at r with
+pivot row d.  Then the labels of G are r+1 followed by l+1 for l in L:
+
+* The (r+1)-set begins in row 1 and ends at (d, n-d+1), on the outer
+  diagonal of order n+1.  Either d = n, or the box below its end is the end
+  of row d's twin, whose label is at most r: so r+1 is plus-full.
+* Every other label l that ends on T's outer diagonal in row k ends on G's in
+  row k (k < d) or in row k+1 (k >= d, the twin taking over the end of row
+  d), with the same neighbour southwest of its end (or ``r+1`` where T has a
+  label <= r < l).  Each test of the scan (l in row 1, that neighbour smaller
+  than l, l in no row below) compares labels that growth keeps (<= r) or
+  raises by one together (> r), so it gives the same answer.
+
+Only the staircase shape and the domain enter, not whether T encodes a
+chain.  So :func:`insert_plus_full_set` stores these labels on its output,
+and :func:`recompose`, which grows at weakly decreasing levels, stores
+``params[j] + j + 1``.  The shrinking side has no such rule: a staircase
+tableau that encodes no chain may cut to a shape that is no staircase (rows
+((1, 2, 3), (1, 3), (2,)) of order 4 cut at level 1 to shape (2, 2)), which
+the staircase check before each scan reports and lowered labels would hide.
+So :func:`decompose` and :func:`extract_plus_full_set` scan each tableau they
+strip.
 """
 
 from __future__ import annotations
@@ -26,7 +52,9 @@ from .shapes import _Value, staircase
 from .tableaux import (
     Tableau,
     TableauError,
+    _not_a_staircase,
     _require_maximal,
+    _scan_plus_full,
     plus_full_set_labels,
 )
 
@@ -86,11 +114,66 @@ def append_next_label(tab: Tableau, d: int) -> Tableau:
 
 def pivot_row(chain: Tableau, r: int) -> int:
     """Minimal k in [n-1] whose outer-diagonal label is <= r, else n."""
-    n = _require_maximal(chain)
+    return _pivot(chain.rows, _require_maximal(chain), r)
+
+
+def _pivot(rows: tuple[tuple[int, ...], ...], n: int, r: int) -> int:
     # row k of the staircase ends at its outer-diagonal box (k, n-k)
-    for k, row in enumerate(chain.rows, start=1):
+    for k, row in enumerate(rows, start=1):
         if row[-1] <= r:
             return k
+    return n
+
+
+def _grow(rows: tuple[tuple[int, ...], ...], n: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Growth at level ``r`` on the rows of a staircase tableau of order ``n``.
+
+    With ``d`` the pivot row (the first row whose outer-diagonal label is <= r,
+    else n): labels above ``r`` go up by one, rows 1..d get ``r+1`` right after
+    their labels <= r, and row ``d`` is repeated below itself.  The result is
+    the rows of a staircase tableau of order n+1, and its (r+1)-set ends at
+    (d, n-d+1).  Nothing is checked: the caller vouches for ``0 <= r <= length``.
+    """
+    d = _pivot(rows, n, r)
+    up = r + 1
+    grown = []
+    for x, row in enumerate(rows, start=1):
+        cut = bisect_right(row, r)
+        new = row[:cut] + (up,) * (x <= d)
+        if cut < len(row):  # a row with no label above r needs no shift
+            new += tuple([value + 1 for value in row[cut:]])
+        grown.append(new)
+        if x == d:  # row d ends on the outer diagonal, so no label in it exceeds r
+            grown.append(row)
+    if d == n:  # the pivot is the empty row n: the (r+1)-set ends in a new last row
+        grown.append((up,))
+    return tuple(grown)
+
+
+def _cut(rows: tuple[tuple[int, ...], ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """Undo :func:`_grow` at level ``r``: drop ``r+1``, lower the labels above it and
+    delete row ``d+1``, which must equal row ``d``.
+
+    Row ``d`` is where the plus-full (r+1)-set ends: ``r+1`` is its last label,
+    on the outer diagonal.  On a staircase tableau that encodes no chain the two
+    rows may differ, and that raises :class:`TableauError`.  The result is the
+    rows of a tableau of order n-1, a staircase one whenever the input is a chain.
+    """
+    up = r + 1
+    d = [row[-1] for row in rows].index(up) + 1
+    cut = [tuple([value - (value > up) for value in row if value != up])
+           if row[-1] >= up else row for row in rows]
+    if cut[d - 1] != (cut[d] if d < len(cut) else ()):
+        raise TableauError(f"rows {d} and {d + 1} differ, cannot collapse: {rows!r}")
+    del cut[d - 1]  # the twin of row d+1, or the empty row d when there is none
+    return tuple(cut)
+
+
+def _require_level(chain: Tableau, r: int) -> int:
+    """The order of ``chain``, a staircase tableau of which ``r`` is a level."""
+    n = _require_maximal(chain)
+    if not 0 <= r <= chain.length:
+        raise TableauError(f"level {r} out of range 0..{chain.length}")
     return n
 
 
@@ -102,27 +185,15 @@ def expand_chain(chain: Tableau, r: int) -> Tableau:
     itself.  The (r+1)-set of the result is a plus-full-set ending at
     (d, n-d+1).
     """
-    n = _require_maximal(chain)
-    if not 0 <= r <= chain.length:
-        raise TableauError(f"level {r} out of range 0..{chain.length}")
-    d = pivot_row(chain, r)  # row d ends on the outer diagonal, so no label in it exceeds r
-    up = r + 1
-    rows = []
-    for x, row in enumerate(chain.rows, start=1):
-        cut = bisect_right(row, r)
-        grown = row[:cut] + (up,) * (x <= d)
-        if cut < len(row):  # a row with no label above r needs no shift
-            grown += tuple([value + 1 for value in row[cut:]])
-        rows.append(grown)
-        if x == d:
-            rows.append(row)
-    if d == n:  # the pivot is the empty row n: the (r+1)-set ends in a new last row
-        rows.append((up,))
-    return Tableau._trusted(n + 1, tuple(rows))
+    n = _require_level(chain, r)
+    return Tableau._trusted(n + 1, _grow(chain.rows, n, r), is_staircase=True)
 
 
 def insert_plus_full_set(chain: Tableau, r: int) -> Tableau:
     """Domain-checked growth: requires that no label j <= r is a plus-full-set.
+
+    The result carries its plus-full-set labels: ``r+1`` and those of ``chain``
+    raised by one (see the module docstring).
 
     Raises:
         GrowthDomainError: carrying the offending label.
@@ -130,21 +201,9 @@ def insert_plus_full_set(chain: Tableau, r: int) -> Tableau:
     labels = plus_full_set_labels(chain)
     if labels and labels[0] <= r:
         raise GrowthDomainError(labels[0])
-    return expand_chain(chain, r)
-
-
-def _shrink(chain: Tableau, r: int) -> Tableau:
-    """Undo :func:`expand_chain` at level ``r``: drop ``r+1``, lower the labels above it
-    and delete row ``d+1``, which must equal row ``d``.  Row ``d`` is where the
-    plus-full (r+1)-set ends: its outer-diagonal box (d, n-d) is labelled ``r+1``."""
-    up = r + 1
-    d = [row[-1] for row in chain.rows].index(up) + 1
-    rows = [tuple([value - (value > up) for value in row if value != up])
-            if row[-1] >= up else row for row in chain.rows]
-    if rows[d - 1] != (rows[d] if d < len(rows) else ()):
-        raise TableauError(f"rows {d} and {d + 1} differ, cannot collapse: {chain.rows!r}")
-    del rows[d - 1]  # the twin of row d+1, or the empty row d when there is none
-    return Tableau._trusted(chain.n - 1, tuple(rows))
+    n = _require_level(chain, r)
+    return Tableau._trusted(n + 1, _grow(chain.rows, n, r), is_staircase=True,
+                            labels=(r + 1,) + tuple([label + 1 for label in labels]))
 
 
 def extract_plus_full_set(chain: Tableau) -> tuple[int, Tableau]:
@@ -156,12 +215,12 @@ def extract_plus_full_set(chain: Tableau) -> tuple[int, Tableau]:
     Raises:
         NoPlusFullSetError: if the chain has no plus-full-set.
     """
-    _require_maximal(chain)
+    n = _require_maximal(chain)
     labels = plus_full_set_labels(chain)
     if not labels:
         raise NoPlusFullSetError("chain has no plus-full-set")
     r = labels[0] - 1
-    return r, _shrink(chain, r)
+    return r, Tableau._trusted(n - 1, _cut(chain.rows, r))
 
 
 class ChainDecomposition(_Value):
@@ -183,15 +242,27 @@ def decompose(chain: Tableau) -> ChainDecomposition:
     """Strip plus-full-sets one at a time until none remain.
 
     The number of extracted levels equals the number of plus-full-sets, and the
-    levels come out weakly increasing.
+    levels come out weakly increasing.  The levels are cut from the rows, each
+    scanned once; a level whose rows are not a staircase raises the
+    :class:`TableauError` of any map given a non-staircase tableau, and only the
+    base is built as a tableau.
     """
-    _require_maximal(chain)
+    n = _require_maximal(chain)
+    rows = chain.rows
+    labels = plus_full_set_labels(chain)
     params = []
-    current = chain
-    while labels := plus_full_set_labels(current):  # one classification per chain
+    while labels:
         params.append(labels[0] - 1)
-        current = _shrink(current, params[-1])
-    return ChainDecomposition(base=current, params=tuple(params))
+        rows = _cut(rows, params[-1])
+        n -= 1
+        shape = tuple(map(len, rows))
+        if shape != staircase(n - 1):
+            raise _not_a_staircase(shape)
+        labels = _scan_plus_full(rows, n)
+    if not params:
+        return ChainDecomposition(base=chain, params=())
+    base = Tableau._trusted(n, rows, is_staircase=True, labels=())
+    return ChainDecomposition(base=base, params=tuple(params))
 
 
 def recompose(decomposition: ChainDecomposition) -> Tableau:
@@ -200,10 +271,12 @@ def recompose(decomposition: ChainDecomposition) -> Tableau:
 
     Only the base is classified: growing at level r makes r+1 the smallest
     plus-full-set label, and the levels are applied in decreasing order, so
-    each step stays in the domain of :func:`insert_plus_full_set`.
+    each step stays in the domain of :func:`insert_plus_full_set`.  The levels
+    are grown on the rows, and the one tableau built carries its labels
+    ``params[j] + j + 1``.
     """
     base, params = decomposition.base, decomposition.params
-    _require_maximal(base)
+    n = _require_maximal(base)
     if params:
         if any(a > b for a, b in zip(params, params[1:])):
             raise ValueError(f"growth levels must be weakly increasing: {params!r}")
@@ -212,10 +285,14 @@ def recompose(decomposition: ChainDecomposition) -> Tableau:
                 f"growth levels must lie in 0..{base.length}: {params!r}")
     if labels := plus_full_set_labels(base):
         raise GrowthDomainError(labels[0])
-    current = base
+    if not params:
+        return base
+    rows = base.rows
     for r in reversed(params):
-        current = expand_chain(current, r)
-    return current
+        rows = _grow(rows, n, r)
+        n += 1
+    return Tableau._trusted(n, rows, is_staircase=True, labels=tuple(
+        [r + j + 1 for j, r in enumerate(params)]))
 
 
 def chain_without_plus_full_sets(i: int) -> Tableau:

@@ -287,10 +287,8 @@ def _chains_up(n: int, start: Partition, length: int | None = None,
                 stack.append(iter(steps if choose is None else [choose(steps)]))
                 break
             labels = tuple([depth - label for label in marked])
-            tab = _trusted_tableau(n, tuple(map(labels.__getitem__, rows)))
-            known = tab.__dict__
-            known["shape"], known["length"], known["is_staircase"] = start, depth, maximal
-            yield tab
+            yield _trusted_tableau(n, tuple(map(labels.__getitem__, rows)), shape=start,
+                                   length=depth, is_staircase=maximal)
         else:
             stack.pop()
 

@@ -65,7 +65,8 @@ class ShapeError(ValueError):
 class _Value:
     """Immutable record whose fields are named by ``__match_args__``.
 
-    Subclasses write their own ``__init__`` (with ``object.__setattr__``).
+    Subclasses write their own ``__init__`` (with ``object.__setattr__`` or
+    writes to the instance ``__dict__``).
     Equality holds only between instances of the same class, the hash is that
     of the field tuple, the repr is ``Name(field=value, ...)``, and copies and
     pickles rebuild the instance from its fields.  Assigning or deleting an

@@ -16,7 +16,9 @@ chain surgery in :mod:`tamari.bijections` and the counting recursion in
 
 Since a full-set ends on the outer diagonal, :func:`plus_full_set_labels`
 reads the candidates off the n-1 outer-diagonal boxes instead of classifying
-every label; :func:`classify_r_set` stays the per-label definition.
+every label; :func:`classify_r_set` stays the per-label definition.  The scan
+itself, ``_scan_plus_full``, takes rows, so the chain surgery scans the rows
+it rewrites without building a tableau for each.
 
 The derived values of a :class:`Tableau` (shape, length, r-sets, whether it
 is a staircase, its plus-full-set labels) are computed on first read and
@@ -25,8 +27,8 @@ is classified at most once, however many maps ask for its plus-full-sets.
 
 Every public way to build a :class:`Tableau` validates it.  The private
 ``Tableau._trusted`` skips that, and only maps whose output is correct by
-construction may use it: the growth map and its inverse in
-:mod:`tamari.bijections`, which start from a validated maximal chain, and the
+construction may use it: the surgery maps in :mod:`tamari.bijections`, which
+start from a validated maximal chain, and the
 chain stream ``tamari.counting._chains_up`` (and its random draws), which
 starts from a validated vertex and labels the rows of each cover step's strip.
 Copies and pickles rebuild a tableau with ``Tableau(n, rows)``, so they
@@ -99,7 +101,11 @@ def validate_tableau(rows: Sequence[Sequence[int]]) -> bool:
     """True iff every label is an int (not a bool), rows are strictly increasing,
     columns weakly increasing, and the label set is exactly {1, ..., number of
     distinct labels}."""
-    grid = [tuple(row) for row in rows]
+    return _valid_rows(tuple(map(tuple, rows)))
+
+
+def _valid_rows(grid: tuple[tuple[int, ...], ...]) -> bool:
+    """:func:`validate_tableau` on rows that are already a tuple of tuples."""
     if any(len(a) < len(b) for a, b in zip(grid, grid[1:])):
         return False
     if grid and not grid[-1]:
@@ -136,23 +142,46 @@ class Tableau(_Value):
     __match_args__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Sequence[Sequence[int]]) -> None:
-        rows = tuple(map(tuple, rows))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        known = self.__dict__
+        known["n"], known["rows"] = n, tuple(map(tuple, rows))
+        self._validate()
+
+    def _validate(self) -> "Tableau":
+        """Raise :class:`TableauError` unless ``n`` and ``rows`` (a tuple of tuples)
+        form a tableau that fits the staircase of order ``n - 1``; return self."""
+        n, rows = self.n, self.rows
         if type(n) is not int or n < 1:
             raise TableauError(f"ambient parameter must be an integer >= 1, got {n!r}")
-        if not validate_tableau(rows):
+        if not _valid_rows(rows):
             raise TableauError(f"not a valid tableau: {rows!r}")
         if not contained_in_staircase(self.shape, n):
             raise TableauError(f"shape {self.shape!r} does not fit ambient {n}")
+        return self
 
     @classmethod
-    def _trusted(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "Tableau":
+    def _trusted(cls, n: int, rows: tuple[tuple[int, ...], ...], *,
+                 shape: Partition | None = None, length: int | None = None,
+                 is_staircase: bool | None = None,
+                 labels: tuple[int, ...] | None = None) -> "Tableau":
         """A tableau built without validation, for rows (a tuple of tuples) that
-        are a valid tableau by construction; untrusted input goes through ``cls(n, rows)``."""
+        are a valid tableau by construction; untrusted input goes through ``cls(n, rows)``.
+
+        The keywords given are derived values the caller knows exact by
+        construction (``labels`` being the plus-full-set labels).  Each is
+        stored as its first read would store it, so it is never computed.  They
+        are named parameters, not ``**stored``, so a call builds no dict.
+        """
         tab = object.__new__(cls)
-        object.__setattr__(tab, "n", n)
-        object.__setattr__(tab, "rows", rows)
+        known = tab.__dict__
+        known["n"], known["rows"] = n, rows
+        if shape is not None:
+            known["shape"] = shape
+        if length is not None:
+            known["length"] = length
+        if is_staircase is not None:
+            known["is_staircase"] = is_staircase
+        if labels is not None:
+            known["_plus_full_set_labels"] = labels
         return tab
 
     def __eq__(self, other):
@@ -184,25 +213,7 @@ class Tableau(_Value):
     def _plus_full_set_labels(self) -> tuple[int, ...]:
         """The scan behind :func:`plus_full_set_labels`."""
         rows = self.rows
-        if not rows:
-            return ()
-        n = _require_maximal(self)
-        first = rows[0]
-        labels = []
-        for k in range(1, n):
-            r = rows[k - 1][-1]
-            if k < n - 1 and rows[k][-1] >= r:  # rows[k][-1] is label(k+1, n-k-1)
-                continue
-            if r not in first:
-                continue
-            # rows[k][-1] < r keeps r out of row k+1, so the scan starts below it
-            for row in rows[k + 1:]:
-                if r in row:
-                    break
-            else:
-                labels.append(r)
-        labels.sort()
-        return tuple(labels)
+        return _scan_plus_full(rows, _require_maximal(self)) if rows else ()
 
     def label(self, row: int, col: int) -> int:
         if not (1 <= row <= len(self.rows) and 1 <= col <= len(self.rows[row - 1])):
@@ -252,7 +263,7 @@ class Tableau(_Value):
             rows = tuple([tuple(map(int, line.split())) for line in lines[1:]])
         except ValueError as exc:
             raise TableauError(f"bad tableau labels: {exc}") from exc
-        tab = cls(n, rows)
+        tab = cls._trusted(n, rows)._validate()  # the parsed rows are the tableau's own
         if tab.length != declared:
             raise TableauError(f"header declares l={declared}, rows give l={tab.length}")
         return tab
@@ -361,8 +372,39 @@ def is_chain_tableau(tab: Tableau) -> bool:
 
 def _require_maximal(tab: Tableau) -> int:
     if not tab.is_staircase:
-        raise TableauError(f"operation needs a full-staircase tableau, got shape {tab.shape!r}")
+        raise _not_a_staircase(tab.shape)
     return tab.n
+
+
+def _not_a_staircase(shape: Partition) -> TableauError:
+    return TableauError(f"operation needs a full-staircase tableau, got shape {shape!r}")
+
+
+def _scan_plus_full(rows: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
+    """The ascending plus-full-set labels of the staircase rows of order ``n``.
+
+    The outer-diagonal scan of :func:`plus_full_set_labels`, on rows rather
+    than a tableau, so the chain surgery can scan the rows it rewrites without
+    building a tableau for them.
+    """
+    if not rows:  # the staircase of order 1
+        return ()
+    first = rows[0]
+    labels = []
+    for k in range(1, n):
+        r = rows[k - 1][-1]
+        if k < n - 1 and rows[k][-1] >= r:  # rows[k][-1] is label(k+1, n-k-1)
+            continue
+        if r not in first:
+            continue
+        # rows[k][-1] < r keeps r out of row k+1, so the scan starts below it
+        for row in rows[k + 1:]:
+            if r in row:
+                break
+        else:
+            labels.append(r)
+    labels.sort()
+    return tuple(labels)
 
 
 def classify_r_set(tab: Tableau, r: int) -> RSetClass:

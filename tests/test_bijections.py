@@ -1,11 +1,12 @@
 import random
+from math import comb
 
 import pytest
 
 from tamari.bijections import (
     ChainDecomposition,
-    _shrink,
     GrowthDomainError,
+    _cut,
     NoPlusFullSetError,
     append_next_label,
     chain_without_plus_full_sets,
@@ -18,7 +19,7 @@ from tamari.bijections import (
     repeat_row,
     unrepeat_row,
 )
-from tamari.checks import random_chain
+from tamari.checks import candidate_tableaux, random_chain
 from tamari.shapes import staircase
 from tamari.tableaux import (
     RSetClass,
@@ -184,18 +185,18 @@ def constructions(monkeypatch):
 
     built, validated = [], []
     trusted = tableaux.Tableau._trusted.__func__
-    validate = tableaux.validate_tableau
+    validate = tableaux._valid_rows
 
-    def counted_trusted(cls, n, rows):
+    def counted_trusted(cls, n, rows, **stored):
         built.append(rows)
-        return trusted(cls, n, rows)
+        return trusted(cls, n, rows, **stored)
 
     def counted_validate(rows):
         validated.append(rows)
         return validate(rows)
 
     monkeypatch.setattr(tableaux.Tableau, "_trusted", classmethod(counted_trusted))
-    monkeypatch.setattr(tableaux, "validate_tableau", counted_validate)
+    monkeypatch.setattr(tableaux, "_valid_rows", counted_validate)
     return built, validated
 
 
@@ -213,6 +214,21 @@ def test_growth_and_extraction_build_one_tableau_each(constructions):
         assert validated == []  # neither map re-validates its output
 
 
+def test_decompose_and_recompose_build_one_tableau_each(constructions):
+    # the levels run on row tuples: only the base, or the grown chain, is a tableau
+    built, validated = constructions
+    base = chain_without_plus_full_sets(2)
+    for params in [(3,), (0, 1, 2), (1, 1, 3, 3)]:
+        built.clear()
+        grown = recompose(ChainDecomposition(base, params))
+        assert len(built) == 1
+        chain = Tableau(grown.n, grown.rows)
+        built.clear()
+        validated.clear()
+        assert decompose(chain) == ChainDecomposition(base, params)
+        assert len(built) == 1 and validated == []
+
+
 def _as_validated(tab):
     assert validate_tableau(tab.rows)
     checked = Tableau(tab.n, tab.rows)
@@ -225,12 +241,12 @@ def test_trusted_outputs_are_valid_tableaux(chains_by_order):
             for r in range(tab.length + 1):
                 grown = expand_chain(tab, r)
                 _as_validated(grown)
-                shrunk = _shrink(grown, r)
+                shrunk = Tableau._trusted(n, _cut(grown.rows, r))
                 _as_validated(shrunk)
                 assert shrunk == tab
             labels = plus_full_set_labels(tab)
             if labels:
-                _as_validated(_shrink(tab, labels[0] - 1))
+                _as_validated(Tableau._trusted(n - 1, _cut(tab.rows, labels[0] - 1)))
 
 
 STORED = ("shape", "length", "is_staircase")
@@ -251,46 +267,88 @@ def test_streamed_and_drawn_tableaux_are_valid_chain_tableaux(chains_by_order):
             [getattr(computed, name) for name in STORED], tab
 
 
-def test_decompose_classifies_each_chain_once(monkeypatch):
-    from tamari import bijections
+@pytest.fixture
+def scans(monkeypatch):
+    """Rows given to the one plus-full-set scan, from a tableau or from the surgery."""
+    from tamari import bijections, tableaux
 
-    classified = []
+    scanned = []
+    scan = tableaux._scan_plus_full
 
-    def counted(tab):
-        classified.append(tab)
-        return plus_full_set_labels(tab)
+    def counted(rows, n):
+        scanned.append(rows)
+        return scan(rows, n)
 
-    monkeypatch.setattr(bijections, "plus_full_set_labels", counted)
+    for module in (tableaux, bijections):
+        monkeypatch.setattr(module, "_scan_plus_full", counted)
+    return scanned
+
+
+def test_decompose_classifies_each_chain_once(scans):
     for params in [(), (3,), (0, 1, 2), (1, 1, 3, 3)]:
-        chain = recompose(ChainDecomposition(BASE, params))
-        classified.clear()
+        grown = recompose(ChainDecomposition(BASE, params))
+        chain = Tableau(grown.n, grown.rows)  # a fresh instance: nothing stored yet
+        scans.clear()
         assert decompose(chain) == ChainDecomposition(BASE, params)
-        assert len(classified) == len(params) + 1
+        assert len(scans) == len(params) + 1
 
 
-def test_a_surgery_cycle_classifies_each_new_chain_once(monkeypatch):
-    # decompose classifies the chain and each of its k shrunken chains; recompose
-    # reuses the base's classification, insert the chain's, and extract
-    # classifies the one chain it is given
-    kernel = vars(Tableau)["_plus_full_set_labels"]
-    scan, scanned = kernel.func, []
-
-    def counted(tab):
-        scanned.append(tab)
-        return scan(tab)
-
-    monkeypatch.setattr(kernel, "func", counted)
+def test_a_surgery_cycle_classifies_each_new_chain_once(scans):
+    # decompose scans the chain and each of its k shrunken chains; recompose
+    # reuses the base's labels, insert the chain's, and extract reads those
+    # that growth stored on the chain it is given
     base = chain_without_plus_full_sets(2)
     for params in [(), (3,), (0, 1, 2), (1, 1, 3, 3), (0, 4, 4, 6, 9)]:
         grown = recompose(ChainDecomposition(base, params))
         chain = Tableau(grown.n, grown.rows)  # a fresh instance: nothing stored yet
-        scanned.clear()
+        scans.clear()
         parts = decompose(chain)
         assert recompose(parts) == chain
         r = params[0] if params else chain.length
         assert extract_plus_full_set(insert_plus_full_set(chain, r)) == (r, chain)
-        assert len(scanned) == len(params) + 2
-        assert len({id(tab) for tab in scanned}) == len(scanned)
+        assert len(scans) == len(params) + 1
+        assert len({id(rows) for rows in scans}) == len(scans)
+
+
+def _staircase_tableaux(n):
+    """Every staircase tableau of order ``n``, chain or not."""
+    return [tab for tab in candidate_tableaux(n, comb(n, 2)) if tab.is_staircase]
+
+
+def _assert_stores_what_a_scan_finds(tab):
+    fresh = Tableau(tab.n, tab.rows)
+    assert vars(tab)["is_staircase"] is fresh.is_staircase is True, tab
+    assert vars(tab)["_plus_full_set_labels"] == plus_full_set_labels(fresh), tab
+
+
+def _growths(tableaux):
+    """Growth of each tableau at every level of its domain."""
+    for tab in tableaux:
+        labels = plus_full_set_labels(tab)
+        for r in range(labels[0] if labels else tab.length + 1):
+            yield insert_plus_full_set(tab, r)
+
+
+def test_growth_stores_the_labels_a_scan_finds(chains_by_order):
+    # what growth stores on its output is what a scan of a fresh copy finds: on every
+    # staircase tableau of order <= 4 and every chain of order <= 6 in the domain of
+    # growth, and on every chain of order 6 recomposed from its decomposition
+    small = [tab for n in range(1, 5) for tab in _staircase_tableaux(n)]
+    assert len(small) == 1 + 1 + 4 + 96
+    for grown in _growths([*small, *chains_by_order[5], *chains_by_order[6]]):
+        _assert_stores_what_a_scan_finds(grown)
+    for chain in chains_by_order[6]:
+        parts = decompose(Tableau(chain.n, chain.rows))
+        if parts.params:
+            _assert_stores_what_a_scan_finds(recompose(parts))
+
+
+@pytest.mark.slow
+def test_growth_stores_the_labels_a_scan_finds_on_every_staircase_tableau_of_order_five():
+    tableaux = _staircase_tableaux(5)
+    assert len(tableaux) == 19968  # 98 of them chains
+    for grown in _growths(tableaux):
+        _assert_stores_what_a_scan_finds(grown)
 
 
 def test_recompose_classifies_only_its_base(monkeypatch):

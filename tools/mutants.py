@@ -9,9 +9,12 @@ Run from the root of a checkout:
 Each mutant replaces one snippet of one file under ``src`` (the snippet must
 occur there exactly once).  It is applied to a fresh copy of ``src`` in a
 temporary directory, and the tier-1 suite runs against that copy with ``-x``
-(``PYTHONPATH`` points at the copy; the tests are the checkout's own).  A
-mutant is killed when the suite fails.  The unmutated copy runs first, since a
-kill means nothing if the suite already fails.
+(``PYTHONPATH`` points at the copy; the tests are the checkout's own), under
+a 900 s time limit and a 1 GiB limit on its address space (``RLIMIT_AS``),
+so a mutant that allocates without end fails with ``MemoryError`` instead of
+growing until the host runs out.  A mutant is killed when the suite fails.
+The unmutated copy runs first, since a kill means nothing if the suite
+already fails.
 
 Mutants marked equivalent change no behaviour and should survive.  The exit
 status is 0 when every other mutant is killed and every equivalent one
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -33,6 +37,8 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIME_LIMIT_S = 900
+# the unmutated tier-1 suite peaks near 212 MiB of address space (84 MiB resident)
+MEMORY_LIMIT_BYTES = 1 << 30
 
 
 class Mutant(NamedTuple):
@@ -120,7 +126,9 @@ MUTANTS = (
     Mutant("labels-strict", "tableaux.py", "rows[k][-1] >= r:", "rows[k][-1] > r:"),
     Mutant("labels-scan-from", "tableaux.py", "for row in rows[k + 1:]:", "for row in rows[k:]:",
            "the first test already keeps r out of row k+1, so the scan may start there or at it"),
-    # chain surgery, and the cache's merge and lock
+    # chain surgery's row kernels (growth at the pivot row, the cut that undoes it),
+    # decompose's level loop, the labels growth and recompose store on their output,
+    # and the cache's merge and lock
     Mutant("expand-pivot", "bijections.py", "(up,) * (x <= d)", "(up,) * (x < d)"),
     Mutant("expand-shift-shortcut", "bijections.py", "if cut < len(row):", "if cut <= len(row):",
            "a row with no label above r shifts an empty tail, so it is left as it is either way"),
@@ -129,6 +137,10 @@ MUTANTS = (
     Mutant("shrink-shortcut", "bijections.py", "if row[-1] >= up else row", "if row[-1] > up else row"),
     Mutant("decompose-level", "bijections.py", "params.append(labels[0] - 1)",
            "params.append(labels[-1] - 1)"),
+    Mutant("growth-labels", "bijections.py", "tuple([label + 1 for label in labels])",
+           "tuple([label for label in labels])"),
+    Mutant("recompose-labels", "bijections.py", "[r + j + 1 for j, r in enumerate(params)]",
+           "[r + 1 for j, r in enumerate(params)]"),
     Mutant("cache-merge", "cli.py", 'for i, row in stored["nofull"].items():',
            "for i, row in ():"),
     Mutant("lock-skip", "cli.py", "fcntl.flock(lock, fcntl.LOCK_EX)", "pass"),
@@ -140,6 +152,11 @@ MUTANTS = (
 )
 
 
+def limit_memory() -> None:
+    """Cap the address space of the process about to run the suite (and its children)."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT_BYTES, MEMORY_LIMIT_BYTES))
+
+
 def run_suite(src: str) -> tuple[bool, str, float]:
     """Tier-1 with ``-x`` against the package in ``src``: (passed, first failure, seconds)."""
     env = dict(os.environ, PYTHONPATH=src)
@@ -148,7 +165,7 @@ def run_suite(src: str) -> tuple[bool, str, float]:
     start = time.monotonic()
     try:
         proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True,
-                              timeout=TIME_LIMIT_S)
+                              timeout=TIME_LIMIT_S, preexec_fn=limit_memory)
     except subprocess.TimeoutExpired:
         return False, f"timed out after {TIME_LIMIT_S} s", time.monotonic() - start
     elapsed = time.monotonic() - start
