@@ -35,13 +35,13 @@ pivot row d.  Then the labels of G are r+1 followed by l+1 for l in L:
 
 Only the staircase shape and the domain enter, not whether T encodes a
 chain.  So :func:`insert_plus_full_set` stores these labels on its output,
-and :func:`recompose`, which grows at weakly decreasing levels, stores
-``params[j] + j + 1``.  The shrinking side has no such rule: a staircase
-tableau that encodes no chain may cut to a shape that is no staircase (rows
-((1, 2, 3), (1, 3), (2,)) of order 4 cut at level 1 to shape (2, 2)), which
-the staircase check before each scan reports and lowered labels would hide.
-So :func:`decompose` and :func:`extract_plus_full_set` scan each tableau they
-strip.
+where :func:`extract_plus_full_set` reads them.  The shrinking side has no
+such rule: a staircase tableau that encodes no chain may cut to a shape that
+is no staircase (rows ((1, 2, 3), (1, 3), (2,)) of order 4 cut at level 1 to
+shape (2, 2)), which the staircase check before each scan reports and
+lowered labels would hide.  So what :func:`decompose` and
+:func:`extract_plus_full_set` cut carries no labels, and :func:`decompose`
+scans each level it cuts.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .shapes import _Value, staircase
 from .tableaux import (
     Tableau,
     TableauError,
-    _not_a_staircase,
     _require_maximal,
+    _require_staircase_rows,
     _scan_plus_full,
     plus_full_set_labels,
 )
@@ -255,9 +255,7 @@ def decompose(chain: Tableau) -> ChainDecomposition:
         params.append(labels[0] - 1)
         rows = _cut(rows, params[-1])
         n -= 1
-        shape = tuple(map(len, rows))
-        if shape != staircase(n - 1):
-            raise _not_a_staircase(shape)
+        _require_staircase_rows(rows, n)
         labels = _scan_plus_full(rows, n)
     if not params:
         return ChainDecomposition(base=chain, params=())
@@ -272,8 +270,7 @@ def recompose(decomposition: ChainDecomposition) -> Tableau:
     Only the base is classified: growing at level r makes r+1 the smallest
     plus-full-set label, and the levels are applied in decreasing order, so
     each step stays in the domain of :func:`insert_plus_full_set`.  The levels
-    are grown on the rows, and the one tableau built carries its labels
-    ``params[j] + j + 1``.
+    are grown on the rows, and only the result is built as a tableau.
     """
     base, params = decomposition.base, decomposition.params
     n = _require_maximal(base)
@@ -291,8 +288,7 @@ def recompose(decomposition: ChainDecomposition) -> Tableau:
     for r in reversed(params):
         rows = _grow(rows, n, r)
         n += 1
-    return Tableau._trusted(n, rows, is_staircase=True, labels=tuple(
-        [r + j + 1 for j, r in enumerate(params)]))
+    return Tableau._trusted(n, rows, is_staircase=True)
 
 
 def chain_without_plus_full_sets(i: int) -> Tableau:

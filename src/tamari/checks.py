@@ -450,14 +450,23 @@ def check_append_bijection(limits: VerifyLimits) -> Verdict:
     return _ok(f"exhaustive source/target comparison for n <= {top}")
 
 
+def _afresh(tab: Tableau) -> Tableau:
+    """``tab`` rebuilt from its rows, so a check scans it instead of reading the
+    labels growth stored on it."""
+    return Tableau(tab.n, tab.rows)
+
+
 def _growth_failure(tab: Tableau, pfs: tuple[int, ...], r: int, grown: Tableau) -> str | None:
     """What is wrong with ``grown``, the growth of ``tab`` (plus-full-set labels
-    ``pfs``) at level r, or None."""
-    labels = plus_full_set_labels(grown)
+    ``pfs``) at level r, or None.  The labels are scanned on a fresh copy, and
+    those that growth stored on ``grown`` must equal them."""
+    labels = plus_full_set_labels(_afresh(grown))
     if not labels or labels[0] != r + 1:
         return "grown chain has wrong minimal plus-full-set"
     if len(labels) != len(pfs) + 1:
         return "image does not gain exactly one plus-full-set"
+    if plus_full_set_labels(grown) != labels:
+        return "grown chain stores plus-full-set labels that a scan does not find"
     if extract_plus_full_set(grown) != (r, tab):
         return "extraction does not invert growth"
     return None
@@ -499,7 +508,7 @@ def check_growth_roundtrip(limits: VerifyLimits) -> Verdict:
         example = {**tab.to_json_dict(), "r": r}
         if failure := _growth_failure(tab, pfs, r, grown):
             return _fail(f"random case: {failure}", example)
-        if (j := _misshifted_label(_full_labels(tab), set(pfs), r, grown)) is not None:
+        if (j := _misshifted_label(_full_labels(tab), set(pfs), r, _afresh(grown))) is not None:
             return _fail("random case: full/plus statuses do not shift as required",
                          {**example, "j": j})
         if recompose(decompose(tab)) != tab:

@@ -142,21 +142,15 @@ class Tableau(_Value):
     __match_args__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Sequence[Sequence[int]]) -> None:
+        rows = tuple(map(tuple, rows))
         known = self.__dict__
-        known["n"], known["rows"] = n, tuple(map(tuple, rows))
-        self._validate()
-
-    def _validate(self) -> "Tableau":
-        """Raise :class:`TableauError` unless ``n`` and ``rows`` (a tuple of tuples)
-        form a tableau that fits the staircase of order ``n - 1``; return self."""
-        n, rows = self.n, self.rows
+        known["n"], known["rows"] = n, rows
         if type(n) is not int or n < 1:
             raise TableauError(f"ambient parameter must be an integer >= 1, got {n!r}")
         if not _valid_rows(rows):
             raise TableauError(f"not a valid tableau: {rows!r}")
         if not contained_in_staircase(self.shape, n):
             raise TableauError(f"shape {self.shape!r} does not fit ambient {n}")
-        return self
 
     @classmethod
     def _trusted(cls, n: int, rows: tuple[tuple[int, ...], ...], *,
@@ -228,8 +222,7 @@ class Tableau(_Value):
 
     @_once
     def is_staircase(self) -> bool:
-        # the row count first: ``n`` may come from an unchecked header
-        return len(self.shape) == self.n - 1 and self.shape == staircase(self.n - 1)
+        return _is_staircase(self.shape, self.n)
 
     def truncate(self, r: int) -> "Tableau":
         """The sub-tableau of labels <= r (a chain tableau whenever self is)."""
@@ -263,7 +256,7 @@ class Tableau(_Value):
             rows = tuple([tuple(map(int, line.split())) for line in lines[1:]])
         except ValueError as exc:
             raise TableauError(f"bad tableau labels: {exc}") from exc
-        tab = cls._trusted(n, rows)._validate()  # the parsed rows are the tableau's own
+        tab = cls(n, rows)
         if tab.length != declared:
             raise TableauError(f"header declares l={declared}, rows give l={tab.length}")
         return tab
@@ -374,6 +367,18 @@ def _require_maximal(tab: Tableau) -> int:
     if not tab.is_staircase:
         raise _not_a_staircase(tab.shape)
     return tab.n
+
+
+def _require_staircase_rows(rows: tuple[tuple[int, ...], ...], n: int) -> None:
+    """:func:`_require_maximal` on rows: the same test, the same :class:`TableauError`."""
+    shape = tuple(map(len, rows))
+    if not _is_staircase(shape, n):
+        raise _not_a_staircase(shape)
+
+
+def _is_staircase(shape: Partition, n: int) -> bool:
+    # the row count first: ``n`` may come from an unchecked header
+    return len(shape) == n - 1 and shape == staircase(n - 1)
 
 
 def _not_a_staircase(shape: Partition) -> TableauError:

@@ -34,6 +34,12 @@ from tamari.tableaux import (
 BASE = Tableau(3, ((1, 2), (3,)))  # the unique plus-full-set-free chain of order 3
 
 
+def _fresh(tab):
+    """``tab`` rebuilt from its rows, with nothing stored: a test scans it rather
+    than read the labels growth stored on it."""
+    return Tableau(tab.n, tab.rows)
+
+
 def test_repeat_row():
     assert repeat_row(Tableau(4, ()), 2) == Tableau(5, ())
     assert repeat_row(BASE, 1).rows == ((1, 2), (1, 2), (3,))
@@ -84,7 +90,7 @@ def test_pivot_sequence_identifies_published_seven_level_example():
     assert matches
     for tab in matches:
         for r in range(7):
-            image = insert_plus_full_set(tab, r)
+            image = _fresh(insert_plus_full_set(tab, r))
             assert image.n == 6 and image.length == 7
             assert plus_full_set_labels(image)[0] == r + 1
 
@@ -124,7 +130,7 @@ def test_growth_roundtrip_exhaustive(chains_by_order):
             labels = plus_full_set_labels(tab)
             bound = labels[0] - 1 if labels else tab.length
             for r in range(bound + 1):
-                grown = insert_plus_full_set(tab, r)
+                grown = _fresh(insert_plus_full_set(tab, r))
                 assert is_chain_tableau(grown)
                 assert len(plus_full_set_labels(grown)) == len(labels) + 1
                 assert extract_plus_full_set(grown) == (r, tab)
@@ -316,7 +322,7 @@ def _staircase_tableaux(n):
 
 
 def _assert_stores_what_a_scan_finds(tab):
-    fresh = Tableau(tab.n, tab.rows)
+    fresh = _fresh(tab)
     assert vars(tab)["is_staircase"] is fresh.is_staircase is True, tab
     assert vars(tab)["_plus_full_set_labels"] == plus_full_set_labels(fresh), tab
 
@@ -332,15 +338,11 @@ def _growths(tableaux):
 def test_growth_stores_the_labels_a_scan_finds(chains_by_order):
     # what growth stores on its output is what a scan of a fresh copy finds: on every
     # staircase tableau of order <= 4 and every chain of order <= 6 in the domain of
-    # growth, and on every chain of order 6 recomposed from its decomposition
+    # growth
     small = [tab for n in range(1, 5) for tab in _staircase_tableaux(n)]
     assert len(small) == 1 + 1 + 4 + 96
     for grown in _growths([*small, *chains_by_order[5], *chains_by_order[6]]):
         _assert_stores_what_a_scan_finds(grown)
-    for chain in chains_by_order[6]:
-        parts = decompose(Tableau(chain.n, chain.rows))
-        if parts.params:
-            _assert_stores_what_a_scan_finds(recompose(parts))
 
 
 @pytest.mark.slow

@@ -147,5 +147,7 @@ def test_surgery_keeps_its_contract_on_every_staircase_tableau(data):
     labels = plus_full_set_labels(chain)
     for r in range(labels[0] if labels else chain.length + 1):
         grown = insert_plus_full_set(chain, r)
-        assert Tableau(grown.n, grown.rows).is_staircase
-        assert extract_plus_full_set(grown) == (r, chain)
+        fresh = Tableau(grown.n, grown.rows)  # scanned, not read from what growth stored
+        assert fresh.is_staircase
+        assert plus_full_set_labels(grown) == plus_full_set_labels(fresh)
+        assert extract_plus_full_set(fresh) == (r, chain)

@@ -127,7 +127,7 @@ MUTANTS = (
     Mutant("labels-scan-from", "tableaux.py", "for row in rows[k + 1:]:", "for row in rows[k:]:",
            "the first test already keeps r out of row k+1, so the scan may start there or at it"),
     # chain surgery's row kernels (growth at the pivot row, the cut that undoes it),
-    # decompose's level loop, the labels growth and recompose store on their output,
+    # decompose's level loop, the labels growth stores on its output,
     # and the cache's merge and lock
     Mutant("expand-pivot", "bijections.py", "(up,) * (x <= d)", "(up,) * (x < d)"),
     Mutant("expand-shift-shortcut", "bijections.py", "if cut < len(row):", "if cut <= len(row):",
@@ -139,8 +139,6 @@ MUTANTS = (
            "params.append(labels[-1] - 1)"),
     Mutant("growth-labels", "bijections.py", "tuple([label + 1 for label in labels])",
            "tuple([label for label in labels])"),
-    Mutant("recompose-labels", "bijections.py", "[r + j + 1 for j, r in enumerate(params)]",
-           "[r + 1 for j, r in enumerate(params)]"),
     Mutant("cache-merge", "cli.py", 'for i, row in stored["nofull"].items():',
            "for i, row in ():"),
     Mutant("lock-skip", "cli.py", "fcntl.flock(lock, fcntl.LOCK_EX)", "pass"),
