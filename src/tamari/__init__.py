@@ -2,12 +2,10 @@
 
 Each name has one home, its module; importing the package loads none of them:
 
-* :mod:`tamari.shapes`: Young-diagram vertices inside the staircase, Dyck paths,
-  prime subpaths, strips and enclosures, and the covering relation (its kernel
-  ``_steps``, on vertex codes);
+* :mod:`tamari.shapes`: Young-diagram vertices inside the staircase and the
+  covering relation (its kernel ``_steps``, on vertex codes);
 * :mod:`tamari.tableaux`: chain tableaux (:class:`~tamari.tableaux.Tableau`), the
-  encoding of chains and its inverse, and the full-set and plus-full-set
-  classification of label sets;
+  encoding of chains and its inverse, and the plus-full-set scan;
 * :mod:`tamari.bijections`: chain surgery, the growth map that inserts a
   plus-full-set, its inverse, and the decomposition into a plus-full-set-free base
   and growth levels;
@@ -16,7 +14,9 @@ Each name has one home, its module; importing the package loads none of them:
   the recursion for #C_i(n);
 * :mod:`tamari.fixtures`: the committed count tables;
 * :mod:`tamari.cli`: the ``tamari`` command, which loads the five modules above;
-* :mod:`tamari.checks`: the property suites of ``tamari verify``.
+* :mod:`tamari.checks`: the property suites of ``tamari verify`` and the paper's
+  reference constructions they check against: Dyck paths, prime subpaths,
+  strips, enclosures, the r-set classes and the row steps of growth.
 """
 
 __version__ = "0.1.0"

@@ -12,12 +12,13 @@ counting into the recursion of :mod:`tamari.counting`.
 
 Both maps are one label rewrite on the rows, by the kernels ``_grow`` and
 ``_cut``.  Growth raises the labels above ``r`` by one, puts ``r+1`` after the
-labels <= r of rows 1..d and repeats row ``d``; the cut drops ``r+1``, lowers
-the labels above it and deletes the repeat.  :func:`decompose` and
-:func:`recompose` loop the kernels on row tuples, so each map call builds one
-tableau, with the unvalidated ``Tableau._trusted``: applied to a validated
-maximal chain in its domain, each map's output is a maximal chain by
-construction.
+labels <= r of rows 1..d and repeats row ``d`` (the paper's two steps,
+``checks.repeat_row`` and ``checks.append_next_label``, on the part labelled
+<= r); the cut drops ``r+1``, lowers the labels above it and deletes the
+repeat.  :func:`decompose` and :func:`recompose` loop the kernels on row
+tuples, so each map call builds one tableau, with the unvalidated
+``Tableau._trusted``: applied to a validated maximal chain in its domain, each
+map's output is a maximal chain by construction.
 
 Growth hands on its plus-full-set labels.  Let T be a staircase tableau of
 order n whose plus-full-set labels L all exceed r, and G its growth at r with
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .shapes import _Value, staircase
+from .shapes import _Value
 from .tableaux import (
     Tableau,
     TableauError,
@@ -72,44 +73,6 @@ class GrowthDomainError(ValueError):
 
 class NoPlusFullSetError(ValueError):
     """The chain has no plus-full-set, so it is not in the image of any growth map."""
-
-
-def repeat_row(tab: Tableau, d: int) -> Tableau:
-    """Shift rows below ``d`` down one and repeat row ``d``; identity when row ``d`` is empty.
-
-    The ambient parameter grows by one so the duplicated shape always fits.
-    """
-    if d < 1:
-        raise TableauError(f"row index must be >= 1, got {d}")
-    rows = tab.rows
-    if d <= len(rows):
-        rows = rows[:d] + (rows[d - 1],) + rows[d:]
-    return Tableau(tab.n + 1, rows)
-
-
-def unrepeat_row(tab: Tableau, d: int) -> Tableau:
-    """Inverse of :func:`repeat_row`: delete row ``d+1`` (which must equal row ``d``)."""
-    if d < 1:
-        raise TableauError(f"row index must be >= 1, got {d}")
-    rows = tab.rows
-    row_d = rows[d - 1] if d <= len(rows) else ()
-    row_d1 = rows[d] if d + 1 <= len(rows) else ()
-    if row_d != row_d1:
-        raise TableauError(f"rows {d} and {d + 1} differ, cannot collapse: {rows!r}")
-    if d + 1 <= len(rows):
-        rows = rows[:d] + rows[d + 1:]
-    return Tableau(tab.n - 1, rows)
-
-
-def append_next_label(tab: Tableau, d: int) -> Tableau:
-    """Append a box labeled ``length + 1`` to the end of rows 1..d."""
-    if d < 1:
-        raise TableauError(f"row index must be >= 1, got {d}")
-    new_label = tab.length + 1
-    rows = list(tab.rows) + [()] * (d - len(tab.rows))
-    for j in range(d):
-        rows[j] = rows[j] + (new_label,)
-    return Tableau(tab.n, tuple(rows))
 
 
 def pivot_row(chain: Tableau, r: int) -> int:
@@ -289,24 +252,3 @@ def recompose(decomposition: ChainDecomposition) -> Tableau:
         rows = _grow(rows, n, r)
         n += 1
     return Tableau._trusted(n, rows, is_staircase=True)
-
-
-def chain_without_plus_full_sets(i: int) -> Tableau:
-    """A maximal chain of length 3i+3 in the (2i+3)-rd lattice with no plus-full-sets.
-
-    For i = -1 this is the empty chain of the one-vertex lattice.  Otherwise
-    the outer-diagonal boxes (n-1-2k, 2k+1) receive the top labels n+i-k and
-    every remaining box is labeled by its column.
-    """
-    if i < -1:
-        raise ValueError(f"length offset must be >= -1, got {i}")
-    if i == -1:
-        return Tableau(1, ())
-    n = 2 * i + 3
-    shape = staircase(n - 1)
-    grid = {(x, y): y for x in range(1, n) for y in range(1, shape[x - 1] + 1)}
-    for k in range(i + 1):
-        grid[(n - (2 * k + 1), 2 * k + 1)] = n + i - k
-    rows = tuple(tuple(grid[(x, y)] for y in range(1, shape[x - 1] + 1))
-                 for x in range(1, n))
-    return Tableau(n, rows)

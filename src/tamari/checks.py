@@ -1,4 +1,5 @@
-"""Property suites behind the ``verify`` command, and the one home of each property.
+"""Property suites behind the ``verify`` command, the one home of each property,
+and the paper's reference constructions they compare the program against.
 
 A check is named by its place in :data:`SUITES` and run by :func:`run_check`,
 which turns its verdict into a :class:`CheckResult`: a failing check carries a
@@ -8,53 +9,50 @@ catches an exception itself, as one of its two routes.  Limits are deliberately
 conservative defaults; the CLI lets callers raise them.  The tests run these
 checks rather than repeat their loops, and tier-1 runs each at its stated scale
 once (README, "Install and test").
+
+The reference constructions follow the paper's definitions, not the kernels:
+Dyck paths, prime subpaths, strips and enclosures, the strip test of chain
+tableaux, r-set classes, the row steps of growth and the witness chains.  Only
+``verify`` and the tests run them, so no other command loads them.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .shapes import (
     Box,
     Partition,
-    _prime_spans,
+    ShapeError,
+    _code,
     _require_vertex,
-    enclosure,
-    from_dyck_path,
+    _steps,
+    as_partition,
     partitions_in_staircase,
-    prime_path_of_row,
-    prime_subpath_heights,
     staircase,
-    strip_of_box,
-    to_dyck_path,
     upper_covers,
-    upper_covers_dyck,
 )
 from .tableaux import (
-    RSetClass,
+    NotChainTableauError,
     Tableau,
+    TableauError,
+    _require_maximal,
+    _truncation_shapes,
     chain_to_tableau,
-    classify_r_set,
-    is_chain_tableau,
-    outer_diagonal,
     plus_full_set_labels,
     tableau_to_chain,
-    NotChainTableauError,
 )
 from .bijections import (
-    chain_without_plus_full_sets,
     decompose,
     expand_chain,
     extract_plus_full_set,
     insert_plus_full_set,
     recompose,
-    repeat_row,
-    unrepeat_row,
-    append_next_label,
 )
 from .counting import (
     ChainCensus,
@@ -99,6 +97,281 @@ def _ok(detail: str) -> Verdict:
 
 def _fail(detail: str, example: dict) -> Verdict:
     return False, detail, example
+
+
+# ---------------------------------------------------------------------------
+# reference constructions
+
+
+NORTH = "N"
+EAST = "E"
+
+
+def validate_dyck_path(path: str) -> None:
+    """Raise ShapeError unless ``path`` is a balanced N/E path staying above the diagonal."""
+    if not path or len(path) % 2:
+        raise ShapeError(f"Dyck path must have positive even length: {path!r}")
+    level = 0
+    for step in path:
+        if step == NORTH:
+            level += 1
+        elif step == EAST:
+            level -= 1
+            if level < 0:
+                raise ShapeError(f"path dips below the diagonal: {path!r}")
+        else:
+            raise ShapeError(f"steps must be 'N' or 'E': {path!r}")
+    if level != 0:
+        raise ShapeError(f"path must end on the diagonal: {path!r}")
+
+
+def to_dyck_path(parts: Sequence[int], n: int) -> str:
+    """Encode a diagram inside the staircase of order n-1 as a Dyck path of length 2n.
+
+    Row ``j`` of the diagram is the ``(n+1-j)``-th north step, so the null diagram
+    maps to ``N^n E^n`` and the staircase to ``(NE)^n``.
+    """
+    shape = _require_vertex(parts, n)
+
+    def row_length(j: int) -> int:
+        return shape[j - 1] if j <= len(shape) else 0
+
+    steps: list[str] = []
+    east_seen = 0
+    for k in range(1, n + 1):
+        target = row_length(n + 1 - k)
+        steps.append(EAST * (target - east_seen))
+        steps.append(NORTH)
+        east_seen = target
+    steps.append(EAST * (n - east_seen))
+    return "".join(steps)
+
+
+def from_dyck_path(path: str) -> Partition:
+    """Decode a Dyck path to the unique diagram whose silhouette it draws."""
+    validate_dyck_path(path)
+    east_counts: list[int] = []
+    seen = 0
+    for step in path:
+        if step == EAST:
+            seen += 1
+        else:
+            east_counts.append(seen)
+    return as_partition(reversed(east_counts))
+
+
+def _prime_spans(path: str) -> list[tuple[int, int]]:
+    """Per north step (k = 1..n), the half-open step span of its prime subpath.
+
+    The prime subpath starting at a north step ends at the first return to the
+    slope-one line through its start, which is exactly the matched east step.
+    """
+    spans: list[tuple[int, int]] = [(0, 0)] * path.count(NORTH)
+    stack: list[tuple[int, int]] = []
+    k = 0
+    for idx, step in enumerate(path):
+        if step == NORTH:
+            stack.append((k, idx))
+            k += 1
+        else:
+            which, start = stack.pop()
+            spans[which] = (start, idx + 1)
+    return spans
+
+
+def prime_subpath_heights(path: str) -> tuple[int, ...]:
+    """For each k in [n], the height of the prime Dyck subpath starting at the k-th north step."""
+    validate_dyck_path(path)
+    return tuple((end - start) // 2 for start, end in _prime_spans(path))
+
+
+@dataclass(frozen=True)
+class PrimePathInfo:
+    """The prime Dyck subpath attached to a row of a diagram."""
+
+    start_row: int
+    height: int
+    steps: str
+
+
+def prime_path_of_row(parts: Sequence[int], n: int, d: int) -> PrimePathInfo:
+    """Prime subpath beginning with the vertical edge at the end of row ``d`` (row may be empty)."""
+    shape = _require_vertex(parts, n)
+    if not 1 <= d <= n:
+        raise ShapeError(f"row {d} out of range for ambient {n}")
+    path = to_dyck_path(shape, n)
+    start, end = _prime_spans(path)[n - d]
+    return PrimePathInfo(start_row=d, height=(end - start) // 2, steps=path[start:end])
+
+
+def strip_of_box(parts: Sequence[int], n: int, box: Box) -> tuple[Box, ...]:
+    """The strip of ``box``: last boxes of the rows whose right edges lie on its prime path.
+
+    ``box`` must be the last box of its row.  The result is the set of last
+    boxes of the ``h`` consecutive rows ending at the box's row, where ``h``
+    is the prime-path height.
+    """
+    shape = _require_vertex(parts, n)
+    row, col = box
+    if not (1 <= row <= len(shape) and col == shape[row - 1]):
+        raise ShapeError(f"{box!r} is not the last box of its row in {shape!r}")
+    height = prime_path_of_row(shape, n, row).height
+    return tuple((j, shape[j - 1]) for j in range(row - height + 1, row + 1))
+
+
+def corner_boxes(parts: Sequence[int]) -> list[Box]:
+    """All boxes that are last in their row and lowest in their column, by increasing row."""
+    shape = as_partition(parts)
+    return [(row, length) for row, length in enumerate(shape, start=1)
+            if row == len(shape) or shape[row] < length]
+
+
+def upper_covers_dyck(path: str) -> list[str]:
+    """Paths covering ``path``: swap each east step followed by a north step with the
+    prime subpath after it.  Ordered to agree with :func:`upper_covers` through the
+    diagram correspondence (east steps scanned from the end of the path).
+    """
+    validate_dyck_path(path)
+    spans = _prime_spans(path)
+    covers = []
+    for pos in range(len(path) - 2, -1, -1):
+        if path[pos] == EAST and path[pos + 1] == NORTH:
+            # spans counts north steps from 0: that at pos+1 has as many before it
+            start, end = spans[path.count(NORTH, 0, pos + 1)]
+            covers.append(path[:pos] + path[start:end] + EAST + path[end:])
+    return covers
+
+
+@dataclass(frozen=True)
+class Enclosure:
+    """Bounding region of a strip, possibly reaching the virtual row 0.
+
+    ``shape`` lists row lengths from ``top_row`` downward; the box set includes
+    the row-0 boxes (written ``(0, col)``) when the window reaches that high.
+    """
+
+    top_row: int
+    shape: Partition
+    boxes: tuple[Box, ...]
+
+
+def enclosure(parts: Sequence[int], n: int, box: Box) -> Enclosure:
+    """Enclosure of the strip of ``box``: the window of rows ``row-h .. row`` and
+    columns ``col .. col+h`` intersected with the diagram, with row 0 treated as an
+    infinite row truncated at column ``col+h``.
+    """
+    shape = _require_vertex(parts, n)
+    height = len(strip_of_box(shape, n, box))
+    row, col = box
+    top = row - height
+    boxes: list[Box] = []
+    lengths: list[int] = []
+    for x in range(top, row + 1):
+        limit = col + height if x == 0 else min(shape[x - 1], col + height)
+        boxes.extend((x, y) for y in range(col, limit + 1))
+        lengths.append(limit - col + 1)
+    return Enclosure(top_row=top, shape=tuple(lengths), boxes=tuple(boxes))
+
+
+class RSetClass(enum.Enum):
+    NOT_FULL = "not-full"
+    FULL = "full"
+    PLUS_FULL = "plus-full"
+
+
+def outer_diagonal(tab: Tableau) -> list[Box]:
+    """Boxes (x, y) of the shape maximizing x + y; for the staircase these are
+    (k, n-k) for k in [n-1], and the null diagram has none."""
+    shape = tab.shape
+    if not shape:
+        return []
+    peak = max(x + length for x, length in enumerate(shape, start=1))
+    return [(x, length) for x, length in enumerate(shape, start=1) if x + length == peak]
+
+
+def is_chain_tableau(tab: Tableau) -> bool:
+    """True iff every k-set equals the strip of its end box inside the label-<=k part.
+
+    This is the strip-matching characterization; :func:`tableau_to_chain` checks
+    the same thing through the covering relation instead.
+    """
+    shapes = _truncation_shapes(tab)
+    for k in range(1, tab.length + 1):
+        kset = tab.r_set(k)
+        # rows increase strictly, so the end box, labelled k, ends its row in shapes[k]
+        if set(kset) != set(strip_of_box(shapes[k], tab.n, kset[-1])):
+            return False
+    return True
+
+
+def classify_r_set(tab: Tableau, r: int) -> RSetClass:
+    """Classify the r-set of a maximal chain as not-full / full / plus-full.
+
+    Full: begins in row 1 and ends on the outer diagonal.  Plus: additionally
+    the end box (k, n-k) satisfies k = n-1, or the label at (k+1, n-k-1) is
+    smaller than ``r``.
+    """
+    n = _require_maximal(tab)
+    boxes = tab.r_set(r)
+    begin_row = boxes[0][0]
+    end_row, end_col = boxes[-1]
+    if begin_row != 1 or end_row + end_col != n:
+        return RSetClass.NOT_FULL
+    if end_row == n - 1:
+        return RSetClass.PLUS_FULL
+    if tab.label(end_row + 1, end_col - 1) < r:
+        return RSetClass.PLUS_FULL
+    return RSetClass.FULL
+
+
+def repeat_row(tab: Tableau, d: int) -> Tableau:
+    """Shift rows below ``d`` down one and repeat row ``d``; identity when row ``d`` is empty.
+
+    The ambient parameter grows by one so the duplicated shape always fits.
+    """
+    if d < 1:
+        raise TableauError(f"row index must be >= 1, got {d}")
+    rows = tab.rows
+    return Tableau(tab.n + 1, rows[:d] + rows[d - 1:d] + rows[d:])
+
+
+def unrepeat_row(tab: Tableau, d: int) -> Tableau:
+    """Inverse of :func:`repeat_row`: delete row ``d+1`` (which must equal row ``d``)."""
+    if d < 1:
+        raise TableauError(f"row index must be >= 1, got {d}")
+    rows = tab.rows
+    if rows[d - 1:d] != rows[d:d + 1]:  # an empty row past the last is ()
+        raise TableauError(f"rows {d} and {d + 1} differ, cannot collapse: {rows!r}")
+    return Tableau(tab.n - 1, rows[:d] + rows[d + 1:])
+
+
+def append_next_label(tab: Tableau, d: int) -> Tableau:
+    """Append a box labeled ``length + 1`` to the end of rows 1..d."""
+    if d < 1:
+        raise TableauError(f"row index must be >= 1, got {d}")
+    new_label = tab.length + 1
+    rows = list(tab.rows) + [()] * (d - len(tab.rows))
+    for j in range(d):
+        rows[j] = rows[j] + (new_label,)
+    return Tableau(tab.n, tuple(rows))
+
+
+def chain_without_plus_full_sets(i: int) -> Tableau:
+    """A maximal chain of length 3i+3 in the (2i+3)-rd lattice with no plus-full-sets.
+
+    For i = -1 this is the empty chain of the one-vertex lattice.  Otherwise
+    the outer-diagonal boxes (n-1-2k, 2k+1) receive the top labels n+i-k and
+    every remaining box is labeled by its column.
+    """
+    if i < -1:
+        raise ValueError(f"length offset must be >= -1, got {i}")
+    if i == -1:
+        return Tableau(1, ())
+    n = 2 * i + 3
+    rows = [list(range(1, n - x + 1)) for x in range(1, n)]
+    for k in range(i + 1):
+        rows[n - 2 * k - 2][2 * k] = n + i - k  # the box (n-1-2k, 2k+1)
+    return Tableau(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +467,7 @@ def check_path_roundtrip(limits: VerifyLimits) -> Verdict:
 
 
 def check_cover_equivalence(limits: VerifyLimits) -> Verdict:
-    top = min(limits.max_n, 6)
+    top = min(limits.max_n, 11)
     for n in range(1, top + 1):
         for vertex in partitions_in_staircase(n):
             through_paths = [from_dyck_path(p)
@@ -282,16 +555,36 @@ def check_strip_translation(limits: VerifyLimits) -> Verdict:
     return _ok(f"{trials} random strip pairs")
 
 
-def check_poset_extremes(limits: VerifyLimits) -> Verdict:
-    top = min(limits.max_n, 8)
-    for n in range(2, top + 1):
-        bottom_covers = upper_covers(staircase(n - 1), n)
-        if len(bottom_covers) != n - 1:
-            return _fail("bottom element cover count is wrong",
-                         {"n": n, "covers": len(bottom_covers)})
-        if count_by_length(n).get(n - 1) != 1:
-            return _fail("shortest chain is not unique", {"n": n})
-    return _ok(f"n <= {top}")
+def check_associahedron(limits: VerifyLimits) -> Verdict:
+    """The Hasse diagram of T_n is the graph of the (n-1)-dimensional associahedron,
+    a simple polytope (Loday, 2004).  Climbed by the kernel alone from the
+    staircase, it has Catalan(n) vertices, each with n-1 covers up and down in
+    all (the bottom's n-1 covers among them), so (n-1)Catalan(n)/2 steps; and
+    Narayana(n, k+1) vertices have k upper covers, one per valley of the path."""
+    top = min(limits.max_n, 10)
+    for n in range(1, top + 1):
+        catalan = comb(2 * n, n) // (n + 1)
+        up, down = {}, {}
+        todo = [_code(staircase(n - 1))]
+        while todo:
+            code = todo.pop()
+            if code in up:
+                continue
+            covers = [cover for cover, _, _ in _steps(code)]
+            up[code] = len(covers)
+            for cover in covers:
+                down[cover] = down.get(cover, 0) + 1
+                todo.append(cover)
+        ups = list(up.values())
+        degrees = sorted({up[code] + down.get(code, 0) for code in up})
+        found = {"vertices": len(up), "degrees": degrees, "steps": sum(ups),
+                 "upper covers": [ups.count(k) for k in range(n)]}
+        expected = {"vertices": catalan, "degrees": [n - 1], "steps": (n - 1) * catalan // 2,
+                    "upper covers": [comb(n, k + 1) * comb(n, k) // n for k in range(n)]}
+        if found != expected:
+            return _fail("the kernel's cover graph is not the associahedron's",
+                         {"n": n, "found": found, "expected": expected})
+    return _ok(f"orders <= {top}")
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +883,9 @@ def check_witness(limits: VerifyLimits) -> Verdict:
 
 
 def check_recursion_vs_walk(limits: VerifyLimits) -> Verdict:
-    top = min(limits.max_n, 7)
+    """#C_i(n) by the recursion equals the histogram climb for every offset; the
+    offset -1 row is the lattice's one shortest chain."""
+    top = min(limits.max_n, 11)
     for n in range(1, top + 1):
         hist = count_by_length(n)
         # past this offset no chain of order n is long enough; ``initial_values``
@@ -644,18 +939,22 @@ def check_longest(limits: VerifyLimits) -> Verdict:
 
 def check_vanishing(limits: VerifyLimits) -> Verdict:
     """For n >= 2i+4 no chain of length n+i avoids plus-full-sets, and the minimal
-    plus-full-set labels split the chains into the nonempty classes 1..3i+4."""
-    top = min(limits.max_n, 7)
+    plus-full-set labels fill 1..3i+4: the chain stream cut at that length, each
+    chain classified by :func:`plus_full_set_labels`, for i <= 1 and n <= 10."""
+    top = min(limits.max_n, 10)
     done = []
     for i in (-1, 0, 1):
-        for n in range(max(2 * i + 4, 1), top + 1):
-            summary = census(n)
-            if summary.nofull_by_length.get(n + i, 0):
-                return _fail("a chain avoids plus-full-sets past the threshold",
-                             {"i": i, "n": n})
-            # the census tallies are positive and sum to by_length by construction
-            if set(summary.min_plus_full.get(n + i, {})) != set(range(1, 3 * i + 5)):
-                return _fail("the minimal labels do not fill 1..3i+4", {"i": i, "n": n})
+        for n in range(2 * i + 4, top + 1):
+            minimal = set()
+            for tab in enumerate_maximal_chains(n, length=n + i):
+                labels = plus_full_set_labels(tab)
+                if not labels:
+                    return _fail("a chain avoids plus-full-sets past the threshold",
+                                 {"i": i, **tab.to_json_dict()})
+                minimal.add(labels[0])
+            if minimal != set(range(1, 3 * i + 5)):
+                return _fail("the minimal labels do not fill 1..3i+4",
+                             {"i": i, "n": n, "minimal": sorted(minimal)})
             done.append((i, n))
     return _ok(f"checked {done}")
 
@@ -731,7 +1030,7 @@ SUITES: dict[str, dict[str, Check]] = {
         "prime-trichotomy": check_prime_trichotomy,
         "monotone-heights": check_monotone_heights,
         "strip-translation": check_strip_translation,
-        "poset-extremes": check_poset_extremes,
+        "associahedron": check_associahedron,
     },
     "psi": {
         "roundtrip": check_encoding_roundtrip,

@@ -16,9 +16,11 @@ chain surgery in :mod:`tamari.bijections` and the counting recursion in
 
 Since a full-set ends on the outer diagonal, :func:`plus_full_set_labels`
 reads the candidates off the n-1 outer-diagonal boxes instead of classifying
-every label; :func:`classify_r_set` stays the per-label definition.  The scan
-itself, ``_scan_plus_full``, takes rows, so the chain surgery scans the rows
-it rewrites without building a tableau for each.
+every label; the per-label definition, ``checks.classify_r_set``, and the
+strip characterization of chain tableaux, ``checks.is_chain_tableau``, are
+the references the property suites compare against.  The scan itself,
+``_scan_plus_full``, takes rows, so the chain surgery scans the rows it
+rewrites without building a tableau for each.
 
 The derived values of a :class:`Tableau` (shape, length, r-sets, whether it
 is a staircase, its plus-full-set labels) are computed on first read and
@@ -37,7 +39,6 @@ validate it again.
 
 from __future__ import annotations
 
-import enum
 import json
 from typing import Sequence
 
@@ -51,7 +52,6 @@ from .shapes import (
     contained_in_staircase,
     covers_with_strips,
     staircase,
-    strip_of_box,
 )
 
 
@@ -91,12 +91,6 @@ class _once:
         return value
 
 
-class RSetClass(enum.Enum):
-    NOT_FULL = "not-full"
-    FULL = "full"
-    PLUS_FULL = "plus-full"
-
-
 def validate_tableau(rows: Sequence[Sequence[int]]) -> bool:
     """True iff every label is an int (not a bool), rows are strictly increasing,
     columns weakly increasing, and the label set is exactly {1, ..., number of
@@ -130,8 +124,8 @@ class Tableau(_Value):
 
     ``rows`` holds the labels row by row.  Construction validates the tableau
     conditions, so every instance satisfies them (``_trusted`` instances by
-    construction); whether the labels encode an actual chain is the separate
-    predicate :func:`is_chain_tableau`.
+    construction); whether the labels encode an actual chain is what
+    :func:`tableau_to_chain` decides.
 
     The fields ``n`` and ``rows`` and the derived values live in the instance
     ``__dict__``.  ``__init__``, ``__eq__`` and ``__hash__`` are written out
@@ -277,16 +271,6 @@ class Tableau(_Value):
         return json.dumps(self.to_json_dict())
 
 
-def outer_diagonal(tab: Tableau) -> list[Box]:
-    """Boxes (x, y) of the shape maximizing x + y; for the staircase these are
-    (k, n-k) for k in [n-1], and the null diagram has none."""
-    shape = tab.shape
-    if not shape:
-        return []
-    peak = max(x + length for x, length in enumerate(shape, start=1))
-    return [(x, length) for x, length in enumerate(shape, start=1) if x + length == peak]
-
-
 def chain_to_tableau(chain: Sequence[Sequence[int]], n: int) -> Tableau:
     """Encode a saturated chain (null diagram first, descending by covers) as a tableau.
 
@@ -348,21 +332,6 @@ def tableau_to_chain(tab: Tableau) -> tuple[Partition, ...]:
     return tuple(shapes)
 
 
-def is_chain_tableau(tab: Tableau) -> bool:
-    """True iff every k-set equals the strip of its end box inside the label-<=k part.
-
-    This is the strip-matching characterization; :func:`tableau_to_chain` checks
-    the same thing through the covering relation instead.
-    """
-    shapes = _truncation_shapes(tab)
-    for k in range(1, tab.length + 1):
-        kset = tab.r_set(k)
-        # rows increase strictly, so the end box, labelled k, ends its row in shapes[k]
-        if set(kset) != set(strip_of_box(shapes[k], tab.n, kset[-1])):
-            return False
-    return True
-
-
 def _require_maximal(tab: Tableau) -> int:
     if not tab.is_staircase:
         raise _not_a_staircase(tab.shape)
@@ -412,33 +381,13 @@ def _scan_plus_full(rows: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...
     return tuple(labels)
 
 
-def classify_r_set(tab: Tableau, r: int) -> RSetClass:
-    """Classify the r-set of a maximal chain as not-full / full / plus-full.
-
-    Full: begins in row 1 and ends on the outer diagonal.  Plus: additionally
-    the end box (k, n-k) satisfies k = n-1, or the label at (k+1, n-k-1) is
-    smaller than ``r``.
-    """
-    n = _require_maximal(tab)
-    boxes = tab.r_set(r)
-    begin_row = boxes[0][0]
-    end_row, end_col = boxes[-1]
-    if begin_row != 1 or end_row + end_col != n:
-        return RSetClass.NOT_FULL
-    if end_row == n - 1:
-        return RSetClass.PLUS_FULL
-    if tab.label(end_row + 1, end_col - 1) < r:
-        return RSetClass.PLUS_FULL
-    return RSetClass.FULL
-
-
 def plus_full_set_labels(tab: Tableau) -> tuple[int, ...]:
     """Ascending labels of all plus-full-sets; at most n-1 of them.
 
     A full-set ends on the outer diagonal, so only the labels r = label(k, n-k)
     qualify.  Such an r-set is plus-full when k = n-1 or label(k+1, n-k-1) < r,
     when r is in row 1 (its begin box), and when r is in no row below k (so
-    (k, n-k) is its end box).  This is :func:`classify_r_set` on those labels.
+    (k, n-k) is its end box).  This is ``checks.classify_r_set`` on those labels.
     The scan runs once per tableau: its result is stored on the instance.
     """
     return tab._plus_full_set_labels

@@ -87,10 +87,12 @@ def test_criterion_5_longest_chain_formula():
 
 
 def test_criterion_6_vanishing_of_plus_full_free_chains():
-    result = run_check("formulas/vanishing", VerifyLimits(max_n=7))
+    # the chain stream cut at length n+i, classified chain by chain: 21 cases
+    result = run_check("formulas/vanishing", VerifyLimits(max_n=10))
     assert result.passed, result
+    assert result.detail.count("(") == 21 and "(1, 10)" in result.detail
     _passed("criterion 6: past the threshold order every chain has a "
-            "plus-full-set and the minimal labels fill 1..3i+4, orders <= 7")
+            "plus-full-set and the minimal labels fill 1..3i+4, orders <= 10")
 
 
 def test_criterion_7_bijection_property_suite():

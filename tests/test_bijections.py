@@ -8,28 +8,26 @@ from tamari.bijections import (
     GrowthDomainError,
     _cut,
     NoPlusFullSetError,
-    append_next_label,
-    chain_without_plus_full_sets,
     decompose,
     expand_chain,
     extract_plus_full_set,
     insert_plus_full_set,
     pivot_row,
     recompose,
+)
+from tamari.checks import (
+    RSetClass,
+    append_next_label,
+    candidate_tableaux,
+    chain_without_plus_full_sets,
+    classify_r_set,
+    is_chain_tableau,
+    random_chain,
     repeat_row,
     unrepeat_row,
 )
-from tamari.checks import candidate_tableaux, random_chain
 from tamari.shapes import staircase
-from tamari.tableaux import (
-    RSetClass,
-    Tableau,
-    TableauError,
-    classify_r_set,
-    is_chain_tableau,
-    plus_full_set_labels,
-    validate_tableau,
-)
+from tamari.tableaux import Tableau, TableauError, plus_full_set_labels, validate_tableau
 
 BASE = Tableau(3, ((1, 2), (3,)))  # the unique plus-full-set-free chain of order 3
 
@@ -354,10 +352,10 @@ def test_growth_stores_the_labels_a_scan_finds_on_every_staircase_tableau_of_ord
 
 
 def test_recompose_classifies_only_its_base(monkeypatch):
-    from tamari import bijections, tableaux
+    from tamari import bijections, checks, tableaux
 
     per_label, whole = [], []
-    classify, labels_of = tableaux.classify_r_set, tableaux.plus_full_set_labels
+    classify, labels_of = checks.classify_r_set, tableaux.plus_full_set_labels
 
     def counted_classify(tab, r):
         per_label.append(r)
@@ -367,7 +365,7 @@ def test_recompose_classifies_only_its_base(monkeypatch):
         whole.append(tab)
         return labels_of(tab)
 
-    monkeypatch.setattr(tableaux, "classify_r_set", counted_classify)
+    monkeypatch.setattr(checks, "classify_r_set", counted_classify)
     monkeypatch.setattr(bijections, "plus_full_set_labels", counted_labels)
     base = chain_without_plus_full_sets(2)
     chain = recompose(ChainDecomposition(base, (3, 5, 8, 9)))

@@ -4,8 +4,7 @@ from math import comb
 import pytest
 
 from tamari import checks, cli, counting
-from tamari.checks import VerifyLimits, run_check, run_suite
-from tamari.tableaux import RSetClass
+from tamari.checks import RSetClass, VerifyLimits, run_check, run_suite
 
 
 def test_all_suites_pass_at_default_limits():
@@ -39,6 +38,18 @@ def test_equal_representation_past_order_seven():
     assert result.passed, result
     assert result.detail == ("cases [(0, 4), (0, 5), (1, 5), (1, 6), (0, 8), (1, 8), "
                              "(0, 9), (1, 9), (0, 10), (1, 10)]")
+
+
+@pytest.mark.slow
+def test_the_kernel_against_dyck_covers_and_the_recursion_at_order_eleven():
+    # the two checks that reach order 11: the Dyck-path covers of every vertex, and
+    # the recursion against the histogram climb at every offset (4 s and 1.3 s)
+    limits = VerifyLimits(max_n=11)
+    for name, detail in [("covers/path-vs-diagram", "exhaustive for n <= 11, order included"),
+                         ("formulas/recursion-vs-walk", "every offset for n <= 11")]:
+        result = run_check(name, limits)
+        assert result.passed, result
+        assert result.detail == detail
 
 
 def test_verify_growth_cli(capsys):

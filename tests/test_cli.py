@@ -665,6 +665,43 @@ def test_only_verify_imports_the_property_suites():
     assert all(line.startswith("PASS") for line in lines[1:-1]) and len(lines) > 2
 
 
+# the paper's reference constructions: only ``verify`` and the tests run them
+REFERENCE = [
+    "NORTH", "EAST", "validate_dyck_path", "to_dyck_path", "from_dyck_path", "_prime_spans",
+    "prime_subpath_heights", "PrimePathInfo", "prime_path_of_row", "strip_of_box",
+    "corner_boxes", "upper_covers_dyck", "Enclosure", "enclosure", "RSetClass",
+    "outer_diagonal", "is_chain_tableau", "classify_r_set", "repeat_row", "unrepeat_row",
+    "append_next_label", "chain_without_plus_full_sets",
+]
+
+
+def test_the_commands_load_none_of_the_reference_constructions():
+    import os
+    import subprocess
+    import sys
+
+    import tamari
+    from tamari import checks
+
+    for name in REFERENCE:
+        value = vars(checks)[name]
+        assert getattr(value, "__module__", "tamari.checks") == "tamari.checks", name
+    # in a fresh interpreter, no module that the commands load defines one of them
+    script = ("import sys, tamari, tamari.cli\n"
+              f"names = {REFERENCE!r}\n"
+              "loaded = sorted(m for m in sys.modules if m.startswith('tamari'))\n"
+              "print(' '.join(loaded))\n"
+              "print([f'{m}.{n}' for m in loaded for n in names if n in vars(sys.modules[m])])\n")
+    src = os.path.dirname(os.path.dirname(tamari.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, defined = proc.stdout.splitlines()
+    assert loaded.split() == ["tamari", "tamari.bijections", "tamari.cli", "tamari.counting",
+                              "tamari.fixtures", "tamari.shapes", "tamari.tableaux"]
+    assert defined == "[]"
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "--suite", "bogus"])

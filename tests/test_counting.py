@@ -4,7 +4,14 @@ from math import comb
 import pytest
 
 from tamari import counting, shapes
-from tamari.checks import VerifyLimits, run_check, stream_census
+from tamari.checks import (
+    RSetClass,
+    VerifyLimits,
+    classify_r_set,
+    corner_boxes,
+    run_check,
+    stream_census,
+)
 from tamari.counting import (
     IncompleteTableError,
     census,
@@ -19,7 +26,7 @@ from tamari.counting import (
     nofull_initial_values,
 )
 from tamari.fixtures import length_table, nofull_table
-from tamari.tableaux import RSetClass, classify_r_set, plus_full_set_labels, tableau_to_chain
+from tamari.tableaux import plus_full_set_labels, tableau_to_chain
 
 
 def test_enumeration_counts():
@@ -81,9 +88,8 @@ def test_a_kernel_that_steps_in_a_cycle_cannot_make_the_walk_run_forever(monkeyp
 
 def test_enumeration_is_complete():
     # every staircase tableau passing the chain characterization is enumerated
-    from tamari.checks import candidate_tableaux
+    from tamari.checks import candidate_tableaux, is_chain_tableau
     from tamari.shapes import staircase
-    from tamari.tableaux import is_chain_tableau
 
     for n in (1, 2, 3, 4):
         shape = staircase(n - 1)
@@ -176,7 +182,7 @@ def largest_triangle_index(boxes):
 def test_a_vertex_has_few_corners_for_its_boxes(n):
     # the lemma behind the field width: k corners need k(k+1)/2 boxes
     for vertex in shapes.partitions_in_staircase(n):
-        corners = len(shapes.corner_boxes(vertex))
+        corners = len(corner_boxes(vertex))
         assert corners <= min(n - 1, largest_triangle_index(sum(vertex))), vertex
         assert corners == len(shapes.covers_with_strips(vertex, n))
 

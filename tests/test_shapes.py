@@ -1,27 +1,28 @@
-from collections import Counter
-from math import comb
-
 import pytest
 from hypothesis import given, strategies as st
 
-from tamari import shapes
+from tamari import checks, shapes
+from tamari.checks import (
+    VerifyLimits,
+    corner_boxes,
+    enclosure,
+    from_dyck_path,
+    prime_path_of_row,
+    prime_subpath_heights,
+    run_check,
+    strip_of_box,
+    to_dyck_path,
+    upper_covers_dyck,
+    validate_dyck_path,
+)
 from tamari.shapes import (
     ShapeError,
     as_partition,
     contained_in_staircase,
-    corner_boxes,
     covers_with_strips,
-    enclosure,
-    from_dyck_path,
     partitions_in_staircase,
-    prime_path_of_row,
-    prime_subpath_heights,
     staircase,
-    strip_of_box,
-    to_dyck_path,
     upper_covers,
-    upper_covers_dyck,
-    validate_dyck_path,
 )
 
 
@@ -231,27 +232,26 @@ def test_a_vertex_code_decodes_to_its_vertex(n):
 
 
 def test_the_kernel_climbs_the_associahedron():
-    # the Hasse diagram of T_n is the graph of the (n-1)-dimensional associahedron,
-    # a simple polytope: climbed by the kernel alone from the staircase, it has
-    # Catalan(n) vertices, each with n-1 covers up and down in all, so
-    # (n-1)Catalan(n)/2 steps, and Narayana(n, k+1) vertices with k upper covers
-    for n in range(1, 11):
-        catalan = comb(2 * n, n) // (n + 1)
-        up, down = {}, {}
-        todo = [shapes._code(staircase(n - 1))]
-        while todo:
-            code = todo.pop()
-            if code in up:
-                continue
-            covers = [cover for cover, _, _ in shapes._steps(code)]
-            up[code] = len(covers)
-            for cover in covers:
-                down[cover] = down.get(cover, 0) + 1
-                todo.append(cover)
-        assert len(up) == catalan, n
-        assert {up[code] + down.get(code, 0) for code in up} == {n - 1}, n
-        assert 2 * sum(up.values()) == (n - 1) * catalan, n
-        assert Counter(up.values()) == {k: comb(n, k + 1) * comb(n, k) // n for k in range(n)}, n
+    # covers/associahedron at orders <= 10: Catalan(n) vertices, n-1 covers up and
+    # down at each, (n-1)Catalan(n)/2 steps and a Narayana tally of upper covers
+    result = run_check("covers/associahedron", VerifyLimits(max_n=10))
+    assert result.passed, result
+    assert result.detail == "orders <= 10"
+
+
+def test_the_associahedron_check_sees_a_kernel_that_repeats_a_step(monkeypatch):
+    # a kernel that lists one step of the staircase of order 4 twice still reaches
+    # every vertex, but that step's two ends have 4 covers up and down, not 3
+    def kernel(code, shape=None):
+        steps = shapes._steps(code, shape)
+        return steps + steps[:1] if code == shapes._code((3, 2, 1)) else steps
+
+    monkeypatch.setattr(checks, "_steps", kernel)
+    result = run_check("covers/associahedron", VerifyLimits(max_n=5))
+    assert not result.passed
+    assert result.detail == "the kernel's cover graph is not the associahedron's"
+    assert result.counterexample["n"] == 4
+    assert result.counterexample["found"]["degrees"] == [3, 4]
 
 
 def test_the_kernel_serves_orders_up_to_256(capsys):
@@ -303,36 +303,29 @@ def test_upper_covers_dyck_examples():
 
 
 def test_prime_trichotomy_at_full_scale():
-    from tamari.checks import VerifyLimits, run_check
-
     result = run_check("covers/prime-trichotomy", VerifyLimits(max_n=8))
     assert result.passed, result
 
 
 def test_monotone_heights_at_stated_scale():
-    from tamari.checks import VerifyLimits, run_check
-
     result = run_check("covers/monotone-heights", VerifyLimits(max_n=7, samples=4000, seed=23))
     assert result.passed, result
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_cover_sets_agree_across_representations(n):
-    # covers/path-vs-diagram at orders <= n (the check caps at 6)
-    from tamari.checks import VerifyLimits, run_check
-
+    # covers/path-vs-diagram at orders <= n (the check caps at 11; slow runs that)
     result = run_check("covers/path-vs-diagram", VerifyLimits(max_n=n))
     assert result.passed, result
 
 
 def test_strip_translation_and_poset_extremes_at_stated_scale():
     # the covers checks without a test of their own: 1,000 strip pairs at orders <= 8,
-    # extremes (the bottom's n-1 covers, one shortest chain) at orders 2..8
+    # the associahedron at orders <= 8; its degree identity at the staircase is the
+    # bottom's n-1 covers, and the one shortest chain is recursion-vs-walk's offset -1
     # (path round trip: test_path_roundtrip_exhaustive)
-    from tamari.checks import VerifyLimits, run_check
-
     limits = VerifyLimits(max_n=8, samples=4000, seed=23)
-    for name in ("covers/strip-translation", "covers/poset-extremes"):
+    for name in ("covers/strip-translation", "covers/associahedron"):
         result = run_check(name, limits)
         assert result.passed, result
 

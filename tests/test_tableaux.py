@@ -7,24 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamari import checks, tableaux
-from tamari.checks import all_chain_tableaux, candidate_tableaux, random_chain
-from tamari.shapes import (
-    ShapeError,
-    partitions_in_staircase,
-    staircase,
-    strip_of_box,
-    upper_covers,
-)
-from tamari.tableaux import (
-    ChainError,
-    NotChainTableauError,
+from tamari.checks import (
     RSetClass,
-    Tableau,
-    TableauError,
-    chain_to_tableau,
+    all_chain_tableaux,
+    candidate_tableaux,
     classify_r_set,
     is_chain_tableau,
     outer_diagonal,
+    random_chain,
+    strip_of_box,
+)
+from tamari.shapes import ShapeError, partitions_in_staircase, staircase, upper_covers
+from tamari.tableaux import (
+    ChainError,
+    NotChainTableauError,
+    Tableau,
+    TableauError,
+    chain_to_tableau,
     plus_full_set_labels,
     tableau_to_chain,
     validate_tableau,

@@ -1,9 +1,10 @@
 """Value semantics of the six record types, and what ``import tamari`` loads.
 
-The records are plain classes on ``shapes._Value`` (``ChainCensus`` borrows its
-equality and repr); these tests pin the behaviour they had as dataclasses, and
-that a histogram now also survives ``pickle`` and ``copy.deepcopy``, as do the
-two errors that carry fields.
+The records on the command path are plain classes on ``shapes._Value``
+(``ChainCensus`` borrows its equality and repr), and ``checks.PrimePathInfo`` and
+``checks.Enclosure`` are frozen dataclasses; these tests pin the behaviour of a
+dataclass on all six, and that a histogram also survives ``pickle`` and
+``copy.deepcopy``, as do the two errors that carry fields.
 """
 
 import copy
@@ -17,8 +18,8 @@ import pytest
 
 import tamari
 from tamari.bijections import ChainDecomposition, GrowthDomainError
+from tamari.checks import Enclosure, PrimePathInfo
 from tamari.counting import ChainCensus, LengthHistogram, RouteMismatch
-from tamari.shapes import Enclosure, PrimePathInfo
 from tamari.tableaux import Tableau, TableauError
 
 ROWS = ((1, 2), (3,))

@@ -93,6 +93,14 @@ MUTANTS = (
     Mutant("cut-low", "counting.py", "depth + first > longest", "depth + first - 1 > longest"),
     Mutant("cut-high", "counting.py", "depth + boxes < shortest", "depth + boxes + 1 < shortest"),
     Mutant("draw-choose", "checks.py", "s[rng.randrange(len(s))]", "s[~rng.randrange(len(s))]"),
+    # the paper's reference constructions that the kernel is checked against (a prime
+    # subpath ends after its matching east step), and the associahedron's check of
+    # the kernel, which must count a repeated step twice to see it
+    Mutant("prime-span-end", "checks.py", "spans[which] = (start, idx + 1)",
+           "spans[which] = (start, idx)"),
+    Mutant("associahedron-dedupe", "checks.py",
+           "covers = [cover for cover, _, _ in _steps(code)]",
+           "covers = list({cover for cover, _, _ in _steps(code)})"),
     # the two plus-full-set properties: vanishing and equal representation
     Mutant("vanishing-classes", "checks.py", "3 * i + 5", "3 * i + 4"),
     Mutant("equal-rep-superset", "checks.py", "wanted <= labels", "wanted < labels"),
