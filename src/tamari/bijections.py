@@ -75,12 +75,8 @@ class NoPlusFullSetError(ValueError):
     """The chain has no plus-full-set, so it is not in the image of any growth map."""
 
 
-def pivot_row(chain: Tableau, r: int) -> int:
-    """Minimal k in [n-1] whose outer-diagonal label is <= r, else n."""
-    return _pivot(chain.rows, _require_maximal(chain), r)
-
-
 def _pivot(rows: tuple[tuple[int, ...], ...], n: int, r: int) -> int:
+    """The pivot row: the minimal k in [n-1] whose outer-diagonal label is <= r, else n."""
     # row k of the staircase ends at its outer-diagonal box (k, n-k)
     for k, row in enumerate(rows, start=1):
         if row[-1] <= r:
@@ -132,39 +128,25 @@ def _cut(rows: tuple[tuple[int, ...], ...], r: int) -> tuple[tuple[int, ...], ..
     return tuple(cut)
 
 
-def _require_level(chain: Tableau, r: int) -> int:
-    """The order of ``chain``, a staircase tableau of which ``r`` is a level."""
-    n = _require_maximal(chain)
-    if not 0 <= r <= chain.length:
-        raise TableauError(f"level {r} out of range 0..{chain.length}")
-    return n
-
-
-def expand_chain(chain: Tableau, r: int) -> Tableau:
-    """Grow a maximal chain of the n-th lattice into one of the (n+1)-st.
-
-    With ``d`` the pivot row: labels above ``r`` go up by one, rows 1..d get
-    ``r+1`` right after their labels <= r, and row ``d`` is repeated below
-    itself.  The (r+1)-set of the result is a plus-full-set ending at
-    (d, n-d+1).
-    """
-    n = _require_level(chain, r)
-    return Tableau._trusted(n + 1, _grow(chain.rows, n, r), is_staircase=True)
-
-
 def insert_plus_full_set(chain: Tableau, r: int) -> Tableau:
-    """Domain-checked growth: requires that no label j <= r is a plus-full-set.
+    """Grow a maximal chain of the n-th lattice into one of the (n+1)-st at level
+    ``r`` (:func:`_grow`); no label j <= r may be a plus-full-set.
 
-    The result carries its plus-full-set labels: ``r+1`` and those of ``chain``
-    raised by one (see the module docstring).
+    The (r+1)-set of the result is a plus-full-set ending at (d, n-d+1), d the
+    pivot row, and the result carries its plus-full-set labels: ``r+1`` and those
+    of ``chain`` raised by one (see the module docstring).
 
     Raises:
         GrowthDomainError: carrying the offending label.
+        TableauError: if ``chain`` is no staircase tableau or, after the domain
+            test, ``r`` lies outside 0..length.
     """
     labels = plus_full_set_labels(chain)
     if labels and labels[0] <= r:
         raise GrowthDomainError(labels[0])
-    n = _require_level(chain, r)
+    n = _require_maximal(chain)
+    if not 0 <= r <= chain.length:
+        raise TableauError(f"level {r} out of range 0..{chain.length}")
     return Tableau._trusted(n + 1, _grow(chain.rows, n, r), is_staircase=True,
                             labels=(r + 1,) + tuple([label + 1 for label in labels]))
 

@@ -12,8 +12,9 @@ once (README, "Install and test").
 
 The reference constructions follow the paper's definitions, not the kernels:
 Dyck paths, prime subpaths, strips and enclosures, the strip test of chain
-tableaux, r-set classes, the row steps of growth and the witness chains.  Only
-``verify`` and the tests run them, so no other command loads them.
+tableaux, r-set classes, truncation, the row steps of growth, the witness
+chains and the conjectured products.  Only ``verify`` and the tests run them,
+so no other command loads them.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .shapes import (
     _steps,
     as_partition,
     partitions_in_staircase,
+    covers_with_strips,
     staircase,
-    upper_covers,
 )
 from .tableaux import (
     NotChainTableauError,
@@ -48,8 +49,8 @@ from .tableaux import (
     tableau_to_chain,
 )
 from .bijections import (
+    _grow,
     decompose,
-    expand_chain,
     extract_plus_full_set,
     insert_plus_full_set,
     recompose,
@@ -60,7 +61,6 @@ from .counting import (
     _nofull_and_all,
     census,
     chains_count,
-    conjecture_values,
     count_by_length,
     enumerate_maximal_chains,
     inclusion_exclusion,
@@ -228,8 +228,8 @@ def corner_boxes(parts: Sequence[int]) -> list[Box]:
 
 def upper_covers_dyck(path: str) -> list[str]:
     """Paths covering ``path``: swap each east step followed by a north step with the
-    prime subpath after it.  Ordered to agree with :func:`upper_covers` through the
-    diagram correspondence (east steps scanned from the end of the path).
+    prime subpath after it.  Ordered to agree with ``shapes.covers_with_strips`` through
+    the diagram correspondence (east steps scanned from the end of the path).
     """
     validate_dyck_path(path)
     spans = _prime_spans(path)
@@ -324,6 +324,18 @@ def classify_r_set(tab: Tableau, r: int) -> RSetClass:
     return RSetClass.FULL
 
 
+def truncate(tab: Tableau, r: int) -> Tableau:
+    """The sub-tableau of ``tab`` of labels <= r (a chain tableau whenever ``tab`` is)."""
+    if not 0 <= r <= tab.length:
+        raise TableauError(f"truncation level {r} out of range 0..{tab.length}")
+    rows = []
+    for row in tab.rows:
+        kept = tuple(value for value in row if value <= r)
+        if kept:
+            rows.append(kept)
+    return Tableau(tab.n, tuple(rows))
+
+
 def repeat_row(tab: Tableau, d: int) -> Tableau:
     """Shift rows below ``d`` down one and repeat row ``d``; identity when row ``d`` is empty.
 
@@ -406,7 +418,7 @@ def stream_census(n: int) -> ChainCensus:
 def random_chain(n: int, rng: random.Random, start: Partition | None = None) -> Tableau:
     """A random saturated chain from ``start`` up to the null diagram, as a chain
     tableau of ``start``'s shape: the chain stream's walker taking one random step
-    per vertex, in :func:`upper_covers` order, so a seed always gives the same chain.
+    per vertex, in ``shapes.covers_with_strips`` order, so a seed always gives the same chain.
 
     With no start given, the start is a uniform index into
     :func:`partitions_in_staircase`; the start is validated once.
@@ -472,7 +484,7 @@ def check_cover_equivalence(limits: VerifyLimits) -> Verdict:
         for vertex in partitions_in_staircase(n):
             through_paths = [from_dyck_path(p)
                              for p in upper_covers_dyck(to_dyck_path(vertex, n))]
-            direct = upper_covers(vertex, n)
+            direct = [cover for cover, _ in covers_with_strips(vertex, n)]
             if through_paths != direct:
                 return _fail("cover sets (or their order) disagree",
                              {"n": n, "vertex": list(vertex),
@@ -721,7 +733,7 @@ def check_append_bijection(limits: VerifyLimits) -> Verdict:
             d = top_set[-1][0]
             if top_set[-1] != (d, n - d + 1):
                 continue
-            trunc = tab.truncate(r)
+            trunc = truncate(tab, r)
             row_d = trunc.rows[d - 1] if d <= len(trunc.rows) else ()
             row_d1 = trunc.rows[d] if d + 1 <= len(trunc.rows) else ()
             if row_d != row_d1:
@@ -817,7 +829,7 @@ def check_label_shift(limits: VerifyLimits) -> Verdict:
             full = _full_labels(tab)
             plus = set(plus_full_set_labels(tab))
             for r in range(0, tab.length + 1):
-                j = _misshifted_label(full, plus, r, expand_chain(tab, r))
+                j = _misshifted_label(full, plus, r, Tableau(n + 1, _grow(tab.rows, n, r)))
                 if j is not None:
                     return _fail("full/plus statuses do not shift as required",
                                  {**tab.to_json_dict(), "r": r, "j": j})
@@ -1007,6 +1019,26 @@ def check_mutual_inversion(limits: VerifyLimits) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # conjecture suite
+
+
+def conjecture_values(i: int) -> tuple[int, int | None]:
+    """The conjectured closed products for N_i(2i+3) and (for i >= 0) N_i(2i+2).
+
+    The first is ``prod_{j=1}^{i+1} C(3j-1, 2)``; the second multiplies it by
+    ``i/5``, whose integrality is asserted (a failure would falsify the
+    conjectured count).
+    """
+    if i < -1:
+        raise ValueError(f"length offset must be >= -1, got {i}")
+    product = 1
+    for j in range(1, i + 2):
+        product *= comb(3 * j - 1, 2)
+    if i < 0:
+        return product, None
+    scaled, remainder = divmod(i * product, 5)
+    if remainder:
+        raise ArithmeticError(f"i*product = {i * product} is not divisible by 5 at i={i}")
+    return product, scaled
 
 
 def check_conjecture(limits: VerifyLimits) -> Verdict:

@@ -478,22 +478,3 @@ def longest_chain_count(n: int) -> int:
     assert remainder == 0
     return quotient
 
-
-def conjecture_values(i: int) -> tuple[int, int | None]:
-    """The conjectured closed products for N_i(2i+3) and (for i >= 0) N_i(2i+2).
-
-    The first is ``prod_{j=1}^{i+1} C(3j-1, 2)``; the second multiplies it by
-    ``i/5``, whose integrality is asserted (a failure would falsify the
-    conjectured count).
-    """
-    if i < -1:
-        raise ValueError(f"length offset must be >= -1, got {i}")
-    product = 1
-    for j in range(1, i + 2):
-        product *= comb(3 * j - 1, 2)
-    if i < 0:
-        return product, None
-    scaled, remainder = divmod(i * product, 5)
-    if remainder:
-        raise ArithmeticError(f"i*product = {i * product} is not divisible by 5 at i={i}")
-    return product, scaled

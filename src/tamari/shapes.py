@@ -15,10 +15,10 @@ strip: the step takes one box off each of those rows, so the cover's code is
 :data:`MAX_ORDER` boxes or more fits in no byte, so the kernel serves the
 orders up to :data:`MAX_ORDER`, and :func:`_code` refuses a longer row.  The
 kernel runs only on the code of a validated vertex or on codes it produced
-from one.  Its callers are :func:`covers_with_strips` and
-:func:`upper_covers`, which validate their vertex and convert at the
-boundary; the counting engine :func:`tamari.counting._climb`, which starts
-from staircases; the chain stream :func:`tamari.counting._chains_up`, which
+from one.  Its callers are :func:`covers_with_strips`, the one public face of
+the cover relation, which validates its vertex and converts at the boundary;
+the counting engine :func:`tamari.counting._climb`, which starts from
+staircases; the chain stream :func:`tamari.counting._chains_up`, which
 starts from a validated vertex (the one random draw,
 :func:`tamari.checks.random_chain`, is the stream taking one random step per
 vertex up from a start it validates); and the decoder
@@ -176,9 +176,9 @@ def _steps(code: int, shape: Sequence[int] | None = None) -> list[tuple[int, int
     ``shape`` (:func:`_shape`), so the code is not decoded again.  Nothing is checked
     and no box is built, so ``code`` must be that of a validated vertex or a cover
     this kernel produced from one.
-    The callers: :func:`covers_with_strips`, :func:`upper_covers`,
-    ``counting._climb``, ``counting._chains_up`` (the stream, and through it the one
-    random draw ``checks.random_chain``) and ``tableaux.tableau_to_chain``."""
+    The callers: :func:`covers_with_strips`, ``counting._climb``, ``counting._chains_up``
+    (the stream, and through it the one random draw ``checks.random_chain``) and
+    ``tableaux.tableau_to_chain``."""
     if shape is None:
         shape = code.to_bytes((code.bit_length() + 7) >> 3, "little")
     rows = len(shape)
@@ -194,11 +194,6 @@ def _steps(code: int, shape: Sequence[int] | None = None) -> list[tuple[int, int
         # rows top+1 .. d lose a box; a row emptied is a leading zero byte, and goes
         result.append((code - _ONES[d] + _ONES[top], top, d))
     return result
-
-
-def upper_covers(parts: Sequence[int], n: int) -> list[Partition]:
-    """Diagrams covering ``parts`` in the Tamari order (one per corner box, row ascending)."""
-    return [_shape(cover) for cover, _, _ in _steps(_code(_require_vertex(parts, n)))]
 
 
 @lru_cache(maxsize=8)

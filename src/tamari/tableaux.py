@@ -91,15 +91,10 @@ class _once:
         return value
 
 
-def validate_tableau(rows: Sequence[Sequence[int]]) -> bool:
-    """True iff every label is an int (not a bool), rows are strictly increasing,
-    columns weakly increasing, and the label set is exactly {1, ..., number of
-    distinct labels}."""
-    return _valid_rows(tuple(map(tuple, rows)))
-
-
 def _valid_rows(grid: tuple[tuple[int, ...], ...]) -> bool:
-    """:func:`validate_tableau` on rows that are already a tuple of tuples."""
+    """True iff the rows (a tuple of tuples) have a partition shape, every label is
+    a positive int (not a bool), rows are strictly increasing, columns weakly
+    increasing, and the label set is exactly {1, ..., number of distinct labels}."""
     if any(len(a) < len(b) for a, b in zip(grid, grid[1:])):
         return False
     if grid and not grid[-1]:
@@ -217,17 +212,6 @@ class Tableau(_Value):
     @_once
     def is_staircase(self) -> bool:
         return _is_staircase(self.shape, self.n)
-
-    def truncate(self, r: int) -> "Tableau":
-        """The sub-tableau of labels <= r (a chain tableau whenever self is)."""
-        if not 0 <= r <= self.length:
-            raise TableauError(f"truncation level {r} out of range 0..{self.length}")
-        rows = []
-        for row in self.rows:
-            kept = tuple(value for value in row if value <= r)
-            if kept:
-                rows.append(kept)
-        return Tableau(self.n, tuple(rows))
 
     def to_text(self) -> str:
         """Fixture text format: header line then one line of labels per row."""

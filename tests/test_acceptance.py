@@ -9,10 +9,9 @@ from math import comb
 from pathlib import Path
 
 from tamari import cli
-from tamari.checks import VerifyLimits, run_check
+from tamari.checks import VerifyLimits, conjecture_values, run_check
 from tamari.counting import (
     chains_count,
-    conjecture_values,
     count_by_length,
     longest_chain_count,
     nofull_initial_values,

@@ -7,12 +7,12 @@ from tamari.bijections import (
     ChainDecomposition,
     GrowthDomainError,
     _cut,
+    _grow,
+    _pivot,
     NoPlusFullSetError,
     decompose,
-    expand_chain,
     extract_plus_full_set,
     insert_plus_full_set,
-    pivot_row,
     recompose,
 )
 from tamari.checks import (
@@ -24,10 +24,11 @@ from tamari.checks import (
     is_chain_tableau,
     random_chain,
     repeat_row,
+    truncate,
     unrepeat_row,
 )
 from tamari.shapes import staircase
-from tamari.tableaux import Tableau, TableauError, plus_full_set_labels, validate_tableau
+from tamari.tableaux import Tableau, TableauError, _valid_rows, plus_full_set_labels
 
 BASE = Tableau(3, ((1, 2), (3,)))  # the unique plus-full-set-free chain of order 3
 
@@ -36,6 +37,12 @@ def _fresh(tab):
     """``tab`` rebuilt from its rows, with nothing stored: a test scans it rather
     than read the labels growth stored on it."""
     return Tableau(tab.n, tab.rows)
+
+
+def _grown(tab, r):
+    """The growth of ``tab`` at level ``r`` by the row kernel, validated, at any level
+    (the domain test of ``insert_plus_full_set`` left out)."""
+    return Tableau(tab.n + 1, _grow(tab.rows, tab.n, r))
 
 
 def test_repeat_row():
@@ -70,10 +77,7 @@ def test_append_next_label():
 
 
 def test_pivot_row_on_base_chain():
-    assert pivot_row(BASE, 0) == 3
-    assert pivot_row(BASE, 1) == 3
-    assert pivot_row(BASE, 2) == 1
-    assert pivot_row(BASE, 3) == 1
+    assert [_pivot(BASE.rows, BASE.n, r) for r in range(4)] == [3, 3, 1, 1]
 
 
 def test_pivot_sequence_identifies_published_seven_level_example():
@@ -84,7 +88,7 @@ def test_pivot_sequence_identifies_published_seven_level_example():
     assert len(nofull) == 10
     target = (5, 5, 5, 3, 3, 1, 1)
     matches = [tab for tab in nofull
-               if tuple(pivot_row(tab, r) for r in range(7)) == target]
+               if tuple(_pivot(tab.rows, tab.n, r) for r in range(7)) == target]
     assert matches
     for tab in matches:
         for r in range(7):
@@ -94,10 +98,10 @@ def test_pivot_sequence_identifies_published_seven_level_example():
 
 
 def test_expand_chain_examples():
-    assert expand_chain(BASE, 0).rows == ((1, 2, 3), (1, 4), (1,))
-    assert expand_chain(BASE, 3).rows == ((1, 2, 4), (1, 2), (3,))
-    assert expand_chain(Tableau(1, ()), 0) == Tableau(2, ((1,),))
-    middle = expand_chain(BASE, 1)
+    assert _grown(BASE, 0).rows == ((1, 2, 3), (1, 4), (1,))
+    assert _grown(BASE, 3).rows == ((1, 2, 4), (1, 2), (3,))
+    assert _grown(Tableau(1, ()), 0) == Tableau(2, ((1,),))
+    middle = _grown(BASE, 1)
     assert middle.rows == ((1, 2, 3), (2, 4), (2,))
     assert is_chain_tableau(middle)
 
@@ -112,6 +116,17 @@ def test_insert_checks_the_domain(chains_by_order):
         if labels:
             with pytest.raises(GrowthDomainError):
                 insert_plus_full_set(tab, labels[0])
+
+
+def test_insert_reports_the_domain_before_the_level():
+    short = Tableau(3, ((1, 2), (1,)))  # labels 1 and 2 are both plus-full
+    with pytest.raises(GrowthDomainError):
+        insert_plus_full_set(short, 5)  # past the length too
+    for r in (-1, 4):
+        with pytest.raises(TableauError, match=f"level {r} out of range 0..3"):
+            insert_plus_full_set(BASE, r)
+    with pytest.raises(TableauError, match="full-staircase"):
+        insert_plus_full_set(Tableau(3, ()), 0)
 
 
 def test_extract_examples():
@@ -174,10 +189,10 @@ def test_expand_chain_is_the_paper_construction(chains_by_order):
     for n in range(1, 7):
         for tab in chains_by_order[n]:
             for r in range(tab.length + 1):
-                grown = expand_chain(tab, r)
-                d = pivot_row(tab, r)
-                assert grown.truncate(r + 1) == \
-                    append_next_label(repeat_row(tab.truncate(r), d), d)
+                grown = _grown(tab, r)
+                d = _pivot(tab.rows, n, r)
+                assert truncate(grown, r + 1) == \
+                    append_next_label(repeat_row(truncate(tab, r), d), d)
                 assert [v for row in grown.rows for v in row if v > r + 1] == \
                     [v + 1 for row in tab.rows for v in row if v > r]
 
@@ -206,11 +221,11 @@ def constructions(monkeypatch):
 
 def test_growth_and_extraction_build_one_tableau_each(constructions):
     built, validated = constructions
-    chain = Tableau(4, ((1, 2, 3), (1, 4), (1,)))
+    chain = chain_without_plus_full_sets(1)  # every level is in the domain
     validated.clear()
     for r in range(chain.length + 1):
         built.clear()
-        grown = expand_chain(chain, r)
+        grown = insert_plus_full_set(chain, r)
         assert len(built) == 1
         built.clear()
         extract_plus_full_set(grown)
@@ -234,7 +249,7 @@ def test_decompose_and_recompose_build_one_tableau_each(constructions):
 
 
 def _as_validated(tab):
-    assert validate_tableau(tab.rows)
+    assert _valid_rows(tab.rows)
     checked = Tableau(tab.n, tab.rows)
     assert tab == checked and hash(tab) == hash(checked)
 
@@ -243,7 +258,7 @@ def test_trusted_outputs_are_valid_tableaux(chains_by_order):
     for n in range(1, 6):
         for tab in chains_by_order[n]:
             for r in range(tab.length + 1):
-                grown = expand_chain(tab, r)
+                grown = Tableau._trusted(n + 1, _grow(tab.rows, n, r))
                 _as_validated(grown)
                 shrunk = Tableau._trusted(n, _cut(grown.rows, r))
                 _as_validated(shrunk)
@@ -380,7 +395,7 @@ def test_insert_raises_at_the_smallest_offending_label(chains_by_order):
                 offending = next((j for j in range(1, r + 1)
                                   if classify_r_set(tab, j) is RSetClass.PLUS_FULL), None)
                 if offending is None:
-                    assert insert_plus_full_set(tab, r) == expand_chain(tab, r)
+                    assert insert_plus_full_set(tab, r) == _grown(tab, r)
                     continue
                 with pytest.raises(GrowthDomainError) as info:
                     insert_plus_full_set(tab, r)

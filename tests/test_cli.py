@@ -671,8 +671,11 @@ REFERENCE = [
     "prime_subpath_heights", "PrimePathInfo", "prime_path_of_row", "strip_of_box",
     "corner_boxes", "upper_covers_dyck", "Enclosure", "enclosure", "RSetClass",
     "outer_diagonal", "is_chain_tableau", "classify_r_set", "repeat_row", "unrepeat_row",
-    "append_next_label", "chain_without_plus_full_sets",
+    "append_next_label", "chain_without_plus_full_sets", "truncate", "conjecture_values",
 ]
+# the second public faces of the kernels, deleted: covers_with_strips, Tableau(n, rows)
+# or _valid_rows, _pivot, and insert_plus_full_set or Tableau(n + 1, _grow(...)) remain
+DELETED = ["upper_covers", "validate_tableau", "pivot_row", "expand_chain", "_require_level"]
 
 
 def test_the_commands_load_none_of_the_reference_constructions():
@@ -686,12 +689,15 @@ def test_the_commands_load_none_of_the_reference_constructions():
     for name in REFERENCE:
         value = vars(checks)[name]
         assert getattr(value, "__module__", "tamari.checks") == "tamari.checks", name
-    # in a fresh interpreter, no module that the commands load defines one of them
+    assert not any(hasattr(checks, name) for name in DELETED)
+    # in a fresh interpreter, no module that the commands load defines one of them,
+    # nor a deleted name, and a tableau has no truncate method
     script = ("import sys, tamari, tamari.cli\n"
-              f"names = {REFERENCE!r}\n"
+              f"names = {REFERENCE + DELETED!r}\n"
               "loaded = sorted(m for m in sys.modules if m.startswith('tamari'))\n"
               "print(' '.join(loaded))\n"
-              "print([f'{m}.{n}' for m in loaded for n in names if n in vars(sys.modules[m])])\n")
+              "print([f'{m}.{n}' for m in loaded for n in names if n in vars(sys.modules[m])]"
+              " + [n for n in names if hasattr(tamari.tableaux.Tableau, n)])\n")
     src = os.path.dirname(os.path.dirname(tamari.__file__))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)

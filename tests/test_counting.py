@@ -8,6 +8,7 @@ from tamari.checks import (
     RSetClass,
     VerifyLimits,
     classify_r_set,
+    conjecture_values,
     corner_boxes,
     run_check,
     stream_census,
@@ -16,7 +17,6 @@ from tamari.counting import (
     IncompleteTableError,
     census,
     chains_count,
-    conjecture_values,
     count_by_length,
     enumerate_maximal_chains,
     initial_values,
@@ -392,6 +392,8 @@ def test_conjecture_values():
     assert conjecture_values(2) == (280, 112)
     assert conjecture_values(3) == (15400, 9240)
     assert conjecture_values(4) == (1401400, 1121120)
+    with pytest.raises(ValueError):
+        conjecture_values(-2)
 
 
 def test_conjecture_matches_committed_table():

@@ -22,8 +22,12 @@ from tamari.shapes import (
     covers_with_strips,
     partitions_in_staircase,
     staircase,
-    upper_covers,
 )
+
+
+def _covers(vertex, n):
+    """The covers of ``vertex`` by corner row, without their strips."""
+    return [cover for cover, _ in covers_with_strips(vertex, n)]
 
 
 def brute_prime_heights(path):
@@ -109,7 +113,7 @@ def test_prime_heights_along_a_published_maximal_chain():
     # the four height sequences (one per north step) along one maximal chain
     chain = [(), (1, 1), (2, 2), (2, 2, 1), (3, 2, 1)]
     for upper, lower in zip(chain, chain[1:]):
-        assert upper in upper_covers(lower, 4)
+        assert upper in _covers(lower, 4)
     heights = [prime_subpath_heights(to_dyck_path(v, 4)) for v in chain]
     columns = list(zip(*heights))
     assert columns[0] == (4, 4, 2, 1, 1)
@@ -162,17 +166,17 @@ def test_corner_boxes():
 
 
 def test_upper_covers_examples():
-    assert upper_covers((3, 2, 1), 4) == [(2, 2, 1), (3, 1, 1), (3, 2)]
-    assert upper_covers((1, 1), 3) == [()]
-    assert upper_covers((), 5) == []
+    assert _covers((3, 2, 1), 4) == [(2, 2, 1), (3, 1, 1), (3, 2)]
+    assert _covers((1, 1), 3) == [()]
+    assert _covers((), 5) == []
     with pytest.raises(ShapeError):
-        upper_covers((3,), 3)
+        _covers((3,), 3)
 
 
 def test_pentagon_cover_structure():
-    assert upper_covers((2, 1), 3) == [(1, 1), (2,)]
-    assert upper_covers((2,), 3) == [(1,)]
-    assert upper_covers((1,), 3) == [()]
+    assert _covers((2, 1), 3) == [(1, 1), (2,)]
+    assert _covers((2,), 3) == [(1,)]
+    assert _covers((1,), 3) == [()]
 
 
 def covers_by_definition(vertex, n):
@@ -262,9 +266,9 @@ def test_the_kernel_serves_orders_up_to_256(capsys):
     for n in (255, 256):
         vertex = staircase(n - 1)
         assert shapes._shape(shapes._code(vertex)) == vertex
-        assert upper_covers(vertex, n)[0] == (n - 2,) + vertex[1:]
+        assert _covers(vertex, n)[0] == (n - 2,) + vertex[1:]
     with pytest.raises(ShapeError, match="orders up to 256"):
-        upper_covers(staircase(256), 257)
+        _covers(staircase(256), 257)
     brute = ["count", "--i", "-1", "--method", "brute", "--allow-huge", "--n"]
     assert cli.main(brute + ["256"]) == 0
     assert capsys.readouterr() == ("1\n", "")
@@ -299,7 +303,7 @@ def test_upper_covers_dyck_examples():
     assert upper_covers_dyck("NNNEEE") == []
     covers = upper_covers_dyck("NENENENE")
     assert len(covers) == 3
-    assert [from_dyck_path(p) for p in covers] == upper_covers((3, 2, 1), 4)
+    assert [from_dyck_path(p) for p in covers] == _covers((3, 2, 1), 4)
 
 
 def test_prime_trichotomy_at_full_scale():
@@ -319,15 +323,12 @@ def test_cover_sets_agree_across_representations(n):
     assert result.passed, result
 
 
-def test_strip_translation_and_poset_extremes_at_stated_scale():
-    # the covers checks without a test of their own: 1,000 strip pairs at orders <= 8,
-    # the associahedron at orders <= 8; its degree identity at the staircase is the
-    # bottom's n-1 covers, and the one shortest chain is recursion-vs-walk's offset -1
-    # (path round trip: test_path_roundtrip_exhaustive)
-    limits = VerifyLimits(max_n=8, samples=4000, seed=23)
-    for name in ("covers/strip-translation", "covers/associahedron"):
-        result = run_check(name, limits)
-        assert result.passed, result
+def test_strip_translation_at_stated_scale():
+    # 1,000 strip pairs at orders <= 8 (the associahedron:
+    # test_the_kernel_climbs_the_associahedron; path round trip:
+    # test_path_roundtrip_exhaustive)
+    result = run_check("covers/strip-translation", VerifyLimits(max_n=8, samples=4000, seed=23))
+    assert result.passed, result
 
 
 def test_enclosure_with_virtual_row():
@@ -376,6 +377,6 @@ def test_roundtrip_property(vertex_order):
 @given(vertex_with_order())
 def test_covers_remove_one_strip(vertex_order):
     vertex, n = vertex_order
-    for cover in upper_covers(vertex, n):
+    for cover in _covers(vertex, n):
         assert contained_in_staircase(cover, n)
         assert sum(vertex) > sum(cover)

@@ -16,8 +16,9 @@ from tamari.checks import (
     outer_diagonal,
     random_chain,
     strip_of_box,
+    truncate,
 )
-from tamari.shapes import ShapeError, partitions_in_staircase, staircase, upper_covers
+from tamari.shapes import ShapeError, covers_with_strips, partitions_in_staircase, staircase
 from tamari.tableaux import (
     ChainError,
     NotChainTableauError,
@@ -25,8 +26,8 @@ from tamari.tableaux import (
     TableauError,
     chain_to_tableau,
     plus_full_set_labels,
+    _valid_rows,
     tableau_to_chain,
-    validate_tableau,
 )
 
 PENTAGON_SHORT = Tableau(3, ((1, 2), (1,)))
@@ -34,12 +35,12 @@ PENTAGON_LONG = Tableau(3, ((1, 2), (3,)))
 
 
 def test_validate_tableau():
-    assert validate_tableau([[1, 2], [1]])
-    assert validate_tableau([])
-    assert not validate_tableau([[3, 2]])
-    assert not validate_tableau([[1, 3]])  # label 2 missing
-    assert not validate_tableau([[2, 3], [1]])  # column decreases
-    assert not validate_tableau([[1], [1, 2]])  # shape not a partition
+    assert _valid_rows(((1, 2), (1,)))
+    assert _valid_rows(())
+    assert not _valid_rows(((3, 2),))
+    assert not _valid_rows(((1, 3),))  # label 2 missing
+    assert not _valid_rows(((2, 3), (1,)))  # column decreases
+    assert not _valid_rows(((1,), (1, 2)))  # shape not a partition
 
 
 def test_tableau_construction_errors():
@@ -153,7 +154,7 @@ def test_random_draws_match_the_uncached_vertex_list():
         vertices = partitions_in_staircase(n)
         steps = [vertices[rng.randrange(len(vertices))] if start is None else start]
         while steps[-1]:
-            options = upper_covers(steps[-1], n)
+            options = [cover for cover, _ in covers_with_strips(steps[-1], n)]
             steps.append(options[rng.randrange(len(options))])
         return tuple(steps[::-1])
 
@@ -182,17 +183,18 @@ def test_roundtrip_at_stated_scale():
 
 def test_truncate():
     tab = PENTAGON_LONG
-    assert tab.truncate(2) == Tableau(3, ((1, 2),))
-    assert tab.truncate(0) == Tableau(3, ())
-    assert tab.truncate(3) == tab
-    with pytest.raises(TableauError):
-        tab.truncate(4)
+    assert truncate(tab, 2) == Tableau(3, ((1, 2),))
+    assert truncate(tab, 0) == Tableau(3, ())
+    assert truncate(tab, 3) == tab
+    for r in (-1, 4):
+        with pytest.raises(TableauError):
+            truncate(tab, r)
 
 
 def test_truncations_of_chain_tableaux_stay_chain_tableaux():
     for tab in all_chain_tableaux(4):
         for r in range(tab.length + 1):
-            assert is_chain_tableau(tab.truncate(r))
+            assert is_chain_tableau(truncate(tab, r))
 
 
 def test_outer_diagonal():
@@ -330,7 +332,7 @@ def test_huge_label_is_rejected_without_allocating(monkeypatch):
         Tableau(3, ((10 ** 12,),))
     with pytest.raises(TableauError):
         Tableau.from_text("n=3 l=1000000000000\n1000000000000")
-    assert validate_tableau([[1, 2], [3]])
+    assert _valid_rows(((1, 2), (3,)))
 
 
 def test_from_text_rejects_non_integer_labels():
