@@ -123,10 +123,14 @@ def _length_masks(max_length: int, rows: int, width: int,
     """The length masks of a climb bounded at L = ``max_length``, indexed by the
     length k < ``rows`` of a vertex's row 1: each keeps the fields 0 .. L-k of every
     block ``(offset, fields)`` of ``width``-bit fields, and nothing when k > L.
+    :func:`_climb` cuts each state to the mask of the vertex it enters, as it is
+    pushed there.
 
     A step removes at most one box of row 1, so a chain at depth d of a vertex with
     k boxes in row 1 is at least d + k long at the top, and is dropped once d + k > L.
-    A kept field is below L, so no step shifts it out of its block.
+    A kept field is below L, so no step shifts it out of its block.  Cutting each
+    state pushed to a vertex equals cutting their sum, since no field carries into
+    the next (:func:`_field_width`).
     """
     # the fields are capped before the shift, so a huge bound builds no huge mask
     return tuple(sum(((1 << width * min(max_length - k + 1, fields)) - 1) << offset
@@ -143,9 +147,11 @@ def _climb(seeds: Mapping[Partition, int], advance: Callable[[int], tuple[int, i
     The levels are a list indexed by box count, each mapping the codes
     (``shapes._code``) of its reachable vertices to their states and freed once
     pushed; a seed starts in its own level.  A step removing a strip goes that many
-    boxes up, and states merge by addition.  Once per vertex, the state is cut to
-    ``masks[k]`` (:func:`_length_masks`, k the length of the vertex's row 1, the
-    code's low byte), if masks are given, and a vertex left with nothing is skipped;
+    boxes up, and states merge by addition.  If masks are given, each state is cut
+    as it is pushed, a seed's too, to ``masks[k]`` of the vertex it enters
+    (:func:`_length_masks`, k the length of that vertex's row 1, its code's low
+    byte), and a state cut to nothing is not stored, so a vertex that only such
+    states reach is never stored or expanded;
     ``advance(state)`` returns the states moved across a step, ``(plain, special)``:
     the step removing the last boxes of rows ``top+1 .. d`` of ``shape`` takes
     ``special`` where an ``order`` is given and ``is_plus_full_step(shape, top, d,
@@ -155,17 +161,21 @@ def _climb(seeds: Mapping[Partition, int], advance: Callable[[int], tuple[int, i
     """
     levels: list = [{} for _ in range(max(map(sum, seeds), default=0) + 1)]
     for seed, state in seeds.items():
-        levels[sum(seed)][_code(seed)] = state
+        code = _code(seed)
+        if masks is not None:
+            state &= masks[code & 255]
+        if state:
+            levels[sum(seed)][code] = state
     for boxes in range(len(levels) - 1, 0, -1):
         level, levels[boxes] = levels[boxes], None
         for code, state in level.items():
-            if masks is not None and not (state := state & masks[code & 255]):
-                continue
             plain, special = advance(state)
             shape = _shape(code) if order else None
             for cover, top, d in _steps(code, shape):
                 moved = special if (order and not top
                                     and is_plus_full_step(shape, top, d, order)) else plain
+                if masks is not None:
+                    moved &= masks[cover & 255]
                 if moved:
                     into = levels[boxes - (d - top)]
                     into[cover] = into.get(cover, 0) + moved

@@ -52,15 +52,19 @@ class Mutant(NamedTuple):
 MUTANTS = (
     # the counting engine's packed state: the one field width (its depth), the one
     # table of length masks (a field's cut-off, a vertex's cut-off, the index a
-    # vertex takes, the byte of its code that index is read from), the one climb of
-    # `table` and its seeds' blocks
+    # pushed state takes, the byte of the cover's code that index is read from, the
+    # vertex whose code it is read from), the one climb of `table` and its seeds' blocks
     Mutant("width-depth", "counting.py", "min(max_length, top)", "min(max_length - 1, top)"),
     Mutant("mask-fields", "counting.py", "min(max_length - k + 1, fields)",
            "min(max_length - k, fields)"),
     Mutant("mask-cutoff", "counting.py", "if k <= max_length else 0",
            "if k < max_length else 0"),
-    Mutant("mask-index", "counting.py", "masks[code & 255]", "masks[(code & 255) - 1]"),
-    Mutant("mask-row-byte", "counting.py", "masks[code & 255]", "masks[code >> 8 & 255]"),
+    Mutant("mask-index", "counting.py", "moved &= masks[cover & 255]",
+           "moved &= masks[(cover & 255) - 1]"),
+    Mutant("mask-row-byte", "counting.py", "moved &= masks[cover & 255]",
+           "moved &= masks[cover >> 8 & 255]"),
+    Mutant("mask-popped-vertex", "counting.py", "moved &= masks[cover & 255]",
+           "moved &= masks[code & 255]"),
     Mutant("step-shift", "counting.py", "lambda reach: (reach << width, 0)",
            "lambda reach: (reach << 0, 0)"),
     Mutant("table-block-offset", "counting.py", "min(bound, comb(n, 2)) + 1",
