@@ -27,6 +27,7 @@ from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .shapes import (
+    MAX_ORDER,
     Box,
     Partition,
     ShapeError,
@@ -34,8 +35,8 @@ from .shapes import (
     _require_vertex,
     _steps,
     as_partition,
-    partitions_in_staircase,
     covers_with_strips,
+    partitions_in_staircase,
     staircase,
 )
 from .tableaux import (
@@ -158,6 +159,24 @@ def from_dyck_path(path: str) -> Partition:
         else:
             east_counts.append(seen)
     return as_partition(reversed(east_counts))
+
+
+def random_dyck_path(n: int, rng: random.Random) -> str:
+    """A uniform random Dyck path of semilength n, by the cycle lemma.
+
+    A shuffled word of n N's and n+1 E's has exactly one rotation whose proper
+    prefixes all stay at or above level 0: the one that starts just after the
+    first lowest point.  That rotation is a Dyck path followed by an E, and each
+    Dyck path arises from 2n+1 words, so dropping the E draws every path alike.
+    """
+    steps = [NORTH] * n + [EAST] * (n + 1)
+    rng.shuffle(steps)
+    level = low = cut = 0
+    for idx, step in enumerate(steps, start=1):
+        level += 1 if step == NORTH else -1
+        if level < low:
+            low, cut = level, idx
+    return "".join(steps[cut:] + steps[:cut - 1])
 
 
 def _prime_spans(path: str) -> list[tuple[int, int]]:
@@ -479,18 +498,28 @@ def check_path_roundtrip(limits: VerifyLimits) -> Verdict:
 
 
 def check_cover_equivalence(limits: VerifyLimits) -> Verdict:
+    """The kernel's covers (through ``shapes.covers_with_strips``) equal the Dyck-path
+    covers, in order: on every vertex of the orders up to 11, and on ``samples``
+    uniform random vertices spread over the orders 12 .. min(``max_n``, MAX_ORDER)."""
     top = min(limits.max_n, 11)
-    for n in range(1, top + 1):
-        for vertex in partitions_in_staircase(n):
-            through_paths = [from_dyck_path(p)
-                             for p in upper_covers_dyck(to_dyck_path(vertex, n))]
-            direct = [cover for cover, _ in covers_with_strips(vertex, n)]
-            if through_paths != direct:
-                return _fail("cover sets (or their order) disagree",
-                             {"n": n, "vertex": list(vertex),
-                              "paths": [list(p) for p in through_paths],
-                              "diagrams": [list(p) for p in direct]})
-    return _ok(f"exhaustive for n <= {top}, order included")
+    vertices = ((n, vertex) for n in range(1, top + 1) for vertex in partitions_in_staircase(n))
+    orders = range(12, min(limits.max_n, MAX_ORDER) + 1)
+    rng = random.Random(limits.seed + 6)
+    drawn = ((n, from_dyck_path(random_dyck_path(n, rng)))
+             for n in itertools.islice(itertools.cycle(orders), limits.samples))
+    for n, vertex in itertools.chain(vertices, drawn):
+        path = to_dyck_path(vertex, n)
+        through_paths = [from_dyck_path(p) for p in upper_covers_dyck(path)]
+        direct = [cover for cover, _ in covers_with_strips(vertex, n)]
+        if through_paths != direct:
+            return _fail("cover sets (or their order) disagree",
+                         {"n": n, "vertex": list(vertex),
+                          "paths": [list(p) for p in through_paths],
+                          "diagrams": [list(p) for p in direct]})
+    detail = f"exhaustive for n <= {top}, order included"
+    if orders:
+        detail += f"; {limits.samples} random vertices at orders {orders[0]}..{orders[-1]}"
+    return _ok(detail)
 
 
 def check_prime_trichotomy(limits: VerifyLimits) -> Verdict:

@@ -41,13 +41,15 @@ def test_equal_representation_past_order_seven():
 
 
 @pytest.mark.slow
-def test_the_kernel_against_dyck_covers_and_the_recursion_at_order_eleven():
-    # the two checks that reach order 11: the Dyck-path covers of every vertex, and
-    # the recursion against the histogram climb at every offset (4 s and 1.3 s)
-    limits = VerifyLimits(max_n=11)
-    for name, detail in [("covers/path-vs-diagram", "exhaustive for n <= 11, order included"),
-                         ("formulas/recursion-vs-walk", "every offset for n <= 11")]:
-        result = run_check(name, limits)
+def test_the_kernel_against_dyck_covers_to_order_256_and_the_recursion_at_order_eleven():
+    # the Dyck-path covers of every vertex up to order 11 and of 2,000 random ones
+    # spread over the orders 12..256, the whole range of the kernel (10 s); and the
+    # recursion against the histogram climb at every offset up to order 11 (1.3 s)
+    for name, max_n, detail in [
+            ("covers/path-vs-diagram", 256, "exhaustive for n <= 11, order included; "
+                                            "2000 random vertices at orders 12..256"),
+            ("formulas/recursion-vs-walk", 11, "every offset for n <= 11")]:
+        result = run_check(name, VerifyLimits(max_n=max_n))
         assert result.passed, result
         assert result.detail == detail
 

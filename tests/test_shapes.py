@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from tamari.checks import (
     from_dyck_path,
     prime_path_of_row,
     prime_subpath_heights,
+    random_dyck_path,
     run_check,
     strip_of_box,
     to_dyck_path,
@@ -321,6 +324,26 @@ def test_cover_sets_agree_across_representations(n):
     # covers/path-vs-diagram at orders <= n (the check caps at 11; slow runs that)
     result = run_check("covers/path-vs-diagram", VerifyLimits(max_n=n))
     assert result.passed, result
+
+
+def test_the_kernel_against_dyck_covers_past_the_exhaustive_range():
+    # every vertex up to order 11, then 2,000 uniform random vertices spread over the
+    # orders 12..20, where rows 12 and up enter the kernel's steps (slow: to order 256)
+    result = run_check("covers/path-vs-diagram", VerifyLimits(max_n=20))
+    assert result.passed, result
+    assert result.detail == ("exhaustive for n <= 11, order included; "
+                             "2000 random vertices at orders 12..20")
+
+
+def test_random_dyck_paths_are_uniform():
+    # the cycle lemma draws each of the Catalan(4) = 14 paths of semilength 4 alike
+    rng = random.Random(5)
+    drawn = [random_dyck_path(4, rng) for _ in range(14_000)]
+    for path in set(drawn):
+        validate_dyck_path(path)
+    tally = sorted(drawn.count(path) for path in set(drawn))
+    assert len(tally) == 14 and 850 < tally[0] and tally[-1] < 1150, tally
+    assert random_dyck_path(0, rng) == ""
 
 
 def test_strip_translation_at_stated_scale():

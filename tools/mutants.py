@@ -87,6 +87,10 @@ MUTANTS = (
            "top + shape[top - 1] <= level"),
     Mutant("ones-index", "shapes.py", "(code - _ONES[d] + _ONES[top],",
            "(code - _ONES[d - 1] + _ONES[top],"),
+    # a kernel wrong only where a strip takes rows 12 and up, past the exhaustive orders
+    Mutant("ones-high-rows", "shapes.py",
+           "_ONES = tuple(((1 << 8 * k) - 1) // 255 for k in range(MAX_ORDER))",
+           "_ONES = tuple(((1 << 8 * k) - 1) // 255 & ~((k >= 12) << 88) for k in range(MAX_ORDER))"),
     Mutant("plus-full-top", "counting.py", "if top or d + shape[d - 1] != n:",
            "if d + shape[d - 1] != n:"),
     # the chain stream and the one random draw on the same kernel (the draw is
