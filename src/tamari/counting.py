@@ -487,4 +487,3 @@ def longest_chain_count(n: int) -> int:
     quotient, remainder = divmod(numerator, denominator)
     assert remainder == 0
     return quotient
-

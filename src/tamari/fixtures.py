@@ -29,10 +29,10 @@ def length_table() -> dict[int, dict[int, int]]:
 def nofull_table() -> dict[tuple[int, int], int]:
     """Committed counts with no plus-full-sets: (offset i, lattice order n) -> count.
 
-    Rows -1..5 are the published table (``table_5_1.csv``); row 6 is computed by
-    two routes, not published (``nofull_row_6.csv``).  Each row is complete; its
-    zero cells are not listed.
+    Rows -1..5 are the published table (``table_5_1.csv``); rows 6 and 7 are
+    computed by two routes, not published (``nofull_row_6.csv`` and
+    ``nofull_row_7.csv``).  Each row is complete; its zero cells are not listed.
     """
     return {(int(row["i"]), int(row["n"])): int(row["count"])
-            for filename in ("table_5_1.csv", "nofull_row_6.csv")
+            for filename in ("table_5_1.csv", "nofull_row_6.csv", "nofull_row_7.csv")
             for row in _rows(filename)}

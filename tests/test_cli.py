@@ -124,18 +124,19 @@ def test_nofull_check(capsys, monkeypatch):
 
 
 def test_nofull_check_compares_only_the_rows_the_fixture_holds(capsys, monkeypatch):
-    # the committed row 6 is compared up to the ceiling, order 9; row 7 is named
-    argv = ("nofull", "--max-i", "7", "--check", "--format", "csv")
+    # the committed rows 6 and 7 are compared up to the ceiling, order 9; row 8 is named
+    argv = ("nofull", "--max-i", "8", "--check", "--format", "csv")
     code, out, err = run(capsys, *argv)
     assert code == 0 and "skipped" in err
     lines = out.splitlines()
-    assert lines[0] == ("no-plus-full table check passed for i <= 7; rows [7] are not "
+    assert lines[0] == ("no-plus-full table check passed for i <= 8; rows [8] are not "
                         "in the fixture and were not compared")
-    assert "6,9,5891782" in lines and "7,9,0" not in lines
+    assert "6,9,5891782" in lines and "7,9,17117380" in lines
     fixture = cli.nofull_table()
-    monkeypatch.setattr(cli, "nofull_table", lambda: {**fixture, (6, 9): 1})
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "") and err.endswith("fixture mismatch at cells [(6, 9)]\n")
+    for cell in ((6, 9), (7, 9)):
+        monkeypatch.setattr(cli, "nofull_table", lambda: {**fixture, cell: 1})
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.endswith(f"fixture mismatch at cells [{cell}]\n")
 
 
 def test_nofull_csv(capsys):

@@ -465,13 +465,13 @@ def test_census_minimal_labels_follow_from_the_counts_by_length_to_order_eleven(
     test_census_minimal_labels_follow_from_the_counts_by_length(censuses, top=11)
 
 
-@pytest.mark.slow
-def test_initial_values_compute_the_committed_offset_six_row():
-    # row 6 is computed here, not published: ``nofull --check`` climbs orders 1..15
-    # bounded at t+6, exits 1 where the two routes disagree and compares every row,
-    # row 6 included, with the fixture; the top two cells are the conjectured
-    # products.  A fresh process, so its time and peak are the row's own: the peak
-    # is its VmHWM, since ru_maxrss keeps the peak of the process that started it
+def computed_row(i):
+    """Row i of ``nofull --max-i i --allow-huge --check`` run in a fresh process,
+    ``{t: N_i(t)}`` for t = 1..2i+3, after asserting that the run passed; prints the
+    run's time and peak.  The command climbs orders 1..2i+3 bounded at t+i, exits 1
+    where the two routes disagree, and compares every row the fixture holds.  The
+    peak is the child's VmHWM, since ru_maxrss keeps the peak of the process that
+    started it."""
     import subprocess
     import sys
     import time
@@ -484,20 +484,40 @@ def test_initial_values_compute_the_committed_offset_six_row():
              "          file=sys.stderr)\n"
              "sys.exit(code)\n")
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", child, "nofull", "--max-i", "6",
+    proc = subprocess.run([sys.executable, "-c", child, "nofull", "--max-i", str(i),
                            "--allow-huge", "--check", "--format", "csv"],
                           capture_output=True, text=True)
     seconds = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
     passed, header, *lines = proc.stdout.splitlines()
-    assert passed == "no-plus-full table check passed for i <= 6"
-    row = {int(t): int(value) for i, t, value in (line.split(",") for line in lines)
-           if i == "6"}
+    assert passed == f"no-plus-full table check passed for i <= {i}"
+    row = {int(t): int(value) for row_i, t, value in (line.split(",") for line in lines)
+           if row_i == str(i)}
+    print(f"row {i} by both routes: {seconds:.1f} s, peak {int(proc.stderr) / 1024:.1f} MiB")
+    return row
+
+
+@pytest.mark.slow
+def test_initial_values_compute_the_committed_offset_six_row():
+    # row 6 is computed, not published; its top two cells are the conjectured products
+    row = computed_row(6)
     assert sorted(row) == list(range(1, 16))
     assert {(6, t): value for t, value in row.items() if value} == \
         {cell: value for cell, value in nofull_table().items() if cell[0] == 6}
     assert (row[15], row[14]) == conjecture_values(6)
-    print(f"row 6 by both routes: {seconds:.1f} s, peak {int(proc.stderr) / 1024:.1f} MiB")
+
+
+@pytest.mark.slow
+def test_initial_values_compute_the_committed_offset_seven_row():
+    # row 7 likewise, at orders up to 17: about 1.5 min and 0.6 GiB
+    row = computed_row(7)
+    assert sorted(row) == list(range(1, 18))
+    assert {(7, t): value for t, value in row.items() if value} == \
+        {cell: value for cell, value in nofull_table().items() if cell[0] == 7}
+    assert [row[t] for t in range(6, 18)] == [
+        420, 15278, 644614, 17117380, 329843200, 4668066720, 49180961920, 366013997856,
+        1977909053120, 6931010486400, 12826352739200, 9161680528000]
+    assert (row[17], row[16]) == conjecture_values(7)
 
 
 @pytest.mark.slow
