@@ -161,27 +161,16 @@ def test_bounded_sweep_truncates_the_histogram(n):
     with pytest.raises(ValueError):
         length_histograms([n], -1)
     counts = count_by_length(n).counts
-    for bound in range(n - 1, comb(n, 2) + 1):
+    # below n-1, the staircase's row 1, the mask empties the seed and nothing is counted
+    for bound in range(comb(n, 2) + 1):
         assert bounded(n, bound) == {l: c for l, c in counts.items() if l <= bound}, bound
+        if bound < n - 1:
+            assert counting._nofull_and_all(n, bound) == ({}, {})
         # one climb for the orders 1..n: each block is masked and truncated alike
         together = length_histograms(range(1, n + 1), bound)
         assert [dict(together[m].counts) for m in range(1, n + 1)] == \
             [{l: c for l, c in count_by_length(m).counts.items() if l <= bound}
              for m in range(1, n + 1)], bound
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_a_bound_below_the_shortest_chain_empties_the_seed(n):
-    # the staircase of order n has n-1 boxes in row 1, so no chain is shorter than
-    # n-1: below that the mask empties the seed, and the climb counts nothing; a
-    # smaller order seeded beside it keeps its own block
-    for bound in range(n - 1):
-        assert bounded(n, bound) == {}
-        assert counting._nofull_and_all(n, bound) == ({}, {})
-        together = length_histograms([n, bound + 1], bound)
-        assert dict(together[n].counts) == {}
-        assert dict(together[bound + 1].counts) == \
-            {l: c for l, c in count_by_length(bound + 1).counts.items() if l <= bound}
 
 
 def largest_triangle_index(boxes):
