@@ -25,7 +25,9 @@ outside a map's domain), 2 usage error (malformed input, or an unreadable
 input file or cache path).  A command returns 0 or 1 for its result and
 raises on a refused input; :func:`main` alone turns what it raises into exit
 1 or 2 and a one-line ``error:``.  Each subcommand declares only the options
-it reads.  Effort is gated on ``enumerate``, ``table``, ``nofull`` and
+it reads, and :func:`main` builds the subparser of the command it runs alone.
+Only a run with a cache file loads ``hashlib`` (and OpenSSL), ``fcntl`` and
+``tempfile``.  Effort is gated on ``enumerate``, ``table``, ``nofull`` and
 ``count``: the enumeration ceiling is order 7 (~3.4e5 chains), and
 ``--allow-large`` admits order 8 (~2.2e8 chains); every climb of ``nofull``
 and ``count`` follows the histogram ceiling, order 9, or 11 with
@@ -36,12 +38,9 @@ stays at most :data:`MAX_I`.
 from __future__ import annotations
 
 import argparse
-import fcntl
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from itertools import islice
 from math import comb
 
@@ -141,6 +140,8 @@ def _cache_body(cache: dict) -> dict:
 
 
 def _checksum(body: dict) -> str:
+    import hashlib  # maps OpenSSL: only a run with a cache file pays for it
+
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -195,6 +196,9 @@ def save_cache(path: str, cache: dict) -> None:
     """Write ``cache`` to ``path``, merged (under a lock on its directory) with what
     another writer stored there since; a contradiction raises :class:`CacheMismatch`,
     a corrupted file is overwritten."""
+    import fcntl
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     lock = os.open(directory, os.O_RDONLY)
@@ -498,77 +502,90 @@ def _add_options(parser: argparse.ArgumentParser, formats: tuple[str, ...] | Non
                             help=f"cache file path (default ${CACHE_ENV})")
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("enumerate", "table", "nofull", "count", "grow", "decompose", "recompose",
+            "verify")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``tamari`` parser.  Given the name of one of :data:`COMMANDS`, it holds
+    that command's subparser alone; given None or any other string, all of them."""
     parser = argparse.ArgumentParser(
         prog="tamari",
         description="Maximal chains in the Tamari lattices: enumeration, "
                     "counting and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="stream the maximal chains of one lattice")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, default=None)
-    _add_options(p, TABLE_FORMATS, ceilings=True)
-    p.set_defaults(func=cmd_enumerate)
+    def add(name: str, func, summary: str) -> argparse.ArgumentParser | None:
+        if command in COMMANDS and command != name:
+            return None
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("table", help="chain counts by length for orders 1..max-n")
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--check", action="store_true",
-                   help="compare against the committed fixture (never writes)")
-    _add_options(p, TABLE_FORMATS, ceilings=True)
-    p.set_defaults(func=cmd_table)
+    if p := add("enumerate", cmd_enumerate, "stream the maximal chains of one lattice"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--length", type=int, default=None)
+        _add_options(p, TABLE_FORMATS, ceilings=True)
 
-    p = sub.add_parser("nofull", help="counts of chains with no plus-full-sets")
-    p.add_argument("--max-i", type=int, required=True)
-    p.add_argument("--check", action="store_true",
-                   help="compare against the committed fixture (never writes)")
-    _add_options(p, TABLE_FORMATS, ceilings=True, cache=True)
-    p.set_defaults(func=cmd_nofull)
+    if p := add("table", cmd_table, "chain counts by length for orders 1..max-n"):
+        p.add_argument("--max-n", type=int, required=True)
+        p.add_argument("--check", action="store_true",
+                       help="compare against the committed fixture (never writes)")
+        _add_options(p, TABLE_FORMATS, ceilings=True)
 
-    p = sub.add_parser("count", help="one chain count, by the recursion and/or the brute climb")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("recursion", "brute", "both"),
-                   default="recursion")
-    _add_options(p, None, ceilings=True, cache=True)
-    p.set_defaults(func=cmd_count)
+    if p := add("nofull", cmd_nofull, "counts of chains with no plus-full-sets"):
+        p.add_argument("--max-i", type=int, required=True)
+        p.add_argument("--check", action="store_true",
+                       help="compare against the committed fixture (never writes)")
+        _add_options(p, TABLE_FORMATS, ceilings=True, cache=True)
 
-    p = sub.add_parser("grow", help="insert a plus-full-set at level r into a "
-                                    "chain read from stdin or a file")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--input", default=None, help="tableau file, '-' for stdin")
-    _add_options(p, TEXT_FORMATS)
-    p.set_defaults(func=cmd_grow)
+    if p := add("count", cmd_count,
+                "one chain count, by the recursion and/or the brute climb"):
+        p.add_argument("--i", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--method", choices=("recursion", "brute", "both"),
+                       default="recursion")
+        _add_options(p, None, ceilings=True, cache=True)
 
-    p = sub.add_parser("decompose", help="split a chain into a plus-full-set-"
-                                         "free base and its growth levels")
-    p.add_argument("--input", default=None, help="tableau file, '-' for stdin")
-    _add_options(p, TEXT_FORMATS)
-    p.set_defaults(func=cmd_decompose)
+    if p := add("grow", cmd_grow, "insert a plus-full-set at level r into a "
+                                  "chain read from stdin or a file"):
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--input", default=None, help="tableau file, '-' for stdin")
+        _add_options(p, TEXT_FORMATS)
 
-    p = sub.add_parser("recompose", help="apply comma-separated growth levels "
-                                         "to a base chain")
-    p.add_argument("--params", default="", help="weakly increasing levels, "
-                                                "e.g. '0,2,2'")
-    p.add_argument("--input", default=None, help="tableau file, '-' for stdin")
-    _add_options(p, TEXT_FORMATS)
-    p.set_defaults(func=cmd_recompose)
+    if p := add("decompose", cmd_decompose, "split a chain into a plus-full-set-"
+                                            "free base and its growth levels"):
+        p.add_argument("--input", default=None, help="tableau file, '-' for stdin")
+        _add_options(p, TEXT_FORMATS)
 
-    p = sub.add_parser("verify", help="run the property suites")
-    p.add_argument("--suite", choices=("covers", "psi", "phi", "formulas",
-                                       "conjecture", "all"), default="all")
-    p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--max-i", type=int, default=2)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=20240)
-    _add_options(p, TEXT_FORMATS)
-    p.set_defaults(func=cmd_verify)
+    if p := add("recompose", cmd_recompose, "apply comma-separated growth levels "
+                                            "to a base chain"):
+        p.add_argument("--params", default="", help="weakly increasing levels, "
+                                                    "e.g. '0,2,2'")
+        p.add_argument("--input", default=None, help="tableau file, '-' for stdin")
+        _add_options(p, TEXT_FORMATS)
+
+    if p := add("verify", cmd_verify, "run the property suites"):
+        p.add_argument("--suite", choices=("covers", "psi", "phi", "formulas",
+                                           "conjecture", "all"), default="all")
+        p.add_argument("--max-n", type=int, default=5)
+        p.add_argument("--max-i", type=int, default=2)
+        p.add_argument("--samples", type=int, default=2000)
+        p.add_argument("--seed", type=int, default=20240)
+        _add_options(p, TEXT_FORMATS)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the subparser of the command named first is built (the full parser
+    # when none is named, top-level -h included).  An argument it leaves unparsed
+    # is parsed again by the full parser, whose usage line names every command,
+    # so every message and exit status is the full parser's.
+    args, unparsed = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if unparsed:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     # A computed value contradicts the cache or the other route, or an input

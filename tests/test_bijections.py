@@ -76,7 +76,7 @@ def test_append_next_label():
         append_next_label(BASE, 0)
 
 
-def test_pivot_row_on_base_chain():
+def test_pivot_on_base_chain():
     assert [_pivot(BASE.rows, BASE.n, r) for r in range(4)] == [3, 3, 1, 1]
 
 
@@ -97,7 +97,7 @@ def test_pivot_sequence_identifies_published_seven_level_example():
             assert plus_full_set_labels(image)[0] == r + 1
 
 
-def test_expand_chain_examples():
+def test_grow_examples():
     assert _grown(BASE, 0).rows == ((1, 2, 3), (1, 4), (1,))
     assert _grown(BASE, 3).rows == ((1, 2, 4), (1, 2), (3,))
     assert _grown(Tableau(1, ()), 0) == Tableau(2, ((1,),))
@@ -184,7 +184,7 @@ def test_witness_chains():
         assert plus_full_set_labels(tab) == ()
 
 
-def test_expand_chain_is_the_paper_construction(chains_by_order):
+def test_grow_is_the_paper_construction(chains_by_order):
     # the label-<=r+1 part is repeat_row then append_next_label; the rest shifts up by one
     for n in range(1, 7):
         for tab in chains_by_order[n]:

@@ -762,7 +762,7 @@ def test_every_declared_option_is_read(monkeypatch):
     parser = cli.build_parser()
     commands = next(action for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction)).choices
-    assert set(commands) == set(MINIMAL_RUNS)
+    assert set(commands) == set(MINIMAL_RUNS) == set(cli.COMMANDS)
     for name, (argv, stdin) in MINIMAL_RUNS.items():
         args = parser.parse_args([name, *argv], namespace=ReadRecorder())
         reads.clear()  # parsing reads every attribute; keep the command's reads only
@@ -770,3 +770,39 @@ def test_every_declared_option_is_read(monkeypatch):
         assert args.func(args) == 0, name
         declared = {action.dest for action in commands[name]._actions if action.option_strings}
         assert declared - {"help"} <= reads, (name, declared - reads)
+
+
+# argv that `main` may settle with one command's subparser, and argv it must hand
+# to the full parser: no command, top-level help, an unknown command, refused
+# options, a leftover positional and an option before the command
+PARSER_CORPUS = [([name, *argv], stdin) for name, (argv, stdin) in MINIMAL_RUNS.items()] + [
+    ([], ""), (["-h"], ""), (["table", "-h"], ""), (["nofull", "--help"], ""),
+    (["bogus"], ""), (["table"], ""), (["table", "--max-n", "2", "--format", "xml"], ""),
+    (["table", "--max-n", "two"], ""), (["table", "--max-n", "2", "extra"], ""),
+    (["--max-n", "2", "table"], ""),
+]
+
+
+def _outcome(capsys, monkeypatch, argv, stdin):
+    """(exit status, stdout, stderr) of ``cli.main(argv)``, a usage exit included."""
+    try:
+        return run_with_stdin(capsys, monkeypatch, stdin, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, stdin", PARSER_CORPUS,
+                         ids=[" ".join(argv) or "no-arguments" for argv, _ in PARSER_CORPUS])
+def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv, stdin):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    if argv and argv[0] in cli.COMMANDS:  # main builds that command's subparser alone
+        sub = next(action for action in cli.build_parser(argv[0])._actions
+                   if action.dest == "command")
+        assert list(sub.choices) == [argv[0]]
+    ours = _outcome(capsys, monkeypatch, argv, stdin)
+    full = cli.build_parser
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "build_parser", lambda command=None: full())
+        theirs = _outcome(capsys, monkeypatch, argv, stdin)
+    assert ours == theirs

@@ -168,7 +168,7 @@ def test_corner_boxes():
     assert corner_boxes((2, 2, 1)) == [(2, 2), (3, 1)]
 
 
-def test_upper_covers_examples():
+def test_covers_with_strips_examples():
     assert _covers((3, 2, 1), 4) == [(2, 2, 1), (3, 1, 1), (3, 2)]
     assert _covers((1, 1), 3) == [()]
     assert _covers((), 5) == []

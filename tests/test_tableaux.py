@@ -34,7 +34,7 @@ PENTAGON_SHORT = Tableau(3, ((1, 2), (1,)))
 PENTAGON_LONG = Tableau(3, ((1, 2), (3,)))
 
 
-def test_validate_tableau():
+def test_valid_rows():
     assert _valid_rows(((1, 2), (1,)))
     assert _valid_rows(())
     assert not _valid_rows(((3, 2),))

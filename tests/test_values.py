@@ -1,4 +1,5 @@
-"""Value semantics of the six record types, and what ``import tamari`` loads.
+"""Value semantics of the six record types, what ``import tamari`` loads, and the
+fixture reader that lets it load no ``csv``.
 
 The records on the command path are plain classes on ``shapes._Value``
 (``ChainCensus`` borrows its equality and repr), and ``checks.PrimePathInfo`` and
@@ -8,10 +9,12 @@ dataclass on all six, and that a histogram also survives ``pickle`` and
 """
 
 import copy
+import csv
 import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -19,7 +22,7 @@ import pytest
 import tamari
 from tamari.bijections import ChainDecomposition, GrowthDomainError
 from tamari.checks import Enclosure, PrimePathInfo
-from tamari.counting import ChainCensus, LengthHistogram, RouteMismatch
+from tamari.counting import ChainCensus, LengthHistogram, RouteMismatch, enumerate_maximal_chains
 from tamari.tableaux import Tableau, TableauError
 
 ROWS = ((1, 2), (3,))
@@ -163,6 +166,10 @@ def _modules_after(statement):
     return set(added.split()), set(loaded.split())
 
 
+# OpenSSL (through hashlib), the cache's lock and the csv reader
+CACHE_AND_CSV = {"hashlib", "_hashlib", "fcntl", "csv"}
+
+
 def test_import_path_loads_no_dataclasses():
     # the package re-exports nothing, so importing it loads no layer
     added, _ = _modules_after("import tamari")
@@ -172,6 +179,53 @@ def test_import_path_loads_no_dataclasses():
         "tamari", "tamari.shapes", "tamari.tableaux", "tamari.bijections",
         "tamari.counting", "tamari.fixtures", "tamari.cli"}
     assert not added & {"dataclasses", "inspect"}
+    assert not added & CACHE_AND_CSV
     # only ``verify`` loads the property suites, which still use dataclasses
     added, loaded = _modules_after("import tamari.checks")
     assert "tamari.checks" in added and "dataclasses" in loaded
+
+
+def _modules_after_main(argv):
+    """The modules that importing the cli and one ``cli.main(argv)`` call, its
+    stdout discarded, add to a fresh interpreter."""
+    return _modules_after(
+        "import contextlib, io, tamari.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert tamari.cli.main({argv!r}) == 0\n")[0]
+
+
+def test_only_a_cache_file_loads_openssl(tmp_path):
+    chain = tmp_path / "chain.txt"
+    chain.write_text(next(enumerate_maximal_chains(4)).to_text())
+    for argv in (["table", "--max-n", "4"], ["decompose", "--input", str(chain)]):
+        assert not _modules_after_main(argv) & CACHE_AND_CSV, argv
+    # the checksum and the lock moved, they did not go: a cache write loads them
+    added = _modules_after_main(["nofull", "--max-i", "0", "--cache",
+                                 str(tmp_path / "cache.json")])
+    assert {"hashlib", "fcntl"} <= added
+    assert (tmp_path / "cache.json").exists()
+
+
+def _committed_csvs():
+    return sorted(path for path in (Path(tamari.__file__).parent / "data").iterdir()
+                  if path.suffix == ".csv")
+
+
+def test_the_fixture_reader_agrees_with_csv():
+    from tamari import fixtures
+
+    assert len(_committed_csvs()) == 4
+    for path in _committed_csvs():
+        with path.open(newline="") as handle:
+            assert fixtures._rows(path.name) == list(csv.DictReader(handle)), path.name
+    # the two tables, rebuilt here through csv exactly as the reader once built them
+    length, nofull = {}, {}
+    for path in _committed_csvs():
+        with path.open(newline="") as handle:
+            for row in csv.DictReader(handle):
+                if path.name == "table_1_1.csv":
+                    length.setdefault(int(row["n"]), {})[int(row["length"])] = int(row["count"])
+                else:
+                    nofull[int(row["i"]), int(row["n"])] = int(row["count"])
+    assert fixtures.length_table() == length
+    assert fixtures.nofull_table() == nofull

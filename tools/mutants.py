@@ -123,6 +123,11 @@ MUTANTS = (
            "missing += max(top - dp_limit, 0)"),
     # the one count report of `table` and `nofull`: zero cells print blank
     Mutant("zero-blank", "cli.py", 'f"{c:,}" if c else ""', 'f"{c:,}"'),
+    # arguments the one-command parser leaves unparsed go to the full parser, whose
+    # usage line lists every command: re-parsed by the one-command parser instead,
+    # the exit status stays 2 but the message changes
+    Mutant("parser-no-fallback", "cli.py", "args = build_parser().parse_args(argv)",
+           "args = build_parser(argv[0]).parse_args(argv)"),
     # the failures a command reports with exit 1: a fixture mismatch, routes that disagree
     Mutant("check-exit", "cli.py", "bad = [n for n, hist in histograms.items()",
            "bad = [n for n, hist in {}.items()"),
