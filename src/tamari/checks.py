@@ -24,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .shapes import (
     MAX_ORDER,
@@ -57,15 +57,15 @@ from .bijections import (
     recompose,
 )
 from .counting import (
-    ChainCensus,
+    LengthHistogram,
     _chains_up,
     _nofull_and_all,
-    census,
     chains_count,
     count_by_length,
     enumerate_maximal_chains,
     inclusion_exclusion,
     initial_values,
+    length_histograms,
     longest_chain_count,
     nofull_initial_values,
 )
@@ -417,21 +417,49 @@ def all_chain_tableaux(n: int) -> Iterator[Tableau]:
         yield from _chains_up(n, start)
 
 
-def stream_census(n: int) -> ChainCensus:
-    """The census tallied from the chain stream, each chain classified by
-    :func:`plus_full_set_labels`: the paper's definition on real tableaux, the
-    brute oracle for :func:`tamari.counting.census`."""
-    result = ChainCensus(n)
+def stream_census(n: int) -> tuple[dict[int, int], dict[int, int],
+                                   dict[int, dict[int, int]]]:
+    """The maximal chains of the n-th lattice tallied from the chain stream, each
+    classified by :func:`plus_full_set_labels`: the paper's definition on real
+    tableaux, the brute oracle for the climbs.  Three tallies, ``(by_length,
+    nofull_by_length, min_plus_full)``: the chains by length, those with no
+    plus-full-set by length, and ``{length: {minimal label: chains}}`` over the rest.
+    """
+    by_length, nofull, minimal = {}, {}, {}
     for tab in enumerate_maximal_chains(n):
         length = tab.length
-        result.by_length[length] = result.by_length.get(length, 0) + 1
-        labels = plus_full_set_labels(tab)
-        if labels:
-            tally = result.min_plus_full.setdefault(length, {})
+        by_length[length] = by_length.get(length, 0) + 1
+        if labels := plus_full_set_labels(tab):
+            tally = minimal.setdefault(length, {})
             tally[labels[0]] = tally.get(labels[0], 0) + 1
         else:
-            result.nofull_by_length[length] = result.nofull_by_length.get(length, 0) + 1
-    return result
+            nofull[length] = nofull.get(length, 0) + 1
+    return by_length, nofull, minimal
+
+
+def minimal_label_tally(n: int, histograms: Mapping[int, LengthHistogram]
+                        ) -> dict[int, dict[int, int]]:
+    """The chains of the n-th lattice by length and minimal plus-full-set label,
+    ``{length: {m: chains}}`` with no zero cells, from the counts by length of the
+    orders below n (``histograms``, ``{s: histogram of order s}``).
+
+    By equal representation and inclusion-exclusion over the labels below m, the
+    chains of length L = n+i whose minimal label is m number
+    ``sum_{k<m} (-1)^k C(m-1, k) #C_i(n-1-k)``, with #C_i(s) = 0 for s < 1, for
+    m = 1..L (past L the sum need not vanish, though no label is that large).
+    """
+    def chains(i: int, s: int) -> int:
+        return histograms[s].get(s + i) if s >= 1 else 0
+
+    tally = {}
+    for length in range(n - 1, comb(n, 2) + 1):
+        i = length - n
+        counts = {m: count for m in range(1, length + 1)
+                  if (count := sum((-1) ** k * comb(m - 1, k) * chains(i, n - 1 - k)
+                                   for k in range(m)))}
+        if counts:
+            tally[length] = counts
+    return tally
 
 
 def random_chain(n: int, rng: random.Random, start: Partition | None = None) -> Tableau:
@@ -866,14 +894,17 @@ def check_label_shift(limits: VerifyLimits) -> Verdict:
 
 
 def check_growth_image_counts(limits: VerifyLimits) -> Verdict:
+    """Each growth level's domain has as many chains as its image, both counted
+    by the classified chain stream (:func:`stream_census`), once per order."""
     top = min(limits.max_n, 6)
+    censuses = {n: stream_census(n) for n in range(1, top + 2)}
     for n in range(1, top + 1):
-        small = census(n)
-        big = census(n + 1)
-        for length, total in small.by_length.items():
+        by_length, _, minimal = censuses[n]
+        grown = censuses[n + 1][2]
+        for length, total in by_length.items():
             i = length - n
-            tally = small.min_plus_full.get(length, {})
-            grown_tally = big.min_plus_full.get(length + 1, {})
+            tally = minimal.get(length, {})
+            grown_tally = grown.get(length + 1, {})
             for r in range(0, length + 1):
                 domain = total - sum(tally.get(j, 0) for j in range(1, r + 1))
                 image = grown_tally.get(r + 1, 0)
@@ -941,11 +972,23 @@ def check_recursion_vs_walk(limits: VerifyLimits) -> Verdict:
 
 
 def check_walk_vs_enumeration(limits: VerifyLimits) -> Verdict:
+    """Each tally of the classified chain stream (:func:`stream_census`) equals its
+    route over the climbs: the chains by length, the histogram; those with no
+    plus-full-set, the clean block of the initial-values climb; the minimal labels,
+    :func:`minimal_label_tally` over the histograms of the orders below."""
     top = min(limits.max_n, 6)
+    histograms = length_histograms(range(1, top + 1))
     for n in range(1, top + 1):
-        streamed = stream_census(n)
-        if census(n) != streamed or dict(count_by_length(n).counts) != streamed.by_length:
-            return _fail("the climbs disagree with the chain stream", {"n": n})
+        climbed = (dict(histograms[n].counts), _nofull_and_all(n, comb(n, 2))[0],
+                   minimal_label_tally(n, histograms))
+        for name, streamed, counted in zip(("by_length", "nofull_by_length", "min_plus_full"),
+                                           stream_census(n), climbed):
+            if streamed != counted:
+                length = min(length for length in streamed.keys() | counted.keys()
+                             if streamed.get(length) != counted.get(length))
+                return _fail(f"the climbs disagree with the chain stream on {name}",
+                             {"n": n, "tally": name, "length": length,
+                              "stream": streamed.get(length), "climb": counted.get(length)})
     return _ok(f"n <= {top}")
 
 

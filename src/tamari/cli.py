@@ -456,6 +456,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
+    if args.max_i < -1:
+        raise ValueError("--max-i must be >= -1")
     if args.samples < 0:
         raise ValueError("--samples must be >= 0")
     limits = VerifyLimits(max_n=args.max_n, max_i=args.max_i,

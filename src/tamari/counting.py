@@ -6,19 +6,18 @@ Two independent routes are kept side by side on purpose:
   from one or more seeds, each vertex holding one int that packs its chain counts
   into fixed-width fields (:func:`_field_width` proves no field overflows),
   optionally cut at a length bound by one table of masks (:func:`_length_masks`)
-  and folding its blocks at each :func:`is_plus_full_step` of a given order; the
-  climb keys its vertices by their codes (``shapes._code``, row j's length in byte
-  j-1), and each cover step comes from the kernel ``shapes._steps`` as its cover's
-  code and the rows ``top+1 .. d`` of its strip, so a step is one subtraction and
-  no strip's boxes are built.  A command climbs as
-  few times as its counts allow: :func:`length_histograms` climbs once for every
-  order, seeded at each staircase, optionally up to a length bound; :func:`census`
-  also tallies the minimal plus-full-set labels.  :func:`enumerate_maximal_chains`
-  streams the chain tableaux up the same kernel, on an explicit stack and cut by
-  length where a length is asked for (the random draw
+  and moving a second state across each :func:`is_plus_full_step` of a given
+  order; the climb keys its vertices by their codes (``shapes._code``, row j's
+  length in byte j-1), and each cover step comes from the kernel ``shapes._steps``
+  as its cover's code and the rows ``top+1 .. d`` of its strip, so a step is one
+  subtraction and no strip's boxes are built.  A command climbs as few times as
+  its counts allow: :func:`length_histograms` climbs once for every order, seeded
+  at each staircase, optionally up to a length bound.
+  :func:`enumerate_maximal_chains` streams the chain tableaux up the same kernel, on
+  an explicit stack and cut by length where a length is asked for (the random draw
   :func:`tamari.checks.random_chain` takes one step of it per vertex); classified by
-  :func:`tamari.tableaux.plus_full_set_labels`, they are the brute oracle the
-  climbs are tested against; and
+  :func:`tamari.tableaux.plus_full_set_labels` (:func:`tamari.checks.stream_census`),
+  they are the brute oracle the climbs are tested against; and
 * the *recursion*: the count of maximal chains of length n+i is
   ``sum_{t=1}^{2i+3} C(n+i, t+i) * N_i(t)`` where ``N_i(t)`` counts chains of
   length t+i with no plus-full-sets.  :func:`initial_values` computes each from one
@@ -86,8 +85,7 @@ def _field_width(n: int, max_length: int | None = None) -> int:
     and at most n-1 rows.  The j-th step of a chain leaves at most C(n,2)-j boxes,
     so at most the product of the first d factors reach a vertex at depth d; every
     vertex expanded has a box in row 1, so :func:`_length_masks` keeps no field past
-    depth D; and the blocks a fold of :func:`census` sums count disjoint chains of
-    the same depth.  No field reaches 2^width, and no carry can cross a field.  The
+    depth D.  No field reaches 2^width, and no carry can cross a field.  The
     width is 77 bits at order 9 (counts need 40), 136 at order 11 (they need 74) and
     34 at order 9 up to length 12; orders 1 and 2 multiply only ones and keep 1 bit,
     not 0.
@@ -303,32 +301,6 @@ def _chains_up(n: int, start: Partition, length: int | None = None,
             stack.pop()
 
 
-class ChainCensus:
-    """Plus-full-set tallies over all maximal chains of the n-th lattice.
-
-    ``by_length`` counts chains by length, ``nofull_by_length`` those with no
-    plus-full-set, and ``min_plus_full`` maps a length to a tally of the
-    minimal plus-full-set label over the remaining chains.  Each tally left
-    out starts as a new empty dict.  A census is mutable, so it is unhashable;
-    equality and repr are those of the value types (``shapes._Value``).
-    """
-
-    __match_args__ = ("n", "by_length", "nofull_by_length", "min_plus_full")
-
-    def __init__(self, n: int, by_length: dict[int, int] | None = None,
-                 nofull_by_length: dict[int, int] | None = None,
-                 min_plus_full: dict[int, dict[int, int]] | None = None) -> None:
-        self.n = n
-        self.by_length = {} if by_length is None else by_length
-        self.nofull_by_length = {} if nofull_by_length is None else nofull_by_length
-        self.min_plus_full = {} if min_plus_full is None else min_plus_full
-
-    _values = _Value._values
-    __eq__ = _Value.__eq__
-    __hash__ = None
-    __repr__ = _Value.__repr__
-
-
 def is_plus_full_step(shape: Partition, top: int, d: int, n: int) -> bool:
     """Whether the cover step removing the last boxes of rows ``top+1 .. d`` of
     ``shape`` labels a plus-full-set.
@@ -341,42 +313,6 @@ def is_plus_full_step(shape: Partition, top: int, d: int, n: int) -> bool:
     if top or d + shape[d - 1] != n:
         return False
     return d == n - 1 or (len(shape) > d and shape[d] >= shape[d - 1] - 1)
-
-
-def census(n: int) -> ChainCensus:
-    """Classify every maximal chain of the n-th lattice by its plus-full-sets.
-
-    The climb of :func:`length_histograms`, but each vertex counts the chains
-    reaching it by (length, steps taken since the last plus-full step, or -1 before
-    the first).
-    The packed state holds one block of C(n,2)+1 length fields per ``since``, the
-    clean block (-1) lowest.  A plain step shifts each field one length up and each
-    block but the clean one a block up; a plus-full step folds every block into the
-    block of ``since`` 0, once per vertex.  At the top the last plus-full step
-    carries the minimal label, which is that step count + 1.
-    """
-    width, block = _field_width(n), comb(n, 2) + 1
-    span = width * block
-    clean_mask = (1 << span) - 1
-
-    def advance(reach: int) -> tuple[int, int]:
-        clean = reach & clean_mask
-        folded, rest = 0, reach
-        while rest:
-            folded += rest & clean_mask
-            rest >>= span
-        return (clean << width) | ((reach - clean) << (span + width)), folded << (span + width)
-
-    result = ChainCensus(n)
-    packed = _unpack(_climb({_staircase_of(n): 1}, advance, n), width)
-    for (length, since), count in sorted(((k % block, k // block - 1), c)
-                                         for k, c in packed.items()):
-        result.by_length[length] = result.by_length.get(length, 0) + count
-        if since < 0:
-            result.nofull_by_length[length] = count
-        else:
-            result.min_plus_full.setdefault(length, {})[since + 1] = count
-    return result
 
 
 class RouteMismatch(ValueError):

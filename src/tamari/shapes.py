@@ -34,10 +34,9 @@ Conventions (pinned once, used repo-wide):
 
 The small value types on the command path (``tableaux.Tableau``,
 ``bijections.ChainDecomposition`` and ``counting.LengthHistogram``) derive from
-:class:`_Value`, an immutable base whose fields are its ``__match_args__``;
-``counting.ChainCensus`` borrows its ``__eq__`` and ``__repr__`` and stays
-mutable.  They are plain classes, so importing ``tamari`` or ``tamari.cli``
-runs no class generator and loads no ``inspect``.
+:class:`_Value`, an immutable base whose fields are its ``__match_args__``.
+They are plain classes, so importing ``tamari`` or ``tamari.cli`` runs no class
+generator and loads no ``inspect``.
 """
 
 from __future__ import annotations

@@ -1,23 +1,6 @@
 import pytest
 
-from tamari.counting import census, enumerate_maximal_chains
-
-
-class _LazyCensus:
-    """Compute each lattice census once per test session."""
-
-    def __init__(self):
-        self._store = {}
-
-    def __getitem__(self, n: int):
-        if n not in self._store:
-            self._store[n] = census(n)
-        return self._store[n]
-
-
-@pytest.fixture(scope="session")
-def censuses():
-    return _LazyCensus()
+from tamari.counting import enumerate_maximal_chains
 
 
 @pytest.fixture(scope="session")

@@ -106,6 +106,24 @@ def test_initial_values_check_fails_where_the_routes_disagree(one_route_off):
     assert result.counterexample == {"i": 1, "t": 5, "ie": 10, "brute": 11}
 
 
+def test_the_walk_check_names_the_tally_and_its_first_differing_length(monkeypatch):
+    original = checks._nofull_and_all
+
+    def two_cells_off(t, max_length):
+        clean, every = original(t, max_length)
+        if t == 5:
+            clean[8] += 1
+            clean[6] += 1
+        return clean, every
+
+    monkeypatch.setattr(checks, "_nofull_and_all", two_cells_off)
+    result = run_check("formulas/walk-vs-enumeration", VerifyLimits(max_n=6))
+    assert not result.passed
+    assert result.detail == "the climbs disagree with the chain stream on nofull_by_length"
+    assert result.counterexample == {"n": 5, "tally": "nofull_by_length", "length": 6,
+                                     "stream": 10, "climb": 11}
+
+
 def test_nofull_initial_values_raises_where_the_routes_disagree(one_route_off):
     with pytest.raises(counting.RouteMismatch) as caught:
         counting.nofull_initial_values(1)

@@ -10,12 +10,12 @@ from tamari.checks import (
     classify_r_set,
     conjecture_values,
     corner_boxes,
+    minimal_label_tally,
     run_check,
     stream_census,
 )
 from tamari.counting import (
     IncompleteTableError,
-    census,
     chains_count,
     count_by_length,
     enumerate_maximal_chains,
@@ -142,9 +142,10 @@ def test_shortest_chain_unique():
         assert count_by_length(n).get(n - 1) == 1
 
 
-def test_census_agrees_with_histogram(censuses):
+def test_census_agrees_with_histogram():
     for n in range(1, 7):
-        assert censuses[n].by_length == dict(count_by_length(n).counts)
+        by_length, _, _ = stream_census(n)
+        assert by_length == dict(count_by_length(n).counts)
 
 
 def bounded(n, bound, rule=None):
@@ -296,8 +297,9 @@ def test_plus_full_free_sweep_examples():
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_plus_full_free_sweep_matches_the_census(n, censuses):
-    counts = censuses[n].nofull_by_length
+def test_plus_full_free_sweep_matches_the_census(n):
+    # the stream's tally where it is cheap; at order 7, the unbounded clean block
+    counts = stream_census(n)[1] if n <= 6 else bounded(n, comb(n, 2), is_plus_full_step)
     # a bound past every chain
     assert bounded(n, comb(n, 2) + 1, is_plus_full_step) == counts
     for bound in range(n - 1, comb(n, 2) + 1):
@@ -307,12 +309,13 @@ def test_plus_full_free_sweep_matches_the_census(n, censuses):
         assert counting._nofull_and_all(n, bound)[1] == bounded(n, bound), bound
 
 
-def test_nofull_matches_committed_table(censuses):
+def test_nofull_matches_committed_table():
     fixture = nofull_table()
     for n in range(1, 7):
+        _, nofull_by_length, _ = stream_census(n)
         for i in range(-1, 6):
             expected = fixture.get((i, n), 0)
-            assert censuses[n].nofull_by_length.get(n + i, 0) == expected
+            assert nofull_by_length.get(n + i, 0) == expected
 
 
 def test_initial_values_by_inclusion_exclusion():
@@ -324,11 +327,12 @@ def test_initial_values_by_inclusion_exclusion():
     assert initial_values(range(-1, 4), 9)[3] == row_three
 
 
-def test_initial_values_match_brute_classification(censuses):
+def test_initial_values_match_brute_classification():
+    nofull_by_order = {t: stream_census(t)[1] for t in range(1, 7)}
     for i in range(-1, 6):
         values = nofull_initial_values(i, max_t=6)
         for t, value in values.items():
-            assert value == censuses[t].nofull_by_length.get(t + i, 0)
+            assert value == nofull_by_order[t].get(t + i, 0)
 
 
 def test_chains_count_closed_forms():
@@ -415,43 +419,24 @@ def test_equal_representation_exact_cell():
     assert len(exact) == 1 == nofull(0, 3)
 
 
+def climbed_census(n):
+    """The three tallies of :func:`stream_census` by their routes over the climbs:
+    the histogram, the unbounded clean block, the formula over the orders below."""
+    histograms = length_histograms(range(1, n + 1))
+    return (dict(histograms[n].counts), counting._nofull_and_all(n, comb(n, 2))[0],
+            minimal_label_tally(n, histograms))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_census_matches_the_classified_stream(n):
     # all three tallies: by length, without plus-full-sets, minimal labels
-    assert census(n) == stream_census(n)
+    assert climbed_census(n) == stream_census(n)
 
 
 @pytest.mark.slow
 def test_census_matches_the_classified_stream_order_seven():
-    assert census(7) == stream_census(7)
-
-
-def test_census_minimal_labels_follow_from_the_counts_by_length(censuses, top=9):
-    # a second route to the census past the stream's orders: by equal representation
-    # and inclusion-exclusion over the labels below m, the chains of length L = n+i
-    # whose minimal plus-full-set label is m number
-    # sum_{k<m} (-1)^k C(m-1, k) #C_i(n-1-k), with #C_i(s) = 0 for s < 1, for
-    # m = 1..L (past L the sum need not vanish, though no label is that large);
-    # every order up to ``top``
-    histograms = length_histograms(range(1, top + 1))
-
-    def chains(i, s):
-        return histograms[s].get(s + i) if s >= 1 else 0
-
-    for n in range(1, top + 1):
-        tally = censuses[n].min_plus_full
-        for length in range(n - 1, comb(n, 2) + 1):
-            i = length - n
-            for m in range(1, length + 1):
-                expected = sum((-1) ** k * comb(m - 1, k) * chains(i, n - 1 - k)
-                               for k in range(m))
-                assert tally.get(length, {}).get(m, 0) == expected, (n, length, m)
-
-
-@pytest.mark.slow
-def test_census_minimal_labels_follow_from_the_counts_by_length_to_order_eleven(censuses):
-    # census(11) takes a few seconds and about 130 MiB
-    test_census_minimal_labels_follow_from_the_counts_by_length(censuses, top=11)
+    # past the orders of ``formulas/walk-vs-enumeration``; the stream takes a few seconds
+    assert climbed_census(7) == stream_census(7)
 
 
 def computed_row(i):
@@ -531,9 +516,9 @@ def test_plus_full_step_matches_classification(chains_by_order):
                 assert is_plus_full_step(lower, top, d, n) == expected, (tab.rows, r)
 
 
-def test_vanishing_partition_sizes(censuses):
-    tally = censuses[4].min_plus_full[4]
-    assert tally == {1: 1, 2: 1, 3: 1, 4: 1}
+def test_vanishing_partition_sizes():
+    _, _, min_plus_full = stream_census(4)
+    assert min_plus_full[4] == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
 @pytest.mark.slow

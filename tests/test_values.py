@@ -1,11 +1,11 @@
-"""Value semantics of the six record types, what ``import tamari`` loads, and the
+"""Value semantics of the five record types, what ``import tamari`` loads, and the
 fixture reader that lets it load no ``csv``.
 
-The records on the command path are plain classes on ``shapes._Value``
-(``ChainCensus`` borrows its equality and repr), and ``checks.PrimePathInfo`` and
-``checks.Enclosure`` are frozen dataclasses; these tests pin the behaviour of a
-dataclass on all six, and that a histogram also survives ``pickle`` and
-``copy.deepcopy``, as do the two errors that carry fields.
+The records on the command path are plain classes on ``shapes._Value``, and
+``checks.PrimePathInfo`` and ``checks.Enclosure`` are frozen dataclasses; these
+tests pin the behaviour of a dataclass on all five, and that a histogram
+also survives ``pickle`` and ``copy.deepcopy``, as do the two errors that carry
+fields.
 """
 
 import copy
@@ -22,7 +22,7 @@ import pytest
 import tamari
 from tamari.bijections import ChainDecomposition, GrowthDomainError
 from tamari.checks import Enclosure, PrimePathInfo
-from tamari.counting import ChainCensus, LengthHistogram, RouteMismatch, enumerate_maximal_chains
+from tamari.counting import LengthHistogram, RouteMismatch, enumerate_maximal_chains
 from tamari.tableaux import Tableau, TableauError
 
 ROWS = ((1, 2), (3,))
@@ -33,15 +33,12 @@ CASES = [
     (ChainDecomposition, (Tableau(3, ROWS), (0, 1)),
      "ChainDecomposition(base=Tableau(n=3, rows=((1, 2), (3,))), params=(0, 1))"),
     (LengthHistogram, (3, {2: 1, 3: 1}), "LengthHistogram(n=3, counts=mappingproxy({2: 1, 3: 1}))"),
-    (ChainCensus, (3, {2: 1}, {}, {3: {1: 1}}),
-     "ChainCensus(n=3, by_length={2: 1}, nofull_by_length={}, min_plus_full={3: {1: 1}})"),
     (PrimePathInfo, (1, 2, "NNEE"), "PrimePathInfo(start_row=1, height=2, steps='NNEE')"),
     (Enclosure, (0, (2, 1), ((0, 1), (1, 1))),
      "Enclosure(top_row=0, shape=(2, 1), boxes=((0, 1), (1, 1)))"),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
-FROZEN = [case for case in CASES if case[0] is not ChainCensus]
-HASHABLE = [case for case in FROZEN if case[0] is not LengthHistogram]
+HASHABLE = [case for case in CASES if case[0] is not LengthHistogram]
 
 
 @pytest.mark.parametrize("cls, args, text", CASES, ids=IDS)
@@ -73,11 +70,9 @@ def test_frozen_values_hash_by_their_fields(cls, args, text):
 def test_unhashable_records():
     with pytest.raises(TypeError):
         hash(LengthHistogram(3, {2: 1}))  # its counts are a mappingproxy
-    with pytest.raises(TypeError):
-        hash(ChainCensus(3))
 
 
-@pytest.mark.parametrize("cls, args, text", FROZEN, ids=[c[0].__name__ for c in FROZEN])
+@pytest.mark.parametrize("cls, args, text", CASES, ids=IDS)
 def test_fields_cannot_be_assigned_or_deleted(cls, args, text):
     value = cls(*args)
     for name in cls.__match_args__:
@@ -107,16 +102,6 @@ def test_errors_with_fields_round_trip(error, fields):
         assert type(twin) is type(error) and str(twin) == str(error)
         assert [getattr(twin, f) for f in fields] == [getattr(error, f) for f in fields]
         assert getattr(twin, "counterexample", None) == getattr(error, "counterexample", None)
-
-
-def test_census_is_mutable_and_fills_its_tallies():
-    census = ChainCensus(4)
-    assert census == ChainCensus(4, {}, {}, {})
-    census.by_length[5] = 2
-    census.n = 5
-    assert census == ChainCensus(5, by_length={5: 2})
-    assert ChainCensus(4).by_length is not ChainCensus(4).by_length
-    del census.min_plus_full
 
 
 def test_histogram_counts_are_a_read_only_copy():

@@ -3,7 +3,7 @@
 Run from the root of a checkout:
 
     python3 tools/mutants.py                          # every mutant, then the kill table
-    python3 tools/mutants.py --only mask-fields,census-swap
+    python3 tools/mutants.py --only mask-fields,drop-kept
     python3 tools/mutants.py --list
 
 Each mutant replaces one snippet of one file under ``src`` (the snippet must
@@ -73,13 +73,6 @@ MUTANTS = (
     Mutant("drop-kept", "counting.py",
            "lambda reach: (reach << width, (reach >> span) << (span + width))",
            "lambda reach: (reach << width, reach << width)"),
-    Mutant("census-swap", "counting.py",
-           "return (clean << width) | ((reach - clean) << (span + width)), "
-           "folded << (span + width)",
-           "return folded << (span + width), "
-           "(clean << width) | ((reach - clean) << (span + width))"),
-    Mutant("fold-no-clean", "counting.py", "folded, rest = 0, reach",
-           "folded, rest = 0, reach >> span"),
     Mutant("level-step", "counting.py", "boxes - (d - top)", "boxes - 1"),
     # the box-free cover kernel on a vertex's code (row j's length in byte j-1), its
     # step by one subtraction, and the edge filter on its rows
@@ -109,6 +102,12 @@ MUTANTS = (
     Mutant("associahedron-dedupe", "checks.py",
            "covers = [cover for cover, _, _ in _steps(code)]",
            "covers = list({cover for cover, _, _ in _steps(code)})"),
+    # the brute oracle's tally of minimal labels (the largest label instead), and the
+    # formula that counts them from the histograms of the orders below
+    Mutant("stream-minimal-label", "checks.py",
+           "tally[labels[0]] = tally.get(labels[0], 0) + 1",
+           "tally[labels[-1]] = tally.get(labels[-1], 0) + 1"),
+    Mutant("formula-binomial", "checks.py", "comb(m - 1, k)", "comb(m, k)"),
     # the two plus-full-set properties: vanishing and equal representation
     Mutant("vanishing-classes", "checks.py", "3 * i + 5", "3 * i + 4"),
     Mutant("equal-rep-superset", "checks.py", "wanted <= labels", "wanted < labels"),
@@ -116,7 +115,6 @@ MUTANTS = (
     Mutant("plus-full-step", "counting.py", "shape[d] >= shape[d - 1] - 1",
            "shape[d] >= shape[d - 1]"),
     Mutant("ie-sign", "counting.py", "(-1) ** (t - s)", "(-1) ** (t - s + 1)"),
-    Mutant("census-label", "counting.py", "[since + 1] = count", "[since] = count"),
     Mutant("recursion-extra-term", "counting.py", "min(2 * i + 3, n) + 1",
            "min(2 * i + 4, n) + 1"),
     Mutant("skipped-count", "cli.py", "missing += max(top - dp_limit, 0) - len(beyond)",
@@ -139,9 +137,6 @@ MUTANTS = (
     # the one place where what a check raises becomes its FAIL
     Mutant("boundary-reraise", "checks.py", "except Exception as exc:",
            "except ArithmeticError as exc:"),
-    Mutant("census-noop", "counting.py",
-           "result.by_length.get(length, 0) + count", "count + result.by_length.get(length, 0)",
-           "integer addition commutes"),
     # on a staircase tableau that encodes no chain, label(k+1, n-k-1) may equal r,
     # and only this test keeps r out of row k+1, where the scan below no longer looks
     Mutant("labels-strict", "tableaux.py", "rows[k][-1] >= r:", "rows[k][-1] > r:"),
