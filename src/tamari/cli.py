@@ -32,7 +32,8 @@ Only a run with a cache file loads ``hashlib`` (and OpenSSL), ``fcntl`` and
 ``--allow-large`` admits order 8 (~2.2e8 chains); every climb of ``nofull``
 and ``count`` follows the histogram ceiling, order 9, or 11 with
 ``--allow-large``.  ``--allow-huge`` removes both ceilings; ``nofull --max-i``
-stays at most :data:`MAX_I`.
+stays at most :data:`MAX_I`, and an order past the cover kernel (above
+``shapes.MAX_ORDER``, 256) is refused before anything is climbed or walked.
 """
 
 from __future__ import annotations
@@ -364,10 +365,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                          f"pass --allow-large or --allow-huge")
     if args.length is not None and not args.n - 1 <= args.length <= comb(args.n, 2):
         raise ValueError(f"--length must lie in {args.n - 1}..{comb(args.n, 2)}")
+    # an order past the kernel is refused here, before any line is printed
+    chains = enumerate_maximal_chains(args.n, length=args.length)
     total = 0
     if args.format == "csv":
         print("index,n,length,rows")
-    for tab in enumerate_maximal_chains(args.n, length=args.length):
+    for tab in chains:
         total += 1
         if args.format == "json":
             print(tab.to_json())

@@ -2,17 +2,17 @@
 
 Two independent routes are kept side by side on purpose:
 
-* the *lattice climbs*, one engine (:func:`_climb`) up the vertices reachable
-  from one or more seeds, each vertex holding one int that packs its chain counts
-  into fixed-width fields (:func:`_field_width` proves no field overflows),
-  optionally cut at a length bound by one table of masks (:func:`_length_masks`)
-  and moving a second state across each :func:`is_plus_full_step` of a given
-  order; the climb keys its vertices by their codes (``shapes._code``, row j's
-  length in byte j-1), and each cover step comes from the kernel ``shapes._steps``
-  as its cover's code and the rows ``top+1 .. d`` of its strip, so a step is one
-  subtraction and no strip's boxes are built.  A command climbs as few times as
-  its counts allow: :func:`length_histograms` climbs once for every order, seeded
-  at each staircase, optionally up to a length bound.
+* the *lattice climbs*, one engine (:func:`_climb`) up from the staircase of each
+  of a list of orders, each vertex holding one int that packs the chain counts of
+  every order, one block each, into fixed-width fields (:func:`_field_width` proves
+  no field overflows), optionally cut at a length bound by one table of masks
+  (:func:`_length_masks`) and clearing the first block at each
+  :func:`is_plus_full_step` of a given order; the climb keys its vertices by their
+  codes (``shapes._code``, row j's length in byte j-1), and each cover step comes
+  from the kernel ``shapes._steps`` as its cover's code and the rows ``top+1 .. d``
+  of its strip, so a step is one subtraction and no strip's boxes are built.  A
+  command climbs as few times as its counts allow: :func:`length_histograms`
+  climbs once for every order, optionally up to a length bound.
   :func:`enumerate_maximal_chains` streams the chain tableaux up the same kernel, on
   an explicit stack and cut by length where a length is asked for (the random draw
   :func:`tamari.checks.random_chain` takes one step of it per vertex); classified by
@@ -22,8 +22,8 @@ Two independent routes are kept side by side on purpose:
   ``sum_{t=1}^{2i+3} C(n+i, t+i) * N_i(t)`` where ``N_i(t)`` counts chains of
   length t+i with no plus-full-sets.  :func:`initial_values` computes each from one
   climb of order t with two blocks: the chains with no plus-full step yet (the clean
-  block), which a step :func:`is_plus_full_step` marks drops, and all chains, which
-  every step moves alike.  One route is the clean block, the other
+  block), which each step :func:`is_plus_full_step` holds for clears, and all
+  chains, which every step moves alike.  One route is the clean block, the other
   ``N_i(n) = sum_{t=1}^{n} (-1)^(n-t) C(n+i, t+i) * #C_i(t)`` (inclusion-exclusion)
   over the block of all chains, which no step rule touches; a wrong rule changes
   only the clean block, and shows up as a :class:`RouteMismatch`.
@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, isqrt
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .shapes import Partition, ShapeError, _code, _shape, _steps, _Value, staircase
 from .tableaux import Tableau
@@ -96,33 +96,23 @@ def _field_width(n: int, max_length: int | None = None) -> int:
     return product.bit_length()
 
 
-def _unpack(packed: int, width: int) -> dict[int, int]:
-    """The nonzero fields of a packed state, ``{field index: count}``, index ascending."""
-    mask = (1 << width) - 1
-    fields = {}
-    index = 0
-    while packed:
-        if count := packed & mask:
-            fields[index] = count
-        packed >>= width
-        index += 1
-    return fields
-
-
 def _staircase_of(n: int) -> Partition:
-    """The bottom of the n-th lattice, where every one of its maximal chains starts."""
+    """The bottom of the n-th lattice, where every one of its maximal chains starts.
+    Raises :class:`ShapeError` unless 1 <= n <= ``shapes.MAX_ORDER``, before the
+    staircase is built: ``_code`` refuses its row 1 of n-1 boxes past the kernel."""
     if n < 1:
         raise ShapeError(f"lattice order must be >= 1, got {n}")
+    _code((n - 1,))
     return staircase(n - 1)
 
 
 def _length_masks(max_length: int, rows: int, width: int,
                   blocks: Collection[tuple[int, int]]) -> tuple[int, ...]:
-    """The length masks of a climb bounded at L = ``max_length``, indexed by the
-    length k < ``rows`` of a vertex's row 1: each keeps the fields 0 .. L-k of every
-    block ``(offset, fields)`` of ``width``-bit fields, and nothing when k > L.
-    :func:`_climb` cuts each state to the mask of the vertex it enters, as it is
-    pushed there.
+    """The length masks of a :func:`_climb` bounded at L = ``max_length``, indexed
+    by the length k < ``rows`` (its largest order) of a vertex's row 1: each keeps
+    the fields 0 .. L-k of every block ``(offset, fields)`` of ``width``-bit fields,
+    and nothing when k > L.  The climb cuts each state to the mask of the vertex it
+    enters, as it is pushed there.
 
     A step removes at most one box of row 1, so a chain at depth d of a vertex with
     k boxes in row 1 is at least d + k long at the top, and is dropped once d + k > L.
@@ -136,83 +126,89 @@ def _length_masks(max_length: int, rows: int, width: int,
                  for k in range(rows))
 
 
-def _climb(seeds: Mapping[Partition, int], advance: Callable[[int], tuple[int, int]],
-           order: int | None = None, masks: tuple[int, ...] | None = None) -> int:
-    """The state that reaches the null diagram from the states ``seeds`` (``{vertex:
-    packed state}``).  A state is one int packing chain counts into fields
-    (:func:`_field_width`).
+def _climb(orders: Sequence[int], max_length: int | None = None,
+           plus_full: int | None = None) -> tuple[dict[int, int], ...]:
+    """The maximal chains of each of ``orders`` by length up to ``max_length``
+    (default None: all), ``{length: count}`` in the order of ``orders``; with
+    ``plus_full`` = t, the first entry counts only the chains that take no step
+    :func:`is_plus_full_step` holds for at order t.
+
+    Each vertex holds one int: entry j (order n) owns the j-th block of
+    min(L, C(n,2))+1 fields, the first entry's lowest, L the bound or C(m,2) for the
+    largest order m, and field d counts the chains that reach the vertex at depth
+    d.  Every order is checked (:func:`_staircase_of`) before anything is built;
+    each block is seeded with the one chain at its order's staircase.  A step
+    shifts a state one field (``state << width``); a plus-full step also clears the
+    first block (``state >> clean << clean``).  A vertex with a step has a box in
+    row 1, so no chain there is C(n,2) or, under a bound, L long
+    (:func:`_length_masks`): no step shifts a kept field into the next block.
+    Every block takes the :func:`_field_width` of m up to the bound: the j-th step
+    of a chain of order n < m leaves at most C(n,2)-j < C(m,2)-j boxes, and its
+    vertices have at most n-1 < m-1 rows, so the bounds at m hold for it too.
 
     The levels are a list indexed by box count, each mapping the codes
-    (``shapes._code``) of its reachable vertices to their states and freed once
-    pushed; a seed starts in its own level.  A step removing a strip goes that many
-    boxes up, and states merge by addition.  If masks are given, each state is cut
-    as it is pushed, a seed's too, to ``masks[k]`` of the vertex it enters
-    (:func:`_length_masks`, k the length of that vertex's row 1, its code's low
-    byte), and a state cut to nothing is not stored, so a vertex that only such
-    states reach is never stored or expanded;
-    ``advance(state)`` returns the states moved across a step, ``(plain, special)``:
-    the step removing the last boxes of rows ``top+1 .. d`` of ``shape`` takes
-    ``special`` where an ``order`` is given and ``is_plus_full_step(shape, top, d,
-    order)`` holds.  Only then is a vertex's shape decoded, once, for the rule and
-    the kernel both, and the rule is tested only where ``top`` is 0, the one case
-    it can hold.
+    (``shapes._code``) of its vertices to their states and freed once pushed.  A
+    step removing a strip goes that many boxes up, and states merge by addition.
+    Under a bound, each state pushed, a seed's too, is cut to ``masks[k]`` of the
+    vertex it enters (k its row 1's length, its code's low byte), and a state cut to
+    nothing is not stored, so a vertex only such states reach is never expanded.
+    Only with ``plus_full`` is a vertex's shape decoded, once, for the rule and the
+    kernel both, and the rule is tested only where ``top`` is 0, the one case it
+    can hold.
     """
-    levels: list = [{} for _ in range(max(map(sum, seeds), default=0) + 1)]
-    for seed, state in seeds.items():
-        code = _code(seed)
+    seeds = [_staircase_of(n) for n in orders]
+    largest = max(orders)
+    bound = comb(largest, 2) if max_length is None else max_length
+    width = _field_width(largest, max_length)
+    blocks, offset = [], 0
+    for n in orders:
+        fields = min(bound, comb(n, 2)) + 1
+        blocks.append((offset, fields))
+        offset += width * fields
+    clean = width * blocks[0][1]
+    masks = None if max_length is None else _length_masks(max_length, largest, width, blocks)
+    levels: list = [{} for _ in range(max(map(sum, seeds)) + 1)]
+    for seed, (offset, _) in zip(seeds, blocks):
+        code, state = _code(seed), 1 << offset
         if masks is not None:
             state &= masks[code & 255]
         if state:
-            levels[sum(seed)][code] = state
+            level = levels[sum(seed)]
+            level[code] = level.get(code, 0) + state
     for boxes in range(len(levels) - 1, 0, -1):
         level, levels[boxes] = levels[boxes], None
         for code, state in level.items():
-            plain, special = advance(state)
-            shape = _shape(code) if order else None
+            state <<= width
+            shape = _shape(code) if plus_full else None
             for cover, top, d in _steps(code, shape):
-                moved = special if (order and not top
-                                    and is_plus_full_step(shape, top, d, order)) else plain
+                moved = state
+                if plus_full and not top and is_plus_full_step(shape, top, d, plus_full):
+                    moved = state >> clean << clean
                 if masks is not None:
                     moved &= masks[cover & 255]
                 if moved:
                     into = levels[boxes - (d - top)]
                     into[cover] = into.get(cover, 0) + moved
-    return levels[0].get(0, 0)
+    packed, mask = levels[0].get(0, 0), (1 << width) - 1
+    return tuple({d: count for d in range(fields)
+                  if (count := (packed >> (offset + d * width)) & mask)}
+                 for offset, fields in blocks)
 
 
 def length_histograms(orders: Iterable[int],
                       max_length: int | None = None) -> dict[int, LengthHistogram]:
     """``{n: histogram of the maximal chains of order n by length}`` for each order,
-    ascending, up to ``max_length`` (default None: all), from one climb seeded at
-    every order's staircase.
-
-    Order n's chains fill their own block of min(L, C(n,2))+1 fields, the largest
-    order lowest, so the states near the bottom stay short; L is the bound, or C(m,2)
-    for the largest order m.  A chain of order n reaches length C(n,2) only at the
-    null diagram, so no step shifts a field into the next block.  All blocks take
-    the :func:`_field_width` of m up to the bound: the j-th step of a chain of order
-    n < m leaves at most C(n,2)-j < C(m,2)-j boxes, and its vertices have at most
-    n-1 < m-1 rows, so the bounds at m hold for them too.  With a bound, the climb
-    keeps each block under :func:`_length_masks`.
+    ascending, up to ``max_length`` (default None: all), from one :func:`_climb`
+    seeded at every order's staircase, the largest order's block lowest, so the
+    states near the bottom stay short.
     """
     if max_length is not None and max_length < 0:
         raise ValueError(f"length bound must be >= 0, got {max_length}")
-    orders = sorted(set(orders), reverse=True)
+    orders = sorted(set(orders))
     if not orders:
         return {}
-    bound = comb(orders[0], 2) if max_length is None else max_length
-    width = _field_width(orders[0], max_length)
-    seeds, blocks, offset = {}, {}, 0
-    for n in orders:
-        seeds[_staircase_of(n)] = 1 << offset
-        blocks[n] = offset, min(bound, comb(n, 2)) + 1
-        offset += width * blocks[n][1]
-    masks = None if max_length is None else _length_masks(max_length, orders[0], width,
-                                                          blocks.values())
-    packed = _climb(seeds, lambda reach: (reach << width, 0), masks=masks)
-    return {n: LengthHistogram(n, _unpack((packed >> offset) & ((1 << width * fields) - 1),
-                                          width))
-            for n, (offset, fields) in reversed(blocks.items())}
+    counts = _climb(orders[::-1], max_length)[::-1]
+    return {n: LengthHistogram(n, by_length) for n, by_length in zip(orders, counts)}
 
 
 @lru_cache(maxsize=32)
@@ -226,9 +222,10 @@ def enumerate_maximal_chains(n: int, length: int | None = None) -> Iterator[Tabl
 
     Order is the depth-first order induced by the cover ordering (corner row
     ascending); with ``length`` given, only the chains of that length, and the walk
-    cuts every branch that cannot end at it (:func:`_chains_up`).
+    cuts every branch that cannot end at it (:func:`_chains_up`).  The order is
+    checked (:func:`_staircase_of`) at the call, before the walk allocates anything.
     """
-    yield from _chains_up(n, _staircase_of(n), length)
+    return _chains_up(n, _staircase_of(n), length)
 
 
 def _chains_up(n: int, start: Partition, length: int | None = None,
@@ -336,21 +333,12 @@ def _nofull_and_all(t: int, max_length: int) -> tuple[dict[int, int], dict[int, 
     """The chains of order t up to length ``max_length`` by length: those with no
     plus-full step, and all of them.
 
-    One climb carries both in two blocks of min(``max_length``, C(t,2))+1 fields of
-    :func:`_field_width` bits, the clean block lowest, under :func:`_length_masks`;
-    each block starts with the staircase's one chain.  A step shifts both one field
-    up; a plus-full step of order t drops the clean block and shifts the other like
-    any step.  So the clean block counts the chains with no plus-full-set (``[0]`` at
-    bound t+i holds N_i(t) at length t+i), and the other block, which no step rule
-    touches, counts them all.
+    One :func:`_climb` with two blocks of order t, the clean block lowest: a
+    plus-full step of order t clears it.  So the clean block counts the chains with
+    no plus-full-set (``[0]`` at bound t+i holds N_i(t) at length t+i), and the
+    other block, which no step rule touches, counts them all.
     """
-    fields = min(max_length, comb(t, 2)) + 1
-    width = _field_width(t, max_length)
-    span = width * fields
-    packed = _climb({_staircase_of(t): 1 | 1 << span},
-                    lambda reach: (reach << width, (reach >> span) << (span + width)), t,
-                    _length_masks(max_length, t, width, [(0, fields), (span, fields)]))
-    return _unpack(packed & ((1 << span) - 1), width), _unpack(packed >> span, width)
+    return _climb([t, t], max_length, plus_full=t)
 
 
 def initial_values(offsets: Iterable[int], max_t: int) -> dict[int, dict[int, int]]:
@@ -366,8 +354,9 @@ def initial_values(offsets: Iterable[int], max_t: int) -> dict[int, dict[int, in
     if min(tops, default=-1) < -1:
         raise ValueError(f"length offset must be >= -1, got {min(tops)}")
     longest = max(tops, default=-1)
-    routes = {t: _nofull_and_all(t, t + longest)
-              for t in range(1, max(tops.values(), default=0) + 1)}
+    largest = max(tops.values(), default=0)
+    _staircase_of(max(largest, 1))  # an order past the kernel is refused before any climb
+    routes = {t: _nofull_and_all(t, t + longest) for t in range(1, largest + 1)}
     table = {}
     for i, top in tops.items():
         row = table[i] = inclusion_exclusion(

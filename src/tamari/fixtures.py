@@ -4,18 +4,22 @@ The files live under ``tamari/data`` and use decimal strings so that the
 counts survive any tool that mangles large integers.  Each is a header line of
 column names and one line per row, every field an integer with no quotes or
 spaces, so a line is read with ``str.split`` and the ``csv`` module is not
-loaded.
+loaded.  A file is opened by its path, not through ``importlib.resources``, so
+the package must be installed as plain files, not as a zip archive.
 """
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib import resources
+
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _rows(filename: str) -> list[dict[str, str]]:
     """The rows of one data file as ``{column: field}``, blank lines skipped."""
-    text = resources.files("tamari").joinpath("data").joinpath(filename).read_text()
+    with open(os.path.join(_DATA, filename)) as handle:
+        text = handle.read()
     header, *lines = [line for line in text.splitlines() if line]
     columns = header.split(",")
     return [dict(zip(columns, line.split(","))) for line in lines]

@@ -1,9 +1,9 @@
 import json
+from math import comb
 
 import pytest
 
 from tamari import cli, counting
-from tamari.shapes import staircase
 from tamari.tableaux import Tableau
 
 
@@ -74,7 +74,41 @@ def test_table_gating(capsys, climbs):
     assert "passed for n <= 9" in out
     # the path the benchmark's ``tables`` workload times: one climb for every
     # order, unbounded, so it masks no vertex
-    assert climbs == [(tuple(staircase(n - 1) for n in range(9, 0, -1)), False, False)]
+    assert climbs == [(tuple(range(9, 0, -1)), None, None)]
+
+
+def limited_cli(*argv):
+    """``tamari *argv`` in a fresh interpreter under a 512 MiB limit on its address
+    space and a 60 s time limit, so that a command that builds too much fails with
+    ``MemoryError`` or a timeout instead of swapping."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    import tamari
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = os.path.dirname(os.path.dirname(tamari.__file__))
+    return subprocess.run([sys.executable, "-m", "tamari.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+                          preexec_fn=limit)
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--max-n", "300"),  # the blocks of every order
+    ("table", "--max-n", "100000"),  # the field width's product
+    ("count", "--i", "0", "--n", "100000", "--method", "brute"),  # the length masks
+    ("enumerate", "--n", "100000", "--format", "csv"),  # the stream's buffers
+    ("nofull", "--max-i", "127"),  # orders 1..257, refused before order 1 climbs
+])
+def test_orders_past_the_kernel_are_refused_before_anything_is_built(argv):
+    proc = limited_cli(*argv, "--allow-huge")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: a row of ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith("which serves orders up to 256\n")
 
 
 def test_enumerate_streams_tableaux(capsys):
@@ -170,30 +204,31 @@ def test_nofull_skips_cells_beyond_ceilings(capsys):
 
 @pytest.fixture
 def climbs(monkeypatch):
-    """The seeds of each climb of the counting engine the CLI makes, in call order,
-    whether the climb has an order whose plus-full steps it folds at (for
-    ``nofull``), and whether it is cut by length masks (bounded at a length)."""
+    """Each climb of the counting engine the CLI makes, in call order: its orders,
+    the order whose plus-full steps clear its first block (for ``nofull``; None if
+    no rule) and its length bound (None if it is not cut by length masks)."""
     calls = []
     original = counting._climb
 
-    def counted_climb(seeds, advance, order=None, masks=None):
-        calls.append((tuple(seeds), order is not None, masks is not None))
-        return original(seeds, advance, order, masks)
+    def counted_climb(orders, max_length=None, plus_full=None):
+        calls.append((tuple(orders), plus_full, max_length))
+        return original(orders, max_length, plus_full)
 
     monkeypatch.setattr(counting, "_climb", counted_climb)
     return calls
 
 
-def once_per_order(top):
-    """One climb from each staircase of orders 1..top, folding at the plus-full
-    steps to carry both routes, bounded at the longest chain the offsets need."""
-    return [((staircase(n - 1),), True, True) for n in range(1, top + 1)]
+def once_per_order(top, max_i):
+    """One climb from each staircase of orders 1..top, two blocks of the order,
+    clearing the first at its plus-full steps to carry both routes, bounded at the
+    longest chain the offsets up to ``max_i`` need."""
+    return [((n, n), n, n + max_i) for n in range(1, top + 1)]
 
 
 def test_nofull_climbs_each_order_once(capsys, climbs):
     code, _, _ = run(capsys, "nofull", "--max-i", "3")
     assert code == 0
-    assert climbs == once_per_order(9)  # 2i+3 = 9, for every offset at once, all masked
+    assert climbs == once_per_order(9, 3)  # 2i+3 = 9, for every offset at once, all masked
 
 
 def test_nofull_skipped_report_stays_short(capsys, climbs):
@@ -202,7 +237,7 @@ def test_nofull_skipped_report_stays_short(capsys, climbs):
     assert len(err.encode()) < 4096
     skipped = sum(2 * i + 3 - cli.DP_LIMIT for i in range(4, 401))
     assert f"{skipped} cells, first: [(4, 10), (4, 11), (5, 10)" in err
-    assert climbs == once_per_order(cli.DP_LIMIT)
+    assert climbs == once_per_order(cli.DP_LIMIT, 400)
 
 
 @pytest.mark.parametrize("skip", [None, "plus-full"])
@@ -304,6 +339,9 @@ def test_count_methods(capsys, monkeypatch):
     assert code == 0 and out.strip() == "84"
     code, out, _ = run(capsys, "count", "--i", "-1", "--n", "100")
     assert code == 0 and out.strip() == "1"
+    # past the kernel's orders: only N_0(1..3) are climbed
+    code, out, _ = run(capsys, "count", "--i", "0", "--n", str(10 ** 9), "--allow-huge")
+    assert code == 0 and out == f"{comb(10 ** 9, 3)}\n"
     code, out, _ = run(capsys, "count", "--i", "1", "--n", "6", "--method", "both")
     assert code == 0 and out.strip() == "112"
     code, out, _ = run(capsys, "count", "--i", "2", "--n", "5", "--method", "brute")

@@ -142,12 +142,6 @@ def test_shortest_chain_unique():
         assert count_by_length(n).get(n - 1) == 1
 
 
-def test_census_agrees_with_histogram():
-    for n in range(1, 7):
-        by_length, _, _ = stream_census(n)
-        assert by_length == dict(count_by_length(n).counts)
-
-
 def bounded(n, bound, rule=None):
     """The chains of order n up to length ``bound``, by length: all of them, from the
     bounded histogram, or with ``rule`` (``is_plus_full_step``) given, those that take
@@ -237,7 +231,7 @@ def test_a_bounded_width_one_bit_too_narrow_would_be_seen(monkeypatch):
 
 
 def test_orders_one_and_two_have_a_one_bit_width_and_terminate():
-    # their width multiplies only ones; a width of 0 bits would never leave ``_unpack``
+    # their width multiplies only ones; a width of 0 bits would read every count as 0
     for bound in (0, 1, 2, 10 ** 9):
         assert counting._field_width(1, bound) == counting._field_width(2, bound) == 1
         assert counting._nofull_and_all(1, bound) == ({0: 1}, {0: 1})

@@ -319,13 +319,6 @@ def test_monotone_heights_at_stated_scale():
     assert result.passed, result
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_cover_sets_agree_across_representations(n):
-    # covers/path-vs-diagram at orders <= n (the check caps at 11; slow runs that)
-    result = run_check("covers/path-vs-diagram", VerifyLimits(max_n=n))
-    assert result.passed, result
-
-
 def test_the_kernel_against_dyck_covers_past_the_exhaustive_range():
     # every vertex up to order 11, then 2,000 uniform random vertices spread over the
     # orders 12..20, where rows 12 and up enter the kernel's steps (slow: to order 256)

@@ -137,14 +137,15 @@ def test_match_args_destructure_the_fields():
             pytest.fail("no match")
 
 
-def _modules_after(statement):
-    """(modules that ``statement`` adds to a fresh interpreter's ``sys.modules``,
-    all the modules loaded after it)."""
+def _modules_after(statement, *flags):
+    """(modules that ``statement`` adds to a fresh interpreter, started with the
+    interpreter options ``flags``, to its ``sys.modules``, all the modules loaded
+    after it)."""
     script = ("import sys\nbefore = set(sys.modules)\n" + statement + "\n"
               "print(' '.join(sorted(set(sys.modules) - before)))\n"
               "print(' '.join(sorted(sys.modules)))\n")
     src = os.path.dirname(os.path.dirname(tamari.__file__))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
     added, loaded = proc.stdout.splitlines()
@@ -168,6 +169,15 @@ def test_import_path_loads_no_dataclasses():
     # only ``verify`` loads the property suites, which still use dataclasses
     added, loaded = _modules_after("import tamari.checks")
     assert "tamari.checks" in added and "dataclasses" in loaded
+
+
+def test_the_tables_load_without_importlib_resources():
+    # the fixtures open their files by path; under -S no ``site`` start-up loads
+    # these modules first, so the command path and the two tables must load none
+    added, _ = _modules_after("import tamari, tamari.cli, tamari.fixtures as f\n"
+                              "f.length_table(), f.nofull_table()", "-S")
+    assert "tamari.fixtures" in added
+    assert not added & {"importlib.resources", "zipfile", "tempfile", "shutil", "lzma", "bz2"}
 
 
 def _modules_after_main(argv):

@@ -50,10 +50,10 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the counting engine's packed state: the one field width (its depth), the one
-    # table of length masks (a field's cut-off, a vertex's cut-off, the index a
+    # the one climb engine and its packed state: the one field width (its depth), the
+    # one table of length masks (a field's cut-off, a vertex's cut-off, the index a
     # pushed state takes, the byte of the cover's code that index is read from, the
-    # vertex whose code it is read from), the one climb of `table` and its seeds' blocks
+    # vertex whose code it is read from), the shift of a step and the size of a block
     Mutant("width-depth", "counting.py", "min(max_length, top)", "min(max_length - 1, top)"),
     Mutant("mask-fields", "counting.py", "min(max_length - k + 1, fields)",
            "min(max_length - k, fields)"),
@@ -65,14 +65,16 @@ MUTANTS = (
            "moved &= masks[cover >> 8 & 255]"),
     Mutant("mask-popped-vertex", "counting.py", "moved &= masks[cover & 255]",
            "moved &= masks[code & 255]"),
-    Mutant("step-shift", "counting.py", "lambda reach: (reach << width, 0)",
-           "lambda reach: (reach << 0, 0)"),
+    Mutant("step-shift", "counting.py", "state <<= width", "state <<= 0"),
     Mutant("table-block-offset", "counting.py", "min(bound, comb(n, 2)) + 1",
            "min(bound, comb(n, 2))"),
-    # the initial-values climb: a plus-full step keeps the clean block like a plain step
-    Mutant("drop-kept", "counting.py",
-           "lambda reach: (reach << width, (reach >> span) << (span + width))",
-           "lambda reach: (reach << width, reach << width)"),
+    # the initial-values climb: a plus-full step keeps the clean block like a plain
+    # step, at the step or by an empty clean span, or it clears the other block
+    Mutant("drop-kept", "counting.py", "moved = state >> clean << clean", "moved = state"),
+    Mutant("clean-span-empty", "counting.py", "clean = width * blocks[0][1]",
+           "clean = width * blocks[0][0]"),
+    Mutant("clear-wrong-block", "counting.py", "moved = state >> clean << clean",
+           "moved = state & ((1 << clean) - 1)"),
     Mutant("level-step", "counting.py", "boxes - (d - top)", "boxes - 1"),
     # the box-free cover kernel on a vertex's code (row j's length in byte j-1), its
     # step by one subtraction, and the edge filter on its rows
